@@ -36,11 +36,14 @@ Per-level kernel
    same fault-choice contexts; the per-key context lists come from the
    model's scalar cache (:meth:`fault_contexts`) and are flattened into
    arrays, then every state is repeated once per applicable context;
-4. **step tables** -- per channel-pair, ``counts``/``offsets`` tables
-   indexed ``[node, local_code]`` point into one flat ``uint64`` array of
-   *unshifted* next-local codes (filled lazily through the same scalar
+4. **step tables** -- ``counts``/``offsets`` tables indexed
+   ``[pair, node, local_id]`` point into one flat ``uint64`` array of
+   pre-scaled next-local codes (filled lazily through the same scalar
    :meth:`node_option_codes` the packed engine uses, so both engines stay
-   bit-for-bit consistent);
+   bit-for-bit consistent).  ``local_id`` is a dense id interned the
+   first time a node-local code appears in a frontier, so the tables
+   cover only the few hundred codes a search reaches, not the whole
+   ``block_radix`` local axis; both table dimensions grow by doubling;
 5. **cartesian expansion** -- each (state, context) row yields
    ``prod(counts)`` successors; a mixed-radix decode of the within-row
    index selects one option per node and the successor word is the dot
@@ -103,21 +106,27 @@ class VectorKernel:
                                dtype=np.uint64)
         #: Lazy sent-kind tables, -1 = not yet filled.
         self._sent = np.full((node_count, block_radix), -1, dtype=np.int8)
-        #: Stacked step tables indexed ``[pair_key, node, local]``; counts
-        #: of -1 mark unfilled entries, offsets point into the flat pool.
-        #: int64 so gathers feed the index arithmetic without conversions.
-        self._counts = np.empty((0, node_count, block_radix), dtype=np.int64)
-        self._offsets = np.empty((0, node_count, block_radix), dtype=np.int64)
+        #: Interned local codes: code -> dense id (-1 = not seen yet), and
+        #: the reverse list (id -> code).
+        self._local_id = np.full(block_radix, -1, dtype=np.int64)
+        self._local_codes: List[int] = []
+        #: Stacked step tables indexed ``[pair_key, node, local_id]``;
+        #: counts of -1 mark unfilled entries, offsets point into the flat
+        #: pool.  int64 so gathers feed the index arithmetic without
+        #: conversions.  Sized by :meth:`_reserve`.
+        self._counts = np.empty((0, node_count, 0), dtype=np.int64)
+        self._offsets = np.empty((0, node_count, 0), dtype=np.int64)
         #: Broadcast helpers reused every level.
         self._node_row = np.arange(node_count)[None, :]
         self._sig_base = 2 + 2 * np.arange(node_count, dtype=np.int64)[None, :]
-        #: Flat-index helpers: table[pair, node, local] ==
-        #: table.ravel()[(pair * node_count + node) * block_radix + local].
-        self._flat_node = (np.arange(node_count) * block_radix)[None, :]
-        self._flat_pair_scale = node_count * block_radix
+        #: Flat-index helpers, reset by :meth:`_reserve`:
+        #: table[pair, node, id] ==
+        #: table.ravel()[pair * pair_stride + node * id_capacity + id].
+        self._pair_stride = 0
+        self._node_stride = np.zeros((1, node_count), dtype=np.int64)
         self._counts_flat = self._counts.ravel()
         self._offsets_flat = self._offsets.ravel()
-        #: Flat pool of unshifted option codes the offsets point into.
+        #: Flat pool of pre-scaled option codes the offsets point into.
         self._options_list: List[int] = []
         self._options = np.empty(0, dtype=np.uint64)
         #: context key -> (pair_keys int64[], next_tails int64[]).
@@ -169,13 +178,25 @@ class VectorKernel:
         kinds = self._sent[self._node_row, planes]
         if (kinds < 0).any():
             rows, nodes = np.nonzero(kinds < 0)
-            missing = np.unique(np.stack([nodes, planes[rows, nodes]], axis=1),
-                                axis=0)
-            for node_index, local_code in missing.tolist():
+            missing = np.unique(nodes * self.block_radix + planes[rows, nodes])
+            for key in missing.tolist():
+                node_index, local_code = divmod(key, self.block_radix)
                 self._sent[node_index, local_code] = KIND_TO_ID[
                     self.model.sent_kind(node_index, local_code)]
             kinds = self._sent[self._node_row, planes]
         return kinds
+
+    def _intern(self, planes) -> "object":
+        """Dense local ids of all states x nodes (interns new codes)."""
+        np = self.np
+        ids = self._local_id.take(planes)
+        if (ids < 0).any():
+            fresh = np.unique(planes[ids < 0])
+            first = len(self._local_codes)
+            self._local_id[fresh] = np.arange(first, first + len(fresh))
+            self._local_codes.extend(fresh.tolist())
+            ids = self._local_id.take(planes)
+        return ids
 
     def _signature_of(self, sig_id: int) -> Tuple[str, int]:
         """Signature id -> the model's ``(kind, node_id)`` nominal tuple."""
@@ -203,40 +224,46 @@ class VectorKernel:
             self._contexts[key] = entry
         return entry
 
-    def _grow_pairs(self, pair_count: int) -> None:
-        """Extend the stacked step tables to cover ``pair_count`` pairs."""
+    def _reserve(self, pair_count: int) -> None:
+        """Grow the step tables, by doubling, to cover ``pair_count``
+        pairs and every interned local id."""
         np = self.np
-        have = self._counts.shape[0]
-        if pair_count <= have:
+        old_pairs, _, old_ids = self._counts.shape
+        id_count = len(self._local_codes)
+        if pair_count <= old_pairs and id_count <= old_ids:
             return
-        extra = pair_count - have
-        self._counts = np.concatenate(
-            [self._counts, np.full((extra, self.node_count, self.block_radix),
-                                   -1, dtype=np.int64)])
-        self._offsets = np.concatenate(
-            [self._offsets, np.zeros((extra, self.node_count,
-                                      self.block_radix), dtype=np.int64)])
-        self._counts_flat = self._counts.ravel()
-        self._offsets_flat = self._offsets.ravel()
+        pairs = (old_pairs if pair_count <= old_pairs
+                 else max(pair_count, 2 * old_pairs))
+        ids = old_ids if id_count <= old_ids else max(id_count, 2 * old_ids)
+        shape = (pairs, self.node_count, ids)
+        counts = np.full(shape, -1, dtype=np.int64)
+        offsets = np.zeros(shape, dtype=np.int64)
+        counts[:old_pairs, :, :old_ids] = self._counts
+        offsets[:old_pairs, :, :old_ids] = self._offsets
+        self._counts, self._offsets = counts, offsets
+        self._counts_flat = counts.ravel()
+        self._offsets_flat = offsets.ravel()
+        self._pair_stride = self.node_count * ids
+        self._node_stride = (np.arange(self.node_count) * ids)[None, :]
 
-    def _fill_missing(self, row_pair, row_planes, counts) -> None:
-        """Fill step-table entries for every (pair, node, local) gathered as
-        unfilled (count < 0) in this level, through the scalar accessor.
+    def _fill_missing(self, flat_index, counts) -> None:
+        """Fill step-table entries for every flat ``(pair, node, id)``
+        index gathered as unfilled (count < 0) in this level, through the
+        scalar accessor.
 
         Options enter the flat pool *pre-scaled* by ``block_radix**node``,
         so the expansion sums gathered pool entries directly.
         """
         np = self.np
-        rows, nodes = np.nonzero(counts < 0)
-        triples = np.unique(np.stack(
-            [row_pair[rows], nodes, row_planes[rows, nodes]], axis=1), axis=0)
-        for pair_key, node_index, local_code in triples.tolist():
-            options = self.model.node_option_codes(node_index, local_code,
-                                                   pair_key)
+        id_capacity = self._counts.shape[2]
+        for key in np.unique(flat_index[counts < 0]).tolist():
+            pair_key, rest = divmod(key, self._pair_stride)
+            node_index, local_id = divmod(rest, id_capacity)
+            options = self.model.node_option_codes(
+                node_index, self._local_codes[local_id], pair_key)
             scale = self.block_radix ** node_index
-            self._counts[pair_key, node_index, local_code] = len(options)
-            self._offsets[pair_key, node_index, local_code] = \
-                len(self._options_list)
+            self._counts_flat[key] = len(options)
+            self._offsets_flat[key] = len(self._options_list)
             self._options_list.extend(option * scale for option in options)
         self._options = np.asarray(self._options_list, dtype=np.uint64)
 
@@ -306,14 +333,13 @@ class VectorKernel:
         # One flat index array serves both stacked tables (same geometry);
         # entries gathered as -1 are unfilled, triggering a scalar fill +
         # regather.
-        rows = len(row_state)
-        self._grow_pairs(int(flat_pairs.max()) + 1)
-        row_planes = planes.take(row_state, axis=0)
-        flat_index = (row_pair[:, None] * self._flat_pair_scale
-                      + self._flat_node) + row_planes
+        ids = self._intern(planes)
+        self._reserve(int(flat_pairs.max()) + 1)
+        flat_index = (row_pair[:, None] * self._pair_stride
+                      + self._node_stride) + ids.take(row_state, axis=0)
         counts = self._counts_flat.take(flat_index)
         if (counts < 0).any():
-            self._fill_missing(row_pair, row_planes, counts)
+            self._fill_missing(flat_index, counts)
             counts = self._counts_flat.take(flat_index)
         offsets = self._offsets_flat.take(flat_index)
 

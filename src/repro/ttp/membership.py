@@ -44,13 +44,17 @@ class MembershipView:
     property (built on demand; the avoidance test runs once per round).
     """
 
-    __slots__ = ("own_slot", "members", "history", "_agreed", "_failed",
-                 "_cap", "_snapshot", "_snapshot_of")
+    __slots__ = ("own_slot", "members", "judged", "judged_failed", "_agreed",
+                 "_failed", "_cap", "_snapshot", "_snapshot_of")
 
     def __init__(self, own_slot: int) -> None:
         self.own_slot = own_slot
         self.members: set = set()
-        self.history: List[SlotJudgment] = []
+        #: Lifetime judgment counts (diagnostics; see :meth:`failed_ratio`).
+        #: Counters rather than a judgment log: a long large-N run judges
+        #: hundreds of thousands of node-slots.
+        self.judged = 0
+        self.judged_failed = 0
         self._agreed = 0
         self._failed = 0
         self._cap = CliqueCounters().cap
@@ -93,7 +97,7 @@ class MembershipView:
 
     def apply_judgment(self, judgment: SlotJudgment) -> None:
         """Fold one slot verdict into membership and counters."""
-        self.history.append(judgment)
+        self.judged += 1
         members = self.members
         if judgment.correct:
             if judgment.slot_id not in members:
@@ -108,6 +112,7 @@ class MembershipView:
                 members.discard(judgment.slot_id)
                 self._snapshot = None
         else:
+            self.judged_failed += 1
             if judgment.slot_id in members:
                 members.discard(judgment.slot_id)
                 self._snapshot = None
@@ -144,7 +149,6 @@ class MembershipView:
 
     def failed_ratio(self) -> float:
         """Fraction of judged slots that failed (diagnostics)."""
-        if not self.history:
+        if not self.judged:
             return 0.0
-        failed = sum(1 for judgment in self.history if judgment.failed)
-        return failed / len(self.history)
+        return self.judged_failed / self.judged

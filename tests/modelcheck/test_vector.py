@@ -178,6 +178,70 @@ def test_explorer_limit_truncates_at_exact_prefix():
     assert committed == sorted(committed)
 
 
+def reachable_frontier(authority, depth):
+    """The BFS level ``depth`` steps below the initial states."""
+    system = TTAStartupModel(scenario_for_authority(authority))
+    explorer = VectorExplorer(system)
+    words, tails, _ = explorer.initial_level(limit=None)
+    for _ in range(depth):
+        words, tails, _, _ = explorer.step(words, tails, limit=None)
+    return system, explorer.kernel.join_codes(words, tails)
+
+
+def successors_by_parent(kernel, codes):
+    """``successors_batch`` of ``codes`` as {parent code: [target codes]}."""
+    succ_words, succ_tails, parent = kernel.successors_batch(
+        *kernel.split_codes(codes))
+    by_parent = {code: [] for code in codes}
+    for row, target in zip(parent.tolist(),
+                           kernel.join_codes(succ_words, succ_tails)):
+        by_parent[codes[row]].append(target)
+    return by_parent
+
+
+FRONTIER_SYSTEM, FRONTIER = reachable_frontier(CouplerAuthority.FULL_SHIFTING,
+                                               depth=3)
+ONE_SHOT = successors_by_parent(VectorKernel(FRONTIER_SYSTEM), FRONTIER)
+
+
+@given(st.randoms(use_true_random=False),
+       st.integers(min_value=1, max_value=len(FRONTIER)))
+@settings(max_examples=25, deadline=None)
+def test_kernel_results_do_not_depend_on_local_id_order(rng, chunk):
+    """Local ids are interned in first-seen order, so feeding one frontier
+    in a different order and in pieces assigns different ids; the
+    successors of every parent must not change."""
+    order = list(FRONTIER)
+    rng.shuffle(order)
+    kernel = VectorKernel(FRONTIER_SYSTEM)
+    chunked = {}
+    for start in range(0, len(order), chunk):
+        chunked.update(successors_by_parent(kernel, order[start:start + chunk]))
+    assert chunked == ONE_SHOT
+    for code, targets in ONE_SHOT.items():
+        assert targets == sorted(set(FRONTIER_SYSTEM.packed_successors(code)))
+
+
+def test_vectorized_check_memory_stays_small():
+    """The step tables cover only the local codes a search reaches: one
+    slots=4 vectorized check peaks far below the dense local-axis tables
+    (about 100 MB)."""
+    import tracemalloc
+
+    from repro.core.verification import verify_authority
+
+    tracemalloc.start()
+    try:
+        result = verify_authority(CouplerAuthority.PASSIVE, slots=4,
+                                  engine="vectorized")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.check.engine == "vectorized"
+    assert result.check.states_explored == 14772
+    assert peak <= 16 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # Visited sets
 # ---------------------------------------------------------------------------

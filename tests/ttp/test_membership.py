@@ -106,6 +106,13 @@ def test_failed_ratio_empty_history():
 
 def test_history_records_every_judgment():
     view = make_view()
-    for slot_id in (2, 3, 4):
-        view.apply_judgment(SlotJudgment(slot_id=slot_id, correct=True, null=False))
-    assert [judgment.slot_id for judgment in view.history] == [2, 3, 4]
+    verdicts = [(2, True, False), (3, False, False), (4, False, True),
+                (3, True, False), (2, False, False)]
+    for count, (slot_id, correct, null) in enumerate(verdicts, start=1):
+        view.apply_judgment(SlotJudgment(slot_id=slot_id, correct=correct, null=null))
+        assert view.judged == count
+    assert view.judged_failed == 2
+    assert view.failed_ratio() == 2 / 5
+    # Judgments apply in order: slot 3 failed, then was re-added; slot 2
+    # was added first and removed last.
+    assert view.members == {3}
