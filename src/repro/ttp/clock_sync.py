@@ -61,14 +61,6 @@ def fault_tolerant_average(deviations: List[float], discard: int = 1) -> float:
 
 
 @dataclass
-class SyncMeasurement:
-    """One arrival-time deviation measurement."""
-
-    slot_id: int
-    deviation: float
-
-
-@dataclass
 class ClockSynchronizer:
     """Collects deviations over a round and produces FTA corrections.
 
@@ -79,26 +71,28 @@ class ClockSynchronizer:
 
     discard: int = 1
     max_correction: float = 10.0
-    measurements: List[SyncMeasurement] = field(default_factory=list)
+    #: Arrival-time deviations measured since the last correction.
+    deviations: List[float] = field(default_factory=list)
     corrections_applied: int = 0
     last_correction: float = 0.0
 
     def observe(self, slot_id: int, expected_arrival: float,
                 actual_arrival: float) -> float:
-        """Record the deviation of one frame; returns the deviation."""
+        """Record the deviation of the frame sent in ``slot_id``; returns
+        the deviation."""
         deviation = actual_arrival - expected_arrival
-        self.measurements.append(SyncMeasurement(slot_id=slot_id, deviation=deviation))
+        self.deviations.append(deviation)
         return deviation
 
     def pending_count(self) -> int:
         """Measurements collected since the last correction."""
-        return len(self.measurements)
+        return len(self.deviations)
 
     def compute_correction(self) -> float:
         """FTA correction from the collected measurements, clamped to the
         precision window.  Clears the measurement set."""
-        deviations = [entry.deviation for entry in self.measurements]
-        self.measurements = []
+        deviations = self.deviations
+        self.deviations = []
         correction = fault_tolerant_average(deviations, discard=self.discard)
         if correction > self.max_correction:
             correction = self.max_correction
@@ -110,7 +104,7 @@ class ClockSynchronizer:
 
     def reset(self) -> None:
         """Drop any collected measurements (re-integration path)."""
-        self.measurements = []
+        self.deviations = []
 
 
 def precision_bound(delta_rho: float, resync_interval: float,

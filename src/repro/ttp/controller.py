@@ -55,7 +55,7 @@ from repro.ttp.frames import (
     XFrame,
 )
 from repro.ttp.medl import Medl, MedlDispatch
-from repro.ttp.membership import MembershipView, SlotJudgment
+from repro.ttp.membership import MembershipView
 from repro.ttp.startup import StartupRules
 
 #: Hot-path aliases: the tick path compares controller states thousands of
@@ -445,7 +445,7 @@ class TTPController:
         self.cstate = CState(global_time=self.cstate.global_time,
                              medl_position=self.own_slot,
                              membership=frozenset({self.own_slot}))
-        self.view.members = {self.own_slot}
+        self.view.assign((self.own_slot,))
         self.view.reset_round()
         self._judged_since_test = 0
         self._emit(ev.StateChange, state=self.state.value)
@@ -546,11 +546,11 @@ class TTPController:
         self._advance_slot()
         if self.slot == self.own_slot:
             if (self.config.clock_sync_enabled
-                    and self.synchronizer.measurements):
+                    and self.synchronizer.deviations):
                 # Once-per-round resynchronization: a positive FTA value
                 # means frames arrive later than our grid expects (our
                 # clock runs fast), so the next round is stretched.
-                measured = len(self.synchronizer.measurements)
+                measured = len(self.synchronizer.deviations)
                 correction = self.synchronizer.compute_correction()
                 self._sync_adjustment = correction
                 if self.config.emit_sync_rounds:
@@ -652,8 +652,7 @@ class TTPController:
         # The integration frame itself is a correct frame from its sender:
         # credit it, and make sure the (already consumed) slot is not
         # re-judged as silence at the next tick.
-        self.view.apply_judgment(SlotJudgment(slot_id=adopted_slot,
-                                              correct=True, null=False))
+        self.view.apply_judgment(adopted_slot, True, False)
         if frame.cstate.dmc_mode and self.modes.valid_mode(frame.cstate.dmc_mode - 1):
             self.pending_mode = frame.cstate.dmc_mode - 1
         self._judged_since_test += 1
@@ -738,8 +737,11 @@ class TTPController:
         tolerance = self.tolerance
         window = tolerance.window
         threshold = tolerance.threshold
-        strict = config.strict_membership_agreement
-        expected_members = None
+        # TTP/C membership check: the sender includes itself at its
+        # membership point, so a correct frame carries our view with the
+        # sender's bit set -- compared as wire words, O(1) in N.
+        expected_word = (self.view.word | (1 << position)
+                         if config.strict_membership_agreement else None)
 
         # Inlined FrameObservation.is_valid + _frame_correct per channel.
         valid0 = valid1 = correct0 = correct1 = False
@@ -753,12 +755,8 @@ class TTPController:
                 frame_cstate = frame0.cstate
                 if (frame_cstate.global_time == global_time
                         and frame_cstate.medl_position == position):
-                    if strict:
-                        expected_members = (self.view.membership_set()
-                                            | {position})
-                        correct0 = frame_cstate.membership == expected_members
-                    else:
-                        correct0 = True
+                    correct0 = (expected_word is None or
+                                frame_cstate.membership_word() == expected_word)
         if tx1 is not None:
             frame1 = tx1.frame
             shape = tx1.shape
@@ -768,13 +766,8 @@ class TTPController:
                 frame_cstate = frame1.cstate
                 if (frame_cstate.global_time == global_time
                         and frame_cstate.medl_position == position):
-                    if strict:
-                        if expected_members is None:
-                            expected_members = (self.view.membership_set()
-                                                | {position})
-                        correct1 = frame_cstate.membership == expected_members
-                    else:
-                        correct1 = True
+                    correct1 = (expected_word is None or
+                                frame_cstate.membership_word() == expected_word)
 
         any_correct = correct0 or correct1
         if any_correct:
@@ -814,8 +807,7 @@ class TTPController:
                     return
 
         all_null = tx0 is None and tx1 is None
-        self.view.apply_judgment(SlotJudgment(
-            slot_id=self.slot, correct=any_correct, null=all_null))
+        self.view.apply_judgment(self.slot, any_correct, all_null)
         if not all_null:
             self._judged_since_test += 1
             if not any_correct:
@@ -846,8 +838,7 @@ class TTPController:
             self._check_acknowledgment(obs_list)
             if self.state is _FREEZE:
                 return
-        judgment = SlotJudgment(slot_id=self.slot, correct=any_correct, null=all_null)
-        self.view.apply_judgment(judgment)
+        self.view.apply_judgment(self.slot, any_correct, all_null)
         if not all_null:
             self._judged_since_test += 1
             if not any_correct:
@@ -929,8 +920,8 @@ class TTPController:
             # TTP/C membership check: the sender includes itself at its
             # membership point, so the receiver compares against its own
             # view with the sender's bit set.
-            expected = self.view.membership_set() | {frame_cstate.medl_position}
-            return frame_cstate.membership == expected
+            return (frame_cstate.membership_word()
+                    == self.view.word | (1 << frame_cstate.medl_position))
         return True
 
     def _advance_slot(self) -> None:
@@ -955,10 +946,11 @@ class TTPController:
         # One slot elapsed; membership snapshot and pending DMC travel in
         # the C-state (single validated-by-construction build per slot).
         pending = self.pending_mode
+        view = self.view
         self.cstate = CState._unchecked(
             (cstate.global_time + 1) % (1 << 16), position,
-            self.view.membership_set(),
-            0 if pending is None else pending + 1)
+            view.membership_set(),
+            0 if pending is None else pending + 1, view.word)
 
     def _own_slot_actions(self) -> None:
         """Once-per-round actions at the node's own slot."""
@@ -1038,10 +1030,11 @@ class TTPController:
         # any pending deferred mode change.
         pending = self.pending_mode
         mcr = 0 if pending is None else pending + 1
-        self.view.record_own_send()
+        view = self.view
+        view.record_own_send()
         self.cstate = CState._unchecked(
             self.cstate.global_time, self.cstate.medl_position,
-            self.view.membership_set(), mcr)
+            view.membership_set(), mcr, view.word)
         cstate = self._sending_cstate()
         payload = self.cni.outgoing_payload()
         if payload is not None:

@@ -15,7 +15,7 @@ coupler fault subverts (a replayed frame carries a stale C-state).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.ttp.constants import (
     GLOBAL_TIME_BITS,
@@ -35,6 +35,10 @@ class CState:
     ``membership`` is the set of slot ids the controller currently believes
     are operating members.  ``global_time`` and ``medl_position`` wrap at
     their field widths, mirroring the on-wire representation.
+
+    :meth:`membership_word` is memoized per instance (outside the dataclass
+    fields, so it takes no part in ``==``, ``hash`` or ``replace``): the
+    slot judge compares memberships as words, once per node-slot.
     """
 
     global_time: int = 0
@@ -59,10 +63,14 @@ class CState:
 
     def membership_word(self) -> int:
         """Membership vector packed into an integer (bit i = slot i)."""
-        word = 0
-        for member in self.membership:
-            word |= 1 << member
-        return word
+        try:
+            return self._membership_word
+        except AttributeError:
+            word = 0
+            for member in self.membership:
+                word |= 1 << member
+            self.__dict__["_membership_word"] = word
+            return word
 
     def membership_field_bits(self) -> int:
         """Width of the membership wire field for this C-state.
@@ -114,13 +122,15 @@ class CState:
 
     @classmethod
     def _unchecked(cls, global_time: int, medl_position: int,
-                   membership: FrozenSet[int], dmc_mode: int) -> "CState":
+                   membership: FrozenSet[int], dmc_mode: int,
+                   membership_word: Optional[int] = None) -> "CState":
         """Fast constructor for fields already known to be in range.
 
         The evolution methods derive every field from an already-validated
         C-state, so re-running ``__post_init__``'s range checks (and the
         dataclass ``__init__`` machinery) per TDMA slot is pure overhead
-        on the simulation hot path.
+        on the simulation hot path.  A caller that already holds the
+        membership as a word passes it to seed the memo.
         """
         state = object.__new__(cls)
         fields = state.__dict__
@@ -128,6 +138,8 @@ class CState:
         fields["medl_position"] = medl_position
         fields["membership"] = membership
         fields["dmc_mode"] = dmc_mode
+        if membership_word is not None:
+            fields["_membership_word"] = membership_word
         return state
 
     def advanced(self, slots_in_round: int, slot_duration_ticks: int = 1) -> "CState":
@@ -160,7 +172,7 @@ class CState:
         """Whether two C-states match for frame-correctness purposes."""
         return (self.global_time == other.global_time
                 and self.medl_position == other.medl_position
-                and self.membership == other.membership
+                and self.membership_word() == other.membership_word()
                 and self.dmc_mode == other.dmc_mode)
 
     def as_tuple(self) -> Tuple[int, int, int, int]:

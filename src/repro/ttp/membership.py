@@ -14,8 +14,8 @@ Membership feeds two mechanisms the paper exercises:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, List
 
 from repro.ttp.clique import CliqueCounters
 from repro.ttp.cstate import CState
@@ -38,18 +38,27 @@ class SlotJudgment:
 class MembershipView:
     """Mutable membership bookkeeping for one controller.
 
+    Membership is stored in one form only: the wire vector as an integer
+    word (bit i = slot i; members are slots 1..64, bit 0 is reserved).
+    The slot judge compares it against a frame's C-state word in O(1),
+    and it changes only through this class's methods.
+    :meth:`membership_set` derives the set form from the word and caches
+    it until the word changes.
+
     The clique counters are kept as saturating plain integers -- one pair
     of updates per judged slot is the membership hot path -- and exposed
     as a :class:`CliqueCounters` value through the :attr:`counters`
     property (built on demand; the avoidance test runs once per round).
     """
 
-    __slots__ = ("own_slot", "members", "judged", "judged_failed", "_agreed",
-                 "_failed", "_cap", "_snapshot", "_snapshot_of")
+    __slots__ = ("own_slot", "word", "judged", "judged_failed", "_agreed",
+                 "_failed", "_cap", "_snapshot", "_snapshot_word")
 
     def __init__(self, own_slot: int) -> None:
         self.own_slot = own_slot
-        self.members: set = set()
+        #: Membership vector (bit i = slot i).  Read freely; change it only
+        #: through the methods below.
+        self.word = 0
         #: Lifetime judgment counts (diagnostics; see :meth:`failed_ratio`).
         #: Counters rather than a judgment log: a long large-N run judges
         #: hundreds of thousands of node-slots.
@@ -58,11 +67,10 @@ class MembershipView:
         self._agreed = 0
         self._failed = 0
         self._cap = CliqueCounters().cap
-        #: Cached :meth:`membership_set` snapshot.  Valid only while it was
-        #: built from the *current* ``members`` object (callers may reassign
-        #: ``members`` wholesale; in-class mutations invalidate explicitly).
-        self._snapshot: Optional[FrozenSet[int]] = None
-        self._snapshot_of: Optional[set] = None
+        #: Cached :meth:`membership_set` result and the word it was built
+        #: from; keyed on the word's value, so it cannot go stale.
+        self._snapshot: FrozenSet[int] = frozenset()
+        self._snapshot_word = 0
 
     @property
     def counters(self) -> CliqueCounters:
@@ -91,61 +99,55 @@ class MembershipView:
         any_correct = any(
             observation.is_correct(receiver_cstate) for observation in observations)
         all_null = all(observation.is_null() for observation in observations)
-        judgment = SlotJudgment(slot_id=slot_id, correct=any_correct, null=all_null)
-        self.apply_judgment(judgment)
-        return judgment
+        self.apply_judgment(slot_id, any_correct, all_null)
+        return SlotJudgment(slot_id=slot_id, correct=any_correct, null=all_null)
 
-    def apply_judgment(self, judgment: SlotJudgment) -> None:
+    def apply_judgment(self, slot_id: int, correct: bool, null: bool) -> None:
         """Fold one slot verdict into membership and counters."""
         self.judged += 1
-        members = self.members
-        if judgment.correct:
-            if judgment.slot_id not in members:
-                members.add(judgment.slot_id)
-                self._snapshot = None
+        if correct:
+            self.word |= 1 << slot_id
             if self._agreed < self._cap:
                 self._agreed += 1
-        elif judgment.null:
-            # Silence: the sender may simply have nothing scheduled; TTP/C
-            # removes it from membership but counts neither way.
-            if judgment.slot_id in members:
-                members.discard(judgment.slot_id)
-                self._snapshot = None
-        else:
+            return
+        # Silence also removes the sender (it may simply have nothing
+        # scheduled) but counts neither way.
+        self.word &= ~(1 << slot_id)
+        if not null:
             self.judged_failed += 1
-            if judgment.slot_id in members:
-                members.discard(judgment.slot_id)
-                self._snapshot = None
             if self._failed < self._cap:
                 self._failed += 1
 
     def record_own_send(self) -> None:
         """A controller's own successful send counts as an agreed slot and
         keeps itself in the membership."""
-        if self.own_slot not in self.members:
-            self.members.add(self.own_slot)
-            self._snapshot = None
+        self.word |= 1 << self.own_slot
         if self._agreed < self._cap:
             self._agreed += 1
 
-    def membership_set(self) -> FrozenSet[int]:
-        """Immutable snapshot for embedding into a C-state."""
-        snapshot = self._snapshot
-        if snapshot is not None and self._snapshot_of is self.members:
-            return snapshot
-        snapshot = frozenset(self.members)
-        self._snapshot = snapshot
-        self._snapshot_of = self.members
-        return snapshot
-
-    def is_member(self, slot_id: int) -> bool:
-        return slot_id in self.members
+    def assign(self, members: Iterable[int]) -> None:
+        """Replace the membership with exactly ``members``."""
+        word = 0
+        for member in members:
+            word |= 1 << member
+        self.word = word
 
     def adopt(self, cstate: CState) -> None:
         """Replace the membership view with the one from an adopted C-state
         (integration path)."""
-        self.members = set(cstate.membership)
-        self._snapshot = None
+        self.word = cstate.membership_word()
+
+    def membership_set(self) -> FrozenSet[int]:
+        """Immutable snapshot for embedding into a C-state."""
+        word = self.word
+        if word != self._snapshot_word:
+            self._snapshot = frozenset(
+                slot for slot in range(word.bit_length()) if word >> slot & 1)
+            self._snapshot_word = word
+        return self._snapshot
+
+    def is_member(self, slot_id: int) -> bool:
+        return bool(self.word >> slot_id & 1)
 
     def failed_ratio(self) -> float:
         """Fraction of judged slots that failed (diagnostics)."""

@@ -52,7 +52,7 @@ def observation(cstate, **kwargs):
 def test_frame_correct_requires_time_and_position():
     controller, _ = make_controller()
     controller.cstate = CState(global_time=5, medl_position=3)
-    controller.view.members = {1, 2}
+    controller.view.assign({1, 2})
     good = CState(global_time=5, medl_position=3,
                   membership=frozenset({1, 2, 3}))
     assert controller._frame_correct(observation(good))
@@ -68,7 +68,7 @@ def test_frame_correct_sender_inclusion_rule():
     """Expected membership = receiver's view with the sender's bit set."""
     controller, _ = make_controller()
     controller.cstate = CState(global_time=5, medl_position=3)
-    controller.view.members = {1, 2}
+    controller.view.assign({1, 2})
     without_self = CState(global_time=5, medl_position=3,
                           membership=frozenset({1, 2}))
     assert not controller._frame_correct(observation(without_self))
@@ -77,7 +77,7 @@ def test_frame_correct_sender_inclusion_rule():
 def test_frame_correct_loose_mode_ignores_membership():
     controller, _ = make_controller(strict_membership_agreement=False)
     controller.cstate = CState(global_time=5, medl_position=3)
-    controller.view.members = {1, 2}
+    controller.view.assign({1, 2})
     odd_membership = CState(global_time=5, medl_position=3,
                             membership=frozenset({9}))
     assert controller._frame_correct(observation(odd_membership))
@@ -86,7 +86,7 @@ def test_frame_correct_loose_mode_ignores_membership():
 def test_frame_correct_rejects_invalid_signal():
     controller, _ = make_controller()
     controller.cstate = CState(global_time=5, medl_position=3)
-    controller.view.members = set()
+    controller.view.assign(())
     good = CState(global_time=5, medl_position=3, membership=frozenset({3}))
     assert not controller._frame_correct(observation(good, corrupted=True))
     assert not controller._frame_correct(observation(good, signal_level=0.1))
@@ -99,7 +99,7 @@ def test_frame_correct_respects_receiver_tolerance():
     strict = TTPController(sim, "B", medl, topology,
                            tolerance=ReceiverTolerance(threshold=0.9))
     strict.cstate = CState(global_time=5, medl_position=3)
-    strict.view.members = set()
+    strict.view.assign(())
     good = CState(global_time=5, medl_position=3, membership=frozenset({3}))
     marginal = observation(good, signal_level=0.8)
     assert not strict._frame_correct(marginal)

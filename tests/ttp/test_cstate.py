@@ -1,5 +1,8 @@
 """Tests for the controller state (C-state)."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -133,3 +136,59 @@ def test_advancing_full_round_returns_position(slots):
         cstate = cstate.advanced(slots_in_round=slots)
     assert cstate.medl_position == 1
     assert cstate.global_time == slots
+
+
+# -- membership word memo -------------------------------------------------------------
+
+memberships = st.frozensets(st.integers(min_value=1, max_value=64))
+
+
+def folded_word(membership):
+    word = 0
+    for member in membership:
+        word |= 1 << member
+    return word
+
+
+@given(memberships)
+def test_membership_word_memo_equals_fold(members):
+    cstate = CState(global_time=7, medl_position=3, membership=members)
+    assert cstate.membership_word() == folded_word(members)
+    # The second call is served by the memo and still agrees.
+    assert cstate.membership_word() == folded_word(members)
+
+
+@given(memberships)
+def test_membership_word_memo_does_not_affect_eq_or_hash(members):
+    memoized = CState(global_time=7, medl_position=3, membership=members)
+    memoized.membership_word()
+    fresh = CState(global_time=7, medl_position=3, membership=members)
+    assert memoized == fresh
+    assert hash(memoized) == hash(fresh)
+    assert len({memoized, fresh}) == 1
+
+
+@given(memberships, memberships)
+def test_replace_recomputes_membership_word(members, other):
+    cstate = CState(global_time=7, medl_position=3, membership=members)
+    cstate.membership_word()
+    replaced = replace(cstate, membership=other)
+    assert replaced.membership_word() == folded_word(other)
+    assert replace(cstate, global_time=8).membership_word() == folded_word(members)
+
+
+@given(memberships, st.booleans())
+def test_pickle_round_trip_keeps_membership_word(members, memoized):
+    cstate = CState(global_time=7, medl_position=3, membership=members)
+    if memoized:
+        cstate.membership_word()
+    restored = pickle.loads(pickle.dumps(cstate))
+    assert restored == cstate
+    assert restored.membership_word() == folded_word(members)
+
+
+def test_unchecked_seeds_the_memo():
+    seeded = CState._unchecked(0, 1, frozenset({2, 33}), 0,
+                               folded_word({2, 33}))
+    assert seeded.membership_word() == folded_word({2, 33})
+    assert seeded == CState(membership=frozenset({2, 33}))

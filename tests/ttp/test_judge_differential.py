@@ -1,0 +1,162 @@
+"""Differential test: the fast dual-channel slot judge against the generic
+observation path.
+
+``TTPController._judge_completed_slot`` judges straight off the raw
+mailbox when the topology has two channels; every other configuration
+folds the mailbox into :class:`FrameObservation` values and runs
+``_judge_observations``.  Both must reach the same verdict and leave the
+controller in the same state.  The inputs are random mailboxes (0-3
+transmissions per channel, corrupted copies, signal shapes inside and
+outside the receiver tolerance) carrying C-states whose memberships range
+over slots 1..64, across the 16-bit boundaries of the wire field.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.network.channel import Transmission
+from repro.network.signal import SignalShape
+from repro.sim.engine import Simulator
+from repro.ttp.controller import (ControllerConfig, ControllerStateName,
+                                  TTPController)
+from repro.ttp.cstate import CState
+from repro.ttp.frames import IFrame, NFrame, XFrame
+from repro.ttp.medl import Medl
+
+SLOTS = 64
+NAMES = [f"N{index}" for index in range(1, SLOTS + 1)]
+MEDL = Medl.uniform(NAMES)
+#: Slots at and around the 16-bit field boundaries, the wire ceiling.
+EDGE_SLOTS = (1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64)
+
+slot_ids = st.one_of(st.sampled_from(EDGE_SLOTS), st.integers(1, SLOTS))
+memberships = st.frozensets(slot_ids, max_size=SLOTS)
+
+
+class TwoChannelTopology:
+    """Just enough dual-channel topology to construct a controller."""
+
+    channels = (object(), object())
+
+    def attach_receiver(self, callback):
+        pass
+
+    def send(self, source, frame, duration, shape=None):
+        pass
+
+    def node_activated(self, name, round_start):
+        pass
+
+
+class EventLog:
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event):
+        self.events.append(event)
+
+
+@st.composite
+def judge_inputs(draw):
+    receiver_members = draw(memberships)
+    position = draw(slot_ids)
+    global_time = draw(st.integers(0, (1 << 16) - 1))
+    agreeing = CState(global_time=global_time, medl_position=position,
+                      membership=receiver_members | {position})
+
+    def frame_cstate():
+        kind = draw(st.sampled_from(
+            ("agree", "agree", "members", "time", "position")))
+        dmc_mode = draw(st.integers(0, 2))
+        if kind == "agree":
+            membership = agreeing.membership
+        elif kind == "members":
+            membership = draw(memberships)
+        else:
+            membership = agreeing.membership
+        time = global_time
+        pos = position
+        if kind == "time":
+            time = (global_time + draw(st.integers(1, 3))) % (1 << 16)
+        elif kind == "position":
+            pos = position % SLOTS + 1
+        return CState(global_time=time, medl_position=pos,
+                      membership=membership, dmc_mode=dmc_mode)
+
+    mailbox = []
+    for channel in (0, 1):
+        for _ in range(draw(st.integers(0, 3))):
+            frame_type = draw(st.sampled_from((IFrame, NFrame, XFrame)))
+            cstate = frame_cstate()
+            if frame_type is XFrame and SLOTS in cstate.membership:
+                # The X-frame's fixed C-state field stops at slot 63.
+                frame_type = IFrame
+            if frame_type is XFrame:
+                bits = tuple(draw(st.lists(st.integers(0, 1), max_size=4)))
+                frame = XFrame(sender_slot=position, cstate=cstate,
+                               data_bits=bits)
+            else:
+                frame = frame_type(sender_slot=position, cstate=cstate)
+            shape = SignalShape(
+                level=draw(st.sampled_from((1.0, 0.6, 0.5, 0.4, 0.0))),
+                timing_offset=draw(st.sampled_from(
+                    (0.0, 0.5, -1.0, 1.0, 1.5, -2.0))))
+            transmission = Transmission(frame=frame, source="X",
+                                        start_time=0.0, duration=1.0,
+                                        shape=shape)
+            mailbox.append((channel, transmission, draw(st.booleans()), 0.0))
+    mailbox = draw(st.permutations(mailbox))
+    return {
+        "members": receiver_members,
+        "position": position,
+        "global_time": global_time,
+        "mailbox": mailbox,
+        "strict": draw(st.booleans()),
+        "ack_armed": draw(st.booleans()),
+        "pending_mode": draw(st.sampled_from((None, 0))),
+    }
+
+
+def judged_controller(inputs, fast):
+    log = EventLog()
+    controller = TTPController(
+        Simulator(), "N2", MEDL, TwoChannelTopology(), monitor=log,
+        config=ControllerConfig(
+            strict_membership_agreement=inputs["strict"]))
+    controller._fast_judge = fast
+    controller.state = ControllerStateName.PASSIVE
+    controller.slot = inputs["position"]
+    controller.cstate = CState(global_time=inputs["global_time"],
+                               medl_position=inputs["position"],
+                               membership=inputs["members"])
+    controller.view.assign(inputs["members"])
+    controller.pending_mode = inputs["pending_mode"]
+    if inputs["ack_armed"]:
+        controller.ack.arm()
+    controller._judge_completed_slot(list(inputs["mailbox"]))
+    return controller, log.events
+
+
+def observable(controller, events):
+    view = controller.view
+    return {
+        "word": view.word,
+        "counters": view.counters,
+        "judged": view.judged,
+        "judged_failed": view.judged_failed,
+        "judged_since_test": controller._judged_since_test,
+        "pending_mode": controller.pending_mode,
+        "dmc_announced": controller._dmc_announced,
+        "state": controller.state,
+        "ack": (controller.ack.armed, controller.ack.denials),
+        "deliveries": controller.cni.deliveries,
+        "events": events,
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(judge_inputs())
+def test_fast_judge_matches_generic_path(inputs):
+    fast = observable(*judged_controller(inputs, fast=True))
+    generic = observable(*judged_controller(inputs, fast=False))
+    assert fast == generic

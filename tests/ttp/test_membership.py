@@ -1,5 +1,7 @@
 """Tests for the group-membership bookkeeping."""
 
+import pytest
+
 from repro.ttp.cstate import CState
 from repro.ttp.frames import FrameObservation, IFrame
 from repro.ttp.membership import MembershipView, SlotJudgment
@@ -32,7 +34,7 @@ def test_correct_frame_adds_member_and_agreed():
 
 def test_incorrect_frame_removes_member_and_fails():
     view = make_view()
-    view.members.add(2)
+    view.assign({2})
     receiver = cstate(time=5, position=2)
     wrong = IFrame(sender_slot=2, cstate=cstate(time=99, position=2))
     judgment = view.judge_slot(2, [FrameObservation(frame=wrong)], receiver)
@@ -43,7 +45,7 @@ def test_incorrect_frame_removes_member_and_fails():
 
 def test_silent_slot_removes_member_without_counting():
     view = make_view()
-    view.members.add(3)
+    view.assign({3})
     judgment = view.judge_slot(3, [FrameObservation(frame=None),
                                    FrameObservation(frame=None)], cstate())
     assert judgment.null
@@ -79,24 +81,52 @@ def test_reset_round_clears_counters_not_members():
 
 def test_adopt_replaces_membership():
     view = make_view()
-    view.members = {1, 2}
+    view.assign({1, 2})
     view.adopt(cstate(members=(3, 4)))
     assert view.membership_set() == frozenset({3, 4})
 
 
 def test_membership_set_is_immutable_snapshot():
     view = make_view()
-    view.members.add(2)
+    view.apply_judgment(2, True, False)
     snapshot = view.membership_set()
-    view.members.add(3)
+    view.apply_judgment(3, True, False)
     assert snapshot == frozenset({2})
+
+
+def test_membership_set_tracks_every_change():
+    """The cached snapshot never outlives a membership change."""
+    view = make_view()
+    view.apply_judgment(2, True, False)
+    assert view.membership_set() == frozenset({2})
+    view.apply_judgment(3, True, False)
+    assert view.membership_set() == frozenset({2, 3})
+    view.record_own_send()
+    assert view.membership_set() == frozenset({1, 2, 3})
+    view.apply_judgment(2, False, True)
+    assert view.membership_set() == frozenset({1, 3})
+    view.assign({64})
+    assert view.membership_set() == frozenset({64})
+    view.adopt(cstate(members=(4, 17)))
+    assert view.membership_set() == frozenset({4, 17})
+    assert view.word == (1 << 4) | (1 << 17)
+
+
+def test_membership_is_not_a_mutable_set():
+    """Membership changes only through the view's methods: a public
+    mutable set could be changed in place behind the cached snapshot,
+    leaving ``membership_set()`` stale."""
+    view = make_view()
+    assert not hasattr(view, "members")
+    with pytest.raises(AttributeError):
+        view.members = {2}
 
 
 def test_failed_ratio():
     view = make_view()
-    view.apply_judgment(SlotJudgment(slot_id=2, correct=True, null=False))
-    view.apply_judgment(SlotJudgment(slot_id=3, correct=False, null=False))
-    view.apply_judgment(SlotJudgment(slot_id=4, correct=False, null=True))
+    view.apply_judgment(2, True, False)
+    view.apply_judgment(3, False, False)
+    view.apply_judgment(4, False, True)
     assert view.failed_ratio() == 1 / 3
 
 
@@ -109,10 +139,10 @@ def test_history_records_every_judgment():
     verdicts = [(2, True, False), (3, False, False), (4, False, True),
                 (3, True, False), (2, False, False)]
     for count, (slot_id, correct, null) in enumerate(verdicts, start=1):
-        view.apply_judgment(SlotJudgment(slot_id=slot_id, correct=correct, null=null))
+        view.apply_judgment(slot_id, correct, null)
         assert view.judged == count
     assert view.judged_failed == 2
     assert view.failed_ratio() == 2 / 5
     # Judgments apply in order: slot 3 failed, then was re-added; slot 2
     # was added first and removed last.
-    assert view.members == {3}
+    assert view.membership_set() == frozenset({3})
