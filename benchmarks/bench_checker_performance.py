@@ -8,8 +8,12 @@ for both engines: the original tuple-state BFS and the packed-integer
 engine.  Absolute times are machine-dependent; the reproduced claims are
 the *order of magnitude* (both traces well under a minute) and the packed
 engine's speedup over the tuple baseline on the same exhaustive run.
+Each engine's rate is the median of ``REPEATS`` checks on fresh models
+(cold: every memo and kernel table starts empty), reported with its
+min..max spread.
 """
 
+import statistics
 import time
 
 from _report import update_bench_json, write_report
@@ -26,9 +30,27 @@ SEED_TUPLE_RATE = 18_768.0
 #: Required speedup of the packed engine over the live tuple baseline.
 REQUIRED_SPEEDUP = 3.0
 
+#: Fresh-model checks per engine behind each reported rate.
+REPEATS = 5
+
 
 def generate_both_traces():
     return verify_config(trace1_scenario()), verify_config(trace2_scenario())
+
+
+def engine_rates(engine):
+    """States/s of ``REPEATS`` exhaustive PASS checks, each on a fresh
+    model, plus the last result."""
+    rates = []
+    for _ in range(REPEATS):
+        result = verify_authority(CouplerAuthority.SMALL_SHIFTING,
+                                  engine=engine)
+        rates.append(result.check.states_per_second)
+    return rates, result
+
+
+def spread(rates):
+    return f"{min(rates):,.0f}..{max(rates):,.0f} ({len(rates)} runs)"
 
 
 def test_exp_p1_trace_generation_time(benchmark):
@@ -44,15 +66,13 @@ def test_exp_p1_trace_generation_time(benchmark):
     # Same exhaustive PASS configuration, both engines: the tuple engine is
     # the seed baseline, the packed engine is the fast path.  Rates are
     # measured live in the same process so the comparison is like-for-like.
-    baseline = verify_authority(CouplerAuthority.SMALL_SHIFTING,
-                                engine="tuple")
-    packed = verify_authority(CouplerAuthority.SMALL_SHIFTING,
-                              engine="packed")
+    tuple_rates, baseline = engine_rates("tuple")
+    packed_rates, packed = engine_rates("packed")
     assert packed.property_holds == baseline.property_holds
     assert (packed.check.states_explored == baseline.check.states_explored)
 
-    tuple_rate = baseline.check.states_per_second
-    packed_rate = packed.check.states_per_second
+    tuple_rate = statistics.median(tuple_rates)
+    packed_rate = statistics.median(packed_rates)
     speedup = packed_rate / max(tuple_rate, 1e-9)
     assert speedup >= REQUIRED_SPEEDUP, (
         f"packed engine {packed_rate:,.0f} st/s is only {speedup:.2f}x the "
@@ -75,20 +95,27 @@ def test_exp_p1_trace_generation_time(benchmark):
         ("exhaustive PASS config (packed)",
          f"{packed.check.elapsed_seconds:.2f}s",
          packed.check.states_explored),
-        ("tuple engine rate", f"{tuple_rate:,.0f} states/s", "-"),
-        ("packed engine rate", f"{packed_rate:,.0f} states/s", "-"),
+        ("tuple engine rate (median)", f"{tuple_rate:,.0f} states/s",
+         spread(tuple_rates)),
+        ("packed engine rate (median)", f"{packed_rate:,.0f} states/s",
+         spread(packed_rates)),
         ("packed/tuple speedup", f"{speedup:.1f}x", "-"),
         ("seed EXP-P1 rate", f"{SEED_TUPLE_RATE:,.0f} states/s", "-"),
         ("paper reference", "< 60s (SMV, 1.5 GHz AMD)", "-"),
     ]
     write_report("EXP-P1", format_table(
-        ["measurement", "time", "states"], rows,
+        ["measurement", "time / rate", "states / spread"], rows,
         title="Model-checking performance"))
     update_bench_json("exp_p1_engine_rates", {
         "config": "small_shifting slots=4 budget=1 (exhaustive PASS)",
         "states_explored": baseline.check.states_explored,
+        "repeats": REPEATS,
         "tuple_states_per_second": round(tuple_rate, 1),
+        "tuple_states_per_second_range": [round(min(tuple_rates), 1),
+                                          round(max(tuple_rates), 1)],
         "packed_states_per_second": round(packed_rate, 1),
+        "packed_states_per_second_range": [round(min(packed_rates), 1),
+                                           round(max(packed_rates), 1)],
         "speedup_packed_over_tuple": round(speedup, 2),
         "seed_tuple_states_per_second": SEED_TUPLE_RATE,
         "speedup_packed_over_seed": round(packed_rate / SEED_TUPLE_RATE, 2),

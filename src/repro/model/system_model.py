@@ -27,15 +27,14 @@ Packed fast path
 Because the codec is positional, each node's six variables occupy one
 contiguous digit block of the packed integer, and a successor state is the
 *sum* of per-node contributions plus a buffers/budget tail -- all small-int
-arithmetic over three memo tables:
+arithmetic over two memo tables:
 
 * ``(node, local-code, channels) -> shifted next-local codes`` caches the
   Section 4.3 node relation (the dominant cost of the tuple path),
 * ``(nominal, buffers, budget) -> fault-choice contexts`` caches the
-  Section 4.4 coupler fault enumeration,
-* ``packed state -> packed successors`` is an LRU over whole states, which
-  pays off when states are revisited (Monte-Carlo walks, repeated checks
-  on one model instance).
+  Section 4.4 coupler fault enumeration.
+
+Whole successor sets are not memoized: a BFS expands every state once.
 
 The packed enumeration preserves the exact successor order of
 :meth:`successors`, so a breadth-first search over codes visits states in
@@ -97,13 +96,11 @@ _VARS_PER_NODE = 6
 class TTAStartupModel:
     """The Section 4 model as an explicit transition system."""
 
-    def __init__(self, config: ModelConfig,
-                 successor_cache_size: int = 1 << 18) -> None:
+    def __init__(self, config: ModelConfig) -> None:
         self.config = config
         self.space = self._build_space()
         self._node_ids = config.node_ids
         self._has_buffers = config.couplers_can_buffer
-        self._successor_cache_size = successor_cache_size
         self._codec: Optional[StateCodec] = None
         self._packed_ready = False
 
@@ -269,7 +266,7 @@ class TTAStartupModel:
 
         The label-free sibling of :meth:`successors` for callers that only
         need the targets (reachability counts, deadlock scans).  Backed by
-        the packed fast path, so repeated calls hit the successor cache.
+        the packed fast path.
         """
         codec = self.codec
         unpack = codec.unpack
@@ -310,7 +307,6 @@ class TTAStartupModel:
         self._cache_sent: Dict[int, str] = {}
         self._cache_step: Dict[int, Tuple[int, ...]] = {}
         self._cache_fault_ctx: Dict[Tuple[tuple, int], List[tuple]] = {}
-        self._cache_successors: Dict[int, Tuple[int, ...]] = {}
         #: Channel pairs interned to small ints for compact memo keys.
         self._cache_pair_key: Dict[Tuple[str, int, str, int], int] = {}
         #: Reverse intern table: pair id -> (channel0, channel1).
@@ -445,13 +441,6 @@ class TTAStartupModel:
         """
         if not self._packed_ready:
             self._build_packed_tables()
-        cache = self._cache_successors
-        cached = cache.get(code)
-        if cached is not None:
-            # Move-to-end keeps the eviction order LRU rather than FIFO.
-            del cache[code]
-            cache[code] = cached
-            return cached
 
         block_radix = self._block_radix
         node_count = self._node_count
@@ -506,13 +495,7 @@ class TTAStartupModel:
                 if total not in seen:
                     seen[total] = None
 
-        result = tuple(seen)
-        if len(cache) >= self._successor_cache_size:
-            # LRU eviction: hits reinsert their entry, so the first key is
-            # always the least recently used one.
-            cache.pop(next(iter(cache)))
-        cache[code] = result
-        return result
+        return tuple(seen)
 
     # -- vectorized-engine hooks --------------------------------------------------
     #
@@ -589,10 +572,12 @@ class TTAStartupModel:
 
         ``words``/``tails`` are aligned numpy arrays in the split
         representation of :meth:`packed_geometry`.  Returns
-        ``(succ_words, succ_tails, parent_index)`` with successors
-        deduplicated *per parent* (matching the per-state dedup of
-        :meth:`packed_successors`, so transition counts agree), in an
-        engine-defined order.  Requires numpy.
+        ``(succ_words, succ_tails, parent_index)``: for every parent row,
+        exactly the targets :meth:`packed_successors` returns for that
+        state, in the same order and deduplicated the same way, so
+        transition counts agree; rows come parent-major.  Requires numpy,
+        and node blocks that fit ``uint64`` words (see
+        :func:`repro.modelcheck.vector.represents`).
         """
         kernel = getattr(self, "_cache_vector_kernel", None)
         if kernel is None:

@@ -17,7 +17,9 @@ Three engines share the same search semantics:
   tuples and decoding states only when a counterexample is rebuilt.  It is
   selected automatically for systems with a native packed path (the TTA
   startup model) and enumerates successors in the same order as the tuple
-  engine, so both return identical verdicts, counts, and traces;
+  engine, so both return identical verdicts, counts, and traces.  Levels
+  of at least :data:`BATCH_MIN_LEVEL` states get their successors from one
+  call of the batch kernel, which returns them in that same order;
 * the **vectorized engine** (see :mod:`repro.modelcheck.vector`) processes
   whole BFS levels as NumPy arrays of packed codes, optionally under
   symmetry reduction (:mod:`repro.modelcheck.symmetry`).  It visits the
@@ -34,12 +36,13 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.modelcheck.encode import (
     PackedSystemAdapter,
     compile_packed_invariant,
     have_numpy,
+    require_numpy,
 )
 from repro.modelcheck.model import TransitionSystem
 from repro.modelcheck.state import StateView
@@ -50,6 +53,26 @@ Invariant = Callable[[StateView], bool]
 
 #: Engine names accepted by :class:`InvariantChecker`.
 ENGINES = ("auto", "packed", "tuple", "vectorized")
+
+#: Smallest BFS level the packed engine expands with one batch-kernel call
+#: instead of one ``packed_successors`` call per state.  A kernel call
+#: carries ~100 us of fixed array set-up, so small levels stay scalar.
+#: Expansion cost per level, warm tables, states drawn from the first 14
+#: levels of the slots=4 full-shifting search, median of 60 draws per
+#: size (2-vCPU Xeon):
+#:
+#:   ======  =======  ======
+#:   states  batched  scalar
+#:   ======  =======  ======
+#:        1   133 us   43 us
+#:        8   318 us  200 us
+#:       16   366 us  314 us
+#:       20   396 us  379 us
+#:       24   425 us  460 us
+#:       32   440 us  568 us
+#:       64   604 us 1074 us
+#:   ======  =======  ======
+BATCH_MIN_LEVEL = 24
 
 
 @dataclass
@@ -176,6 +199,37 @@ def _tuple_bfs(system: TransitionSystem,
         if collect_deadlocks and successor_count == 0:
             search.deadlocked.append(state)
     return search
+
+
+def _batch_expander(packed: Any
+                    ) -> Optional[Callable[[List[int]],
+                                           Iterable[Tuple[int, int]]]]:
+    """A whole-level ``codes -> (parent, target) edges`` expander over the
+    system's batch kernel, or None where the kernel cannot run: no native
+    batch path, no numpy, or node blocks wider than its ``uint64`` words
+    (slots >= 5)."""
+    if not (hasattr(packed, "packed_successors_batch")
+            and hasattr(packed, "packed_geometry") and have_numpy()):
+        return None
+    from repro.modelcheck.vector import represents
+
+    block_radix, node_count, tail_scale = packed.packed_geometry()
+    if not represents(block_radix, node_count):
+        return None
+    np = require_numpy()
+
+    def expand(codes: List[int]) -> Iterable[Tuple[int, int]]:
+        split = [divmod(code, tail_scale) for code in codes]
+        words = np.array([word for _, word in split], dtype=np.uint64)
+        tails = np.array([tail for tail, _ in split], dtype=np.int64)
+        succ_words, succ_tails, rows = packed.packed_successors_batch(words,
+                                                                      tails)
+        # Python ints: full-shifting codes are 72 bits wide.
+        return zip([codes[row] for row in rows.tolist()],
+                   [word + tail * tail_scale for word, tail
+                    in zip(succ_words.tolist(), succ_tails.tolist())])
+
+    return expand
 
 
 def _rebuild_trace(space, parent: Dict[tuple, Any], violating: tuple) -> Trace:
@@ -314,12 +368,16 @@ class InvariantChecker:
         The hot loop touches only ints: parent links are code -> code, the
         invariant is compiled to digit tests where possible, and labels are
         re-derived from the tuple-level transition relation only for the
-        (short) counterexample chain.
+        (short) counterexample chain.  Each level's ``(parent, target)``
+        edges come either from one batch-kernel call or from one
+        ``packed_successors`` call per state; both yield the same edges in
+        the same order, so the walk over them decides identically.
         """
         started = time.perf_counter()
         codec = packed.codec
         packed_invariant = compile_packed_invariant(invariant, codec)
         successors_of = packed.packed_successors
+        expand_level = _batch_expander(packed)
         max_states = self.max_states
         max_depth = self.max_depth
         progress = self.progress
@@ -365,24 +423,28 @@ class InvariantChecker:
                 truncated = True
                 break
             next_level: List[int] = []
-            for code in current:
-                for target in successors_of(code):
-                    transitions += 1
-                    if target in parent:
-                        continue
-                    if max_states is not None and len(parent) >= max_states:
-                        truncated = True
-                        continue
-                    parent[target] = code
-                    states_added += 1
-                    if (progress is not None
-                            and states_added % progress_interval == 0):
-                        progress(states_added, depth + 1)
-                    if not packed_invariant(target):
-                        violating = target
-                        max_depth_seen = depth + 1
-                        return make_result()
-                    next_level.append(target)
+            if expand_level is not None and len(current) >= BATCH_MIN_LEVEL:
+                edges: Iterable[Tuple[int, int]] = expand_level(current)
+            else:
+                edges = ((code, target) for code in current
+                         for target in successors_of(code))
+            for code, target in edges:
+                transitions += 1
+                if target in parent:
+                    continue
+                if max_states is not None and len(parent) >= max_states:
+                    truncated = True
+                    continue
+                parent[target] = code
+                states_added += 1
+                if (progress is not None
+                        and states_added % progress_interval == 0):
+                    progress(states_added, depth + 1)
+                if not packed_invariant(target):
+                    violating = target
+                    max_depth_seen = depth + 1
+                    return make_result()
+                next_level.append(target)
             if next_level:
                 max_depth_seen = depth + 1
             current = next_level

@@ -46,11 +46,17 @@ Per-level kernel
    ``block_radix`` local axis; both table dimensions grow by doubling;
 5. **cartesian expansion** -- each (state, context) row yields
    ``prod(counts)`` successors; a mixed-radix decode of the within-row
-   index selects one option per node and the successor word is the dot
-   product of option codes with the node scales;
-6. **per-parent dedup** -- a lexsort + neighbour mask removes duplicate
-   successors of the same parent, matching the per-state dedup of the
-   scalar path so transition counts agree.
+   index (last node fastest, like the scalar product) selects one option
+   per node and the successor word is the dot product of option codes
+   with the node scales;
+6. **scalar order + per-parent dedup** -- the rows are scattered into
+   :meth:`TTAStartupModel.packed_successors` enumeration order (parent,
+   fault context, then node options with the last node fastest) and a
+   stable lexsort + neighbour mask drops every repeat of a target within
+   one parent, keeping its first occurrence -- the per-state ``seen``
+   dict of the scalar path, so targets, their order, and transition
+   counts all agree and the packed BFS can expand a whole level in one
+   call.
 
 All sorts are plain ``np.lexsort``/``np.sort`` over integer keys -- the
 result order is fully determined by the key values, never by memory
@@ -75,6 +81,13 @@ SIG_SILENT = 0
 SIG_COLLISION = 1
 
 
+def represents(block_radix: int, node_count: int) -> bool:
+    """Whether a packed layout's node blocks fit the kernel's ``uint64``
+    words: the width guard :class:`VectorKernel` raises ``ValueError``
+    on, as a test callers can make before building a kernel."""
+    return block_radix ** node_count <= 1 << 63
+
+
 class VectorKernel:
     """Batched successor computation over one model's packed layout.
 
@@ -89,7 +102,7 @@ class VectorKernel:
         self.model = model
         model.ensure_packed_tables()
         block_radix, node_count, tail_scale = model.packed_geometry()
-        if block_radix ** node_count > (1 << 63):  # pragma: no cover
+        if block_radix ** node_count > (1 << 63):
             raise ValueError(
                 "node blocks exceed 63 bits; the vectorized engine cannot "
                 "represent this model's states as uint64 words")
@@ -269,7 +282,7 @@ class VectorKernel:
 
     # -- the per-level kernel ------------------------------------------------------
 
-    def successor_level(self, words, tails):
+    def successor_level(self, words, tails, scalar_order: bool = False):
         """Raw successors of a whole frontier, one array op at a time.
 
         Returns ``(succ_words, succ_tails, parent_index)`` where
@@ -278,6 +291,11 @@ class VectorKernel:
         reachable through two fault contexts appears twice (each
         occurrence is a distinct transition).  Callers that need the
         scalar path's per-parent target sets use :meth:`successors_batch`.
+
+        By default deterministic rows come first, then multi-option rows;
+        ``scalar_order`` scatters them into the enumeration order of
+        :meth:`TTAStartupModel.packed_successors` instead (an O(n)
+        permutation the explorer, which sorts anyway, skips).
         """
         np = self.np
         n = len(words)
@@ -352,11 +370,14 @@ class VectorKernel:
         single_words = self._options.take(offsets).sum(axis=1,
                                                        dtype=np.uint64)
         if len(multi) == 0:
+            # One successor per row, and rows are already parent-major,
+            # context-minor: this is scalar enumeration order too.
             return single_words, row_next_tail, row_state
         single = np.flatnonzero(row_successors == 1)
 
-        # Multi-option rows: node 0's option index varies fastest; the
-        # mixed-radix decode of the within-row index runs as matrix ops.
+        # Multi-option rows: the last node's option index varies fastest,
+        # as in the scalar cartesian product, so the within-row index is
+        # the scalar rank; the mixed-radix decode runs as matrix ops.
         multi_counts = counts.take(multi, axis=0)
         multi_successors = row_successors.take(multi)
         total = int(multi_successors.sum())
@@ -368,7 +389,8 @@ class VectorKernel:
         within_row = np.arange(total) - out_starts.take(out_sub)
         strides = np.ones((len(multi), self.node_count), dtype=np.int64)
         if self.node_count > 1:
-            strides[:, 1:] = np.cumprod(multi_counts[:, :-1], axis=1)
+            strides[:, :-1] = np.cumprod(multi_counts[:, :0:-1],
+                                         axis=1)[:, ::-1]
         digits = (within_row[:, None] // strides.take(out_sub, axis=0)) \
             % multi_counts.take(out_sub, axis=0)
         option_codes = self._options.take(offsets.take(out_row, axis=0)
@@ -376,38 +398,50 @@ class VectorKernel:
         multi_words = option_codes.sum(axis=1, dtype=np.uint64)
 
         succ_words = np.concatenate([single_words.take(single), multi_words])
-        succ_tails = np.concatenate([row_next_tail.take(single),
-                                     row_next_tail.take(out_row)])
-        parent = np.concatenate([row_state.take(single),
-                                 row_state.take(out_row)])
-        return succ_words, succ_tails, parent
+        rows = np.concatenate([single, out_row])
+        if scalar_order:
+            # Row r's successors start at the exclusive prefix sum of the
+            # per-row counts; a multi-option output sits at its rank.
+            row_first = np.zeros(len(row_successors), dtype=np.int64)
+            row_first[1:] = np.cumsum(row_successors)[:-1]
+            position = row_first.take(rows)
+            position[len(single):] += within_row
+            order = np.empty_like(position)
+            order[position] = np.arange(len(position))
+            succ_words = succ_words.take(order)
+            rows = rows.take(order)
+        return succ_words, row_next_tail.take(rows), row_state.take(rows)
 
     def successors_batch(self, words, tails):
         """All successors of a frontier, deduplicated per parent.
 
-        The scalar-parity sibling of :meth:`successor_level`: duplicate
-        targets of one parent are collapsed exactly like the per-state
-        ``seen`` dict of :meth:`TTAStartupModel.packed_successors`, so
-        ``len()`` of the result matches the scalar transition count.
-        Sorted by ``(parent, tail, word)`` -- a deterministic order fixed
-        entirely by the state values.
+        The scalar-parity sibling of :meth:`successor_level`: for every
+        parent, the result is exactly the tuple
+        :meth:`TTAStartupModel.packed_successors` returns -- same targets,
+        same order (parent-major, then fault context, then node options
+        with the last node fastest), each repeated target dropped after
+        its first occurrence -- so a BFS walking the batch in row order
+        makes the scalar engine's every decision.
         """
         np = self.np
-        succ_words, succ_tails, parent = self.successor_level(words, tails)
+        succ_words, succ_tails, parent = self.successor_level(
+            words, tails, scalar_order=True)
         if len(succ_words) == 0:
             return succ_words, succ_tails, parent
         # Parent and tail fuse into one sort key; both are small ints.
+        # lexsort is stable, so equal targets of one parent stay in
+        # enumeration order and the first of each run is the one to keep.
         group = parent * self.tail_radix + succ_tails
         order = np.lexsort((succ_words, group))
-        succ_words = succ_words[order]
-        group = group[order]
-        keep = np.empty(len(group), dtype=bool)
-        keep[0] = True
-        keep[1:] = ((group[1:] != group[:-1])
-                    | (succ_words[1:] != succ_words[:-1]))
-        group = group[keep]
-        parent, succ_tails = np.divmod(group, self.tail_radix)
-        return succ_words[keep], succ_tails, parent
+        sorted_words = succ_words[order]
+        sorted_group = group[order]
+        first = np.empty(len(order), dtype=bool)
+        first[0] = True
+        first[1:] = ((sorted_group[1:] != sorted_group[:-1])
+                     | (sorted_words[1:] != sorted_words[:-1]))
+        keep = np.empty_like(first)
+        keep[order] = first
+        return succ_words[keep], succ_tails[keep], parent[keep]
 
 
 def sort_unique_split(np, words, tails) -> Tuple["object", "object"]:

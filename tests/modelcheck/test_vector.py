@@ -18,7 +18,7 @@ from repro.modelcheck.model import count_reachable
 from repro.modelcheck.state import StateSpace, Variable
 from repro.modelcheck.vector import (FusedSeenSet, SplitSeenSet, VectorExplorer,
                                      VectorKernel, compile_batch_invariant,
-                                     sort_unique_split)
+                                     represents, sort_unique_split)
 
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
@@ -219,7 +219,69 @@ def test_kernel_results_do_not_depend_on_local_id_order(rng, chunk):
         chunked.update(successors_by_parent(kernel, order[start:start + chunk]))
     assert chunked == ONE_SHOT
     for code, targets in ONE_SHOT.items():
-        assert targets == sorted(set(FRONTIER_SYSTEM.packed_successors(code)))
+        assert tuple(targets) == FRONTIER_SYSTEM.packed_successors(code)
+
+
+#: Configurations for the order test: full shifting at slots=4 has
+#: multi-option rows (several next locals for one node); slots=3 covers
+#: every out-of-slot budget shape.
+ORDER_CONFIGS = {
+    "full_shifting-4": (CouplerAuthority.FULL_SHIFTING, 4, 1),
+    "full_shifting-3-unlimited": (CouplerAuthority.FULL_SHIFTING, 3, None),
+    "full_shifting-3-budget1": (CouplerAuthority.FULL_SHIFTING, 3, 1),
+    "full_shifting-3-budget2": (CouplerAuthority.FULL_SHIFTING, 3, 2),
+    "small_shifting-3-budget2": (CouplerAuthority.SMALL_SHIFTING, 3, 2),
+}
+_ORDER_POOLS = {}
+
+
+def order_pool(name):
+    """A model and the states of its first 10 BFS levels (cached)."""
+    if name not in _ORDER_POOLS:
+        authority, slots, budget = ORDER_CONFIGS[name]
+        system = TTAStartupModel(scenario_for_authority(
+            authority, slots=slots, out_of_slot_budget=budget))
+        explorer = VectorExplorer(system)
+        words, tails, _ = explorer.initial_level(limit=None)
+        for _ in range(10):
+            words, tails, _, _ = explorer.step(words, tails, limit=None)
+        _ORDER_POOLS[name] = (system, explorer.seen_codes())
+    return _ORDER_POOLS[name]
+
+
+def test_order_pools_have_multi_option_rows():
+    """The slots=4 pool really exercises the mixed-radix decode: some
+    frontier row has more successors than fault contexts."""
+    system, codes = order_pool("full_shifting-4")
+    kernel = VectorKernel(system)
+    words, tails = kernel.split_codes(codes)
+    default = kernel.join_codes(*kernel.successor_level(words, tails)[:2])
+    ordered = kernel.join_codes(*kernel.successor_level(
+        words, tails, scalar_order=True)[:2])
+    assert sorted(default) == sorted(ordered)
+    assert default != ordered
+
+
+@given(st.sampled_from(sorted(ORDER_CONFIGS)), st.randoms(use_true_random=False),
+       st.integers(min_value=1, max_value=200))
+@settings(max_examples=40, deadline=None)
+def test_successors_batch_matches_scalar_order(name, rng, size):
+    """For every parent of a random reachable frontier, the batch kernel
+    returns exactly the ``packed_successors`` tuple, order included."""
+    system, pool = order_pool(name)
+    codes = rng.sample(pool, min(size, len(pool)))
+    by_parent = successors_by_parent(VectorKernel(system), codes)
+    for code in codes:
+        assert tuple(by_parent[code]) == system.packed_successors(code)
+
+
+def test_kernel_rejects_node_blocks_wider_than_uint64():
+    system = TTAStartupModel(scenario_for_authority(CouplerAuthority.PASSIVE,
+                                                    slots=5))
+    block_radix, node_count, _ = system.packed_geometry()
+    assert not represents(block_radix, node_count)
+    with pytest.raises(ValueError, match="63 bits"):
+        VectorKernel(system)
 
 
 def test_vectorized_check_memory_stays_small():
