@@ -1,24 +1,20 @@
 """EXP-P7: the rebuilt DES hot path.
 
-The hot-path refactor replaced the engine's binary heap with a
-slot-grid-aligned calendar queue (plus a pooled no-cancellation fast
-path), compiled each MEDL round into a per-slot dispatch table installed
-once per mode change, and collapsed per-transmission completion events
-into one updatable channel-state process shared by both replicated
-channels.  The refactor is semantics-preserving -- both paper conformance
-traces stay byte-identical (see ``tests/test_conformance_golden.py``) --
-so the only number that changes is the rate.  This benchmark measures it
-on the paper's benign case:
+The hot-path refactor gave the engine a pooled no-cancellation
+scheduling fast path, compiled each MEDL round into a per-slot dispatch
+table installed once per mode change, and collapsed per-transmission
+completion events into one updatable channel-state process shared by
+both replicated channels.  The refactor is semantics-preserving -- both
+paper conformance traces stay byte-identical (see
+``tests/test_conformance_golden.py``) -- so the only number that changes
+is the rate.  This benchmark measures it on the paper's benign case:
 
 * **typed-event rate** -- warm best-of-N typed events/sec of a benign
   4-node star startup run for 300 TDMA rounds (the monitor's
   eviction-proof emission counter over wall-clock);
-* **the speedup gate** -- the calendar-queue rate must clear
-  ``REQUIRED_SPEEDUP`` x the pre-refactor rate recorded when the
-  refactor landed (see ``EXP_P7_PRE_REFACTOR_RATE``);
-* **heap reference** -- the same workload on the retained ``"heap"``
-  queue, reported for context (the refactor's protocol/network gains
-  apply to both; the calendar queue must additionally beat the heap);
+* **the speedup gate** -- that rate must clear ``REQUIRED_SPEEDUP`` x
+  the pre-refactor rate recorded when the refactor landed (see
+  ``EXP_P7_PRE_REFACTOR_RATE``);
 * **engine event rate** -- raw fired simulator events/sec
   (``sim.fired_count``), recorded alongside so queue-level and
   protocol-level gains are separable;
@@ -132,12 +128,12 @@ def calibration_rate(iterations=200_000, repeats=3):
 TDMA_ROUNDS = 300
 
 
-def benign_startup(nodes=4, event_queue="calendar", rounds=TDMA_ROUNDS):
+def benign_startup(nodes=4, rounds=TDMA_ROUNDS):
     # Auto-sized slots keep wide-membership I-frames inside their slot;
     # at 4 nodes this is exactly the paper's 100-unit slot and 76-bit
     # frame, so the measured workload is unchanged from the anchor's.
     names = [f"N{i}" for i in range(nodes)]
-    cluster = Cluster(ClusterSpec(node_names=names, event_queue=event_queue,
+    cluster = Cluster(ClusterSpec(node_names=names,
                                   slot_duration=auto_slot_duration(nodes),
                                   frame_bits=i_frame_wire_bits(nodes)))
     cluster.power_on()
@@ -164,29 +160,22 @@ def typed_events(cluster):
 def test_exp_p7_des_engine_rates(benchmark):
     benchmark.pedantic(benign_startup, rounds=1, iterations=1)
 
-    calendar_seconds, calendar = best_of(benign_startup, rounds=ROUNDS)
-    heap_seconds, heap = best_of(
-        lambda: benign_startup(event_queue="heap"), rounds=ROUNDS)
-
-    # Semantics first: both queues fire the identical schedule.
-    assert typed_events(calendar) == typed_events(heap)
-    assert calendar.sim.fired_count == heap.sim.fired_count
+    seconds, cluster = best_of(benign_startup, rounds=ROUNDS)
     assert all(state is ControllerStateName.ACTIVE
-               for state in calendar.states().values())
+               for state in cluster.states().values())
 
-    event_count = typed_events(calendar)
-    calendar_rate = event_count / calendar_seconds
-    heap_rate = event_count / heap_seconds
-    engine_rate = calendar.sim.fired_count / calendar_seconds
+    event_count = typed_events(cluster)
+    rate = event_count / seconds
+    engine_rate = cluster.sim.fired_count / seconds
 
     # Host-speed normalization: scale the recorded anchor to what the
     # pre-refactor stack would do in *this* measurement window.
     host_scale = calibration_rate() / ANCHOR_CALIBRATION_RATE
     scaled_anchor = EXP_P7_PRE_REFACTOR_RATE * host_scale
-    speedup = calendar_rate / scaled_anchor
+    speedup = rate / scaled_anchor
     required = FAST_REQUIRED_SPEEDUP if FAST else REQUIRED_SPEEDUP
     assert speedup >= required, (
-        f"rebuilt hot path {calendar_rate:,.0f} ev/s is only "
+        f"rebuilt hot path {rate:,.0f} ev/s is only "
         f"{speedup:.2f}x the host-scaled pre-refactor rate of "
         f"{scaled_anchor:,.0f} ev/s (host scale {host_scale:.2f}, "
         f"need >= {required}x)")
@@ -207,12 +196,10 @@ def test_exp_p7_des_engine_rates(benchmark):
     rows = [
         ("workload", f"benign 4-node star, {TDMA_ROUNDS} rounds", "-"),
         ("typed events / run", "-", event_count),
-        ("engine events / run", "-", calendar.sim.fired_count),
-        ("calendar queue (warm)", f"{calendar_seconds:.3f}s",
-         f"{calendar_rate:,.0f} ev/s"),
-        ("heap queue (warm)", f"{heap_seconds:.3f}s",
-         f"{heap_rate:,.0f} ev/s"),
-        ("engine event rate (calendar)", "-", f"{engine_rate:,.0f} ev/s"),
+        ("engine events / run", "-", cluster.sim.fired_count),
+        ("typed event rate (warm)", f"{seconds:.3f}s",
+         f"{rate:,.0f} ev/s"),
+        ("engine event rate", "-", f"{engine_rate:,.0f} ev/s"),
         ("pre-refactor anchor", "-",
          f"{EXP_P7_PRE_REFACTOR_RATE:,.0f} ev/s"),
         ("host scale (calibration)", "-", f"{host_scale:.2f}"),
@@ -224,16 +211,14 @@ def test_exp_p7_des_engine_rates(benchmark):
     ]
     write_report("EXP-P7", format_table(
         ["measurement", "time", "value"], rows,
-        title="Rebuilt DES hot path (calendar queue + compiled dispatch "
-              "+ channel-state process)"))
+        title="Rebuilt DES hot path (pooled scheduling + compiled "
+              "dispatch + channel-state process)"))
     update_bench_json("exp_p7_des_engine_rates", {
         "workload": f"benign 4-node star startup, {TDMA_ROUNDS} rounds",
         "typed_events_per_run": event_count,
-        "engine_events_per_run": calendar.sim.fired_count,
-        "calendar_seconds": round(calendar_seconds, 3),
-        "heap_seconds": round(heap_seconds, 3),
-        "calendar_events_per_second": round(calendar_rate, 1),
-        "heap_events_per_second": round(heap_rate, 1),
+        "engine_events_per_run": cluster.sim.fired_count,
+        "seconds": round(seconds, 3),
+        "events_per_second": round(rate, 1),
         "engine_events_per_second": round(engine_rate, 1),
         "pre_refactor_events_per_second": EXP_P7_PRE_REFACTOR_RATE,
         "host_scale": round(host_scale, 3),

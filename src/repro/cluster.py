@@ -70,9 +70,6 @@ class ClusterSpec:
     #: entry 0 replaces the uniform default schedule and hosts may request
     #: deferred switches to the others.
     modes: Optional[List[Medl]] = None
-    #: Event-queue implementation for the simulator ("calendar" or "heap");
-    #: both yield byte-identical traces, the calendar queue is the fast path.
-    event_queue: str = "calendar"
     seed: int = 0
     #: Bound the event bus to a ring buffer of this many events (None =
     #: unbounded) so multi-thousand-round campaigns stop growing memory.
@@ -215,9 +212,7 @@ class Cluster:
     def __init__(self, spec: ClusterSpec) -> None:
         spec.validate()
         self.spec = spec
-        # Align the calendar-queue bucket grid with the TDMA slot grid so
-        # most events land in the active bucket.
-        self.sim = Simulator(queue=spec.event_queue, grid=spec.slot_duration)
+        self.sim = Simulator()
         self.monitor = TraceMonitor(capacity=spec.monitor_capacity)
         if spec.modes:
             from repro.ttp.modes import ModeSet

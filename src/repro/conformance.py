@@ -284,8 +284,7 @@ class ReplayScenario:
         return self.model_config_factory()
 
     def build_cluster(self,
-                      monitor_capacity: Optional[int] = None,
-                      event_queue: str = "calendar") -> Cluster:
+                      monitor_capacity: Optional[int] = None) -> Cluster:
         """A fresh, powered-off cluster with the faulty coupler wired in."""
         spec = ClusterSpec(
             topology="star",
@@ -294,13 +293,12 @@ class ReplayScenario:
             coupler_replay_delay=self.replay_delay,
             coupler_replay_limit=self.replay_limit,
             power_on_delays=dict(self.power_on_delays),
-            monitor_capacity=monitor_capacity,
-            event_queue=event_queue)
+            monitor_capacity=monitor_capacity)
         return Cluster(spec)
 
-    def run(self, event_queue: str = "calendar") -> Cluster:
+    def run(self) -> Cluster:
         """Build, power on, and run the scenario to its horizon."""
-        cluster = self.build_cluster(event_queue=event_queue)
+        cluster = self.build_cluster()
         cluster.power_on()
         cluster.run(rounds=self.rounds)
         return cluster

@@ -1,27 +1,19 @@
 """Event queue and simulation clock.
 
-The engine is a calendar-queue discrete-event simulator: callbacks are
+The engine is a binary-heap discrete-event simulator: callbacks are
 scheduled at absolute simulated times and executed in time order.  Ties
 are broken first by an integer priority (lower runs first) and then by
 insertion order, which makes every run fully deterministic.
 
-Two queue implementations share the exact (time, priority, seq) total
-order:
-
-* :class:`CalendarQueue` (the default) -- an array-backed ring of buckets
-  keyed to the TDMA slot grid.  Near-future events index directly into a
-  bucket; only the bucket at the head of the ring is ever sorted, and
-  far-future events (beyond the ring horizon) wait in a small overflow
-  heap that migrates into the ring as the head advances.
-* :class:`HeapQueue` -- the classic binary heap, kept as the differential
-  reference for the calendar queue.
-
-Both queues store plain ``(time, priority, seq, event)`` tuples so every
-comparison happens at C level, and both compact themselves when more than
-half of their entries are cancelled (long cancel-heavy runs stop growing
-memory).  :meth:`Simulator.post` is a fast scheduling path for callbacks
-that are never cancelled: it returns no handle, which lets the engine
-recycle the backing event objects through a free list.
+The queue (:class:`HeapQueue`) stores plain ``(time, priority, seq,
+event)`` tuples so every comparison happens at C level.  A time-triggered
+TDMA cluster keeps only O(N) events live (a benign 64-node startup peaks
+at 127 queued entries), so the heap's O(log n) push and pop stay cheap;
+EXP-P7 and EXP-P8 record the measured rates.  The queue compacts itself
+when more than half of its entries are cancelled (long cancel-heavy runs
+stop growing memory).  :meth:`Simulator.post` is a fast scheduling path
+for callbacks that are never cancelled: it returns no handle, which lets
+the engine recycle the backing event objects through a free list.
 
 Time is a ``float`` in arbitrary units; the TTP/C layer uses microseconds.
 """
@@ -29,19 +21,10 @@ Time is a ``float`` in arbitrary units; the TTP/C layer uses microseconds.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
-#: Default bucket width of the calendar queue -- the TTP/C default slot
-#: duration, so one TDMA slot of traffic lands in one bucket.
-DEFAULT_GRID = 100.0
-
-#: Number of buckets in the calendar ring (the horizon is
-#: ``grid * RING_BUCKETS``; events beyond it go to the overflow heap).
-RING_BUCKETS = 256
-
-#: Queues only compact when they hold more dead entries than this, so
+#: The queue only compacts when it holds more dead entries than this, so
 #: small queues never pay the rebuild.
 COMPACT_MIN_DEAD = 64
 
@@ -99,7 +82,7 @@ Entry = Tuple[float, int, int, Event]
 
 
 class HeapQueue:
-    """Binary-heap event queue (the calendar queue's reference)."""
+    """Binary-heap event queue ordered by ``(time, priority, seq)``."""
 
     __slots__ = ("_heap", "_dead")
 
@@ -127,10 +110,6 @@ class HeapQueue:
         if entry is not None:
             heappop(self._heap)
         return entry
-
-    def consume(self) -> None:
-        """Drop the entry :meth:`peek` just returned (head is pending)."""
-        heappop(self._heap)
 
     def pop_next(self, until: Optional[float] = None) -> Optional[Entry]:
         """Fused peek-check-consume for the run loop.
@@ -170,189 +149,6 @@ class HeapQueue:
         return len(self._heap)
 
 
-class CalendarQueue:
-    """Array-backed calendar (bucket) queue keyed to the slot grid.
-
-    Buckets are a fixed ring indexed by ``floor(time / grid) % RING_BUCKETS``.
-    Only the head bucket is kept sorted -- and only once the queue starts
-    consuming it; inserts into the active head bucket use ``bisect.insort``
-    on the unconsumed tail, so the global (time, priority, seq) order is
-    exactly the heap's.  Entries whose bucket would lie past the ring
-    horizon wait in an overflow heap and migrate into the ring as the head
-    advances (a power-on delay of 1e9 costs O(1), not 1e7 empty buckets).
-
-    Inserts targeting a bucket before the head (legal when ``run(until=...)``
-    advanced the clock into the middle of the head bucket's span) are
-    clamped to the head bucket; intra-bucket sorting keeps them correctly
-    ordered because their times are never below the last consumed time.
-    """
-
-    __slots__ = ("_grid", "_buckets", "_head_bid", "_head_pos", "_head_sorted",
-                 "_ring_count", "_overflow", "_dead", "_size")
-
-    def __init__(self, grid: float = DEFAULT_GRID) -> None:
-        if grid <= 0:
-            raise SimulationError(f"calendar grid must be positive, got {grid!r}")
-        self._grid = grid
-        self._buckets: List[List[Entry]] = [[] for _ in range(RING_BUCKETS)]
-        self._head_bid = 0          # absolute bucket number at the ring head
-        self._head_pos = 0          # consumed prefix of the head bucket
-        self._head_sorted = False   # head bucket sorted (consumption began)
-        self._ring_count = 0        # entries currently in ring buckets
-        self._overflow: List[Entry] = []
-        self._dead = 0
-        self._size = 0
-
-    def push(self, entry: Entry) -> None:
-        bid = int(entry[0] / self._grid)
-        if self._size == 0:
-            # Empty queue: re-anchor the ring at the entry's bucket.  The
-            # drained head bucket may still hold its consumed prefix (it is
-            # only cleared when the head advances past it), and the new
-            # bucket id may map onto the same ring slot -- drop it first.
-            if self._head_pos:
-                self._buckets[self._head_bid % RING_BUCKETS].clear()
-            self._head_bid = bid
-            self._head_pos = 0
-            self._head_sorted = False
-        head = self._head_bid
-        if bid < head:
-            bid = head
-        if bid - head >= RING_BUCKETS:
-            heappush(self._overflow, entry)
-        else:
-            bucket = self._buckets[bid % RING_BUCKETS]
-            if bid == head and self._head_sorted:
-                insort(bucket, entry, self._head_pos)
-            else:
-                bucket.append(entry)
-            self._ring_count += 1
-        self._size += 1
-
-    def _head_entry(self) -> Optional[Entry]:
-        """Entry at the queue head (cancelled or not), or ``None``."""
-        buckets = self._buckets
-        while True:
-            bucket = buckets[self._head_bid % RING_BUCKETS]
-            if self._head_pos < len(bucket):
-                if not self._head_sorted:
-                    bucket.sort()
-                    self._head_sorted = True
-                return bucket[self._head_pos]
-            if self._head_pos:
-                bucket.clear()
-            self._head_pos = 0
-            self._head_sorted = False
-            if self._ring_count:
-                self._head_bid += 1
-            elif self._overflow:
-                # Ring drained: jump straight to the overflow's first bucket.
-                self._head_bid = int(self._overflow[0][0] / self._grid)
-            else:
-                return None
-            # Migrate overflow entries that now fall inside the horizon.
-            overflow = self._overflow
-            limit = self._head_bid + RING_BUCKETS
-            while overflow and int(overflow[0][0] / self._grid) < limit:
-                migrated = heappop(overflow)
-                buckets[int(migrated[0] / self._grid) % RING_BUCKETS].append(migrated)
-                self._ring_count += 1
-
-    def _consume_head(self) -> None:
-        self._head_pos += 1
-        self._ring_count -= 1
-        self._size -= 1
-
-    def peek(self) -> Optional[Entry]:
-        """Next pending entry (discarding cancelled heads), or ``None``."""
-        while True:
-            entry = self._head_entry()
-            if entry is None:
-                return None
-            if not entry[3].cancelled:
-                return entry
-            self._consume_head()
-            self._dead -= 1
-
-    def pop(self) -> Optional[Entry]:
-        """Remove and return the next pending entry, or ``None``."""
-        entry = self.peek()
-        if entry is not None:
-            self._consume_head()
-        return entry
-
-    def consume(self) -> None:
-        """Drop the entry :meth:`peek` just returned (head is pending)."""
-        self._head_pos += 1
-        self._ring_count -= 1
-        self._size -= 1
-
-    def pop_next(self, until: Optional[float] = None) -> Optional[Entry]:
-        """Fused peek-check-consume for the run loop.
-
-        Removes and returns the next pending entry, or ``None`` when the
-        queue is drained or the next entry lies past ``until`` (which is
-        then left in place).  The head-bucket cursor read duplicates
-        :meth:`_head_entry`'s first branch so the steady state -- sorted
-        head bucket with live entries -- touches no other method.
-        """
-        buckets = self._buckets
-        while True:
-            if self._head_sorted:
-                bucket = buckets[self._head_bid % RING_BUCKETS]
-                pos = self._head_pos
-                entry = bucket[pos] if pos < len(bucket) else self._head_entry()
-            else:
-                entry = self._head_entry()
-            if entry is None:
-                return None
-            if entry[3].cancelled:
-                self._head_pos += 1
-                self._ring_count -= 1
-                self._size -= 1
-                self._dead -= 1
-                continue
-            if until is not None and entry[0] > until:
-                return None
-            self._head_pos += 1
-            self._ring_count -= 1
-            self._size -= 1
-            return entry
-
-    def note_cancel(self) -> None:
-        self._dead += 1
-        if self._dead > COMPACT_MIN_DEAD and self._dead * 2 > self._size:
-            self.compact()
-
-    def compact(self) -> None:
-        """Rebuild the ring and overflow without cancelled entries."""
-        pending: List[Entry] = []
-        head_bucket = self._buckets[self._head_bid % RING_BUCKETS]
-        pending.extend(entry for entry in head_bucket[self._head_pos:]
-                       if not entry[3].cancelled)
-        for bid in range(self._head_bid + 1, self._head_bid + RING_BUCKETS):
-            pending.extend(entry for entry in self._buckets[bid % RING_BUCKETS]
-                           if not entry[3].cancelled)
-        pending.extend(entry for entry in self._overflow
-                       if not entry[3].cancelled)
-        for bucket in self._buckets:
-            bucket.clear()
-        self._overflow = []
-        self._ring_count = 0
-        self._size = 0
-        self._dead = 0
-        self._head_pos = 0
-        self._head_sorted = False
-        for entry in pending:
-            self.push(entry)
-
-    def pending_count(self) -> int:
-        return self._size - self._dead
-
-    def __len__(self) -> int:
-        return self._size
-
-
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -362,26 +158,15 @@ class Simulator:
         sim.schedule(5.0, lambda: print("hello at t=5"))
         sim.run(until=10.0)
 
-    ``queue`` selects the event-queue implementation (``"calendar"`` is
-    the default; ``"heap"`` is the reference); ``grid`` is the calendar
-    bucket width, ideally the TDMA slot duration.  Generator-based
-    processes (see :mod:`repro.sim.process`) are layered on top of this
-    primitive scheduling interface.
+    Generator-based processes (see :mod:`repro.sim.process`) are layered
+    on top of this primitive scheduling interface.
     """
 
-    def __init__(self, queue: str = "calendar",
-                 grid: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         #: Current simulated time (read-only by convention).
         self.now = 0.0
         self._seq = itertools.count()
-        if queue == "calendar":
-            self._queue = CalendarQueue(grid=grid if grid else DEFAULT_GRID)
-        elif queue == "heap":
-            self._queue = HeapQueue()
-        else:
-            raise SimulationError(
-                f"unknown queue implementation {queue!r} "
-                "(have 'calendar', 'heap')")
+        self._queue = HeapQueue()
         self._pool: List[Event] = []
         self._running = False
         self._stopped = False

@@ -25,7 +25,7 @@ unconsumed kind.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.staticcheck.dataflow import reference_key
 from repro.staticcheck.findings import Finding
@@ -132,22 +132,29 @@ class _KindUniverse:
 
     def _collect_classes(self, unit: ModuleUnit) -> None:
         for node in ast.walk(unit.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for stmt in node.body:
-                value = None
-                if isinstance(stmt, ast.Assign) and \
-                        len(stmt.targets) == 1 and \
-                        isinstance(stmt.targets[0], ast.Name) and \
-                        stmt.targets[0].id == "kind":
-                    value = stmt.value
-                elif isinstance(stmt, ast.AnnAssign) and \
-                        isinstance(stmt.target, ast.Name) and \
-                        stmt.target.id == "kind":
-                    value = stmt.value
-                if isinstance(value, ast.Constant) and \
-                        isinstance(value.value, str):
-                    self.class_kinds[node.name] = value.value
+            if isinstance(node, ast.ClassDef):
+                kind = self._class_kind(node)
+                if kind is not None:
+                    self.class_kinds[node.name] = kind
+
+    @staticmethod
+    def _class_kind(node: ast.ClassDef) -> Optional[str]:
+        """The string constant of the class's ``kind`` attribute, if any."""
+        for stmt in node.body:
+            value = None
+            if isinstance(stmt, ast.Assign) and \
+                    len(stmt.targets) == 1 and \
+                    isinstance(stmt.targets[0], ast.Name) and \
+                    stmt.targets[0].id == "kind":
+                value = stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and \
+                    isinstance(stmt.target, ast.Name) and \
+                    stmt.target.id == "kind":
+                value = stmt.value
+            if isinstance(value, ast.Constant) and \
+                    isinstance(value.value, str):
+                return value.value
+        return None
 
     def _collect_consts(self, unit: ModuleUnit) -> None:
         consts: Dict[str, Tuple[str, ...]] = {}
@@ -188,18 +195,31 @@ class _KindUniverse:
     def _collect_constructions(self, unit: ModuleUnit) -> None:
         if unit.basename() in ("events.py", "monitors.py"):
             return  # the taxonomy and its consumers don't *construct* traffic
+        # A kind-less class defined in this module shadows a taxonomy
+        # class of the same bare name (the engine's scheduler ``Event``
+        # is not the typed ``obs.events.Event``).
+        shadowed = {node.name for node in ast.walk(unit.tree)
+                    if isinstance(node, ast.ClassDef)
+                    and self._class_kind(node) is None}
+
+        def kind_of(target: ast.AST) -> Optional[str]:
+            if isinstance(target, ast.Name) and target.id in shadowed:
+                return None
+            return self.class_kinds.get(terminal_name(target))
+
         for node in ast.walk(unit.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = terminal_name(node.func)
             # Direct construction: TaskStarted(...), ev.StateChange inside
             # _emit(...), or _emit(ev.StateChange, field=...) class-style.
-            if name in self.class_kinds:
-                self._record(self.class_kinds[name], unit, node)
+            kind = kind_of(node.func)
+            if kind is not None:
+                self._record(kind, unit, node)
             if name in _EMIT_NAMES and node.args:
-                first = terminal_name(node.args[0])
-                if first in self.class_kinds:
-                    self._record(self.class_kinds[first], unit, node.args[0])
+                kind = kind_of(node.args[0])
+                if kind is not None:
+                    self._record(kind, unit, node.args[0])
             if name in _KIND_FACTORIES:
                 for argument in node.args:
                     if isinstance(argument, ast.Constant) and \

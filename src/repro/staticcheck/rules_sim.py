@@ -138,7 +138,7 @@ class NoEngineBypassRule(AstRule):
     """SIM003: protocol/network code schedules only through the engine.
 
     The hot-path refactor moved all event bookkeeping into the engine
-    (calendar queue) and per-channel state processes: protocol and
+    (its event queue) and per-channel state processes: protocol and
     network modules hold *no* private event heaps, never consult wall
     clocks, and install compiled dispatch tables instead of scheduling
     one event per slot.  This rule keeps it that way: direct ``heapq`` /

@@ -271,12 +271,11 @@ def test_event_ordering_operator():
 # -- cancelled-event compaction ----------------------------------------------
 
 
-@pytest.mark.parametrize("queue", ["calendar", "heap"])
-def test_churned_schedule_compacts_dead_events(queue):
+def test_churned_schedule_compacts_dead_events():
     """A churned schedule (mass cancellation) must not accumulate dead
     entries: once more than half the queue is cancelled the queue compacts
     and the survivors still fire in exact order."""
-    sim = Simulator(queue=queue, grid=10.0)
+    sim = Simulator()
     fired = []
     events = [sim.schedule(float(i), (lambda i=i: fired.append(i)))
               for i in range(400)]
@@ -293,14 +292,10 @@ def test_churned_schedule_compacts_dead_events(queue):
     assert fired == [i for i in range(400) if i % 4 == 0]
 
 
-@pytest.mark.parametrize("queue", ["calendar", "heap"])
-def test_compaction_spans_ring_and_overflow(queue):
-    """Compaction rebuilds the whole structure, including entries past the
-    calendar ring horizon, without reordering survivors."""
-    sim = Simulator(queue=queue, grid=1.0)
+def test_compaction_keeps_survivors_in_order():
+    """Compaction rebuilds the whole heap without reordering survivors."""
+    sim = Simulator()
     fired = []
-    # Spread far beyond the 256-bucket ring horizon so the calendar queue
-    # holds a populated overflow heap at compaction time.
     events = [sim.schedule(float(i * 7), (lambda i=i: fired.append(i)))
               for i in range(300)]
     for i, event in enumerate(events):
@@ -313,7 +308,7 @@ def test_compaction_spans_ring_and_overflow(queue):
 
 
 def test_explicit_compact_resets_dead_counter():
-    sim = Simulator(queue="calendar", grid=10.0)
+    sim = Simulator()
     keep = sim.schedule(5.0, lambda: None)
     for _ in range(10):
         sim.schedule(3.0, lambda: None).cancel()

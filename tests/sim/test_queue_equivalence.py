@@ -1,12 +1,14 @@
-"""Property test: the calendar queue is order-equivalent to the heap.
+"""Property test: the event queue fires in exact (time, priority, seq) order.
 
-The calendar queue is the hot-path event structure; the binary heap is its
-reference.  Hypothesis drives both through random interleavings of
+Hypothesis drives the simulator through random interleavings of
 schedule / post / cancel operations -- including same-time same-priority
-ties, zero delays, and delays far past the calendar ring horizon -- and the
-two simulators must fire callbacks in the identical order at identical
-times.
+ties, zero delays, far-future delays, and operations injected from inside
+a running callback -- and the fire log must equal an oracle: the plain
+sorted list of the scripted ``(time, priority, seq)`` entries minus the
+cancelled ones.
 """
+
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,17 +23,20 @@ OPS = st.lists(
         st.one_of(
             st.just(0.0),
             st.floats(min_value=0.0, max_value=50.0),
-            # Past the 256-bucket ring horizon -> calendar overflow heap.
             st.floats(min_value=0.0, max_value=50_000.0),
         ),
         st.integers(min_value=-2, max_value=2),
     ),
     min_size=1, max_size=60)
 
+#: The second half of a script is injected by a callback posted at this
+#: (delay, priority), so pushes interleave with pops.
+INJECT_AT = (1.0, -3)
 
-def replay(queue: str, script) -> list:
+
+def replay(script) -> list:
     """Run one scripted interleaving; return the (label, time) fire log."""
-    sim = Simulator(queue=queue, grid=10.0)
+    sim = Simulator()
     log = []
     handles = []
     counter = [0]
@@ -53,32 +58,62 @@ def replay(queue: str, script) -> list:
                 else:
                     handles.append(sim.schedule(delay, callback, priority))
 
-    # First half is scheduled up front; the second half is injected from
-    # inside a running callback, so pushes interleave with pops (the
-    # re-anchor / active-head insert paths).
     half = len(script) // 2
     apply_ops(script[:half])
     if script[half:]:
-        sim.post(1.0, lambda: apply_ops(script[half:]), priority=-3)
+        delay, priority = INJECT_AT
+        sim.post(delay, lambda: apply_ops(script[half:]), priority=priority)
     sim.run()
     return log
 
 
+def oracle(script) -> list:
+    """The (label, time) fire log ``replay`` must produce, computed without
+    a queue: sort the scripted entries and drop the cancelled ones."""
+    entries = []  # [time, priority, seq, label, cancelled]
+    handles = []
+    seq = itertools.count()
+
+    def apply_ops(ops, now, fired):
+        for kind, delay, priority in ops:
+            if kind == "cancel":
+                while handles:
+                    entry = handles.pop(0)
+                    if not fired(entry):
+                        entry[4] = True
+                        break
+            else:
+                entry = [now + delay, priority, next(seq), len(entries), False]
+                entries.append(entry)
+                if kind == "schedule":
+                    handles.append(entry)
+
+    half = len(script) // 2
+    apply_ops(script[:half], 0.0, lambda entry: False)
+    if script[half:]:
+        delay, priority = INJECT_AT
+        injection = (delay, priority, next(seq))
+        # Entries ordered before the injecting callback have already fired.
+        apply_ops(script[half:], delay,
+                  lambda entry: tuple(entry[:3]) < injection)
+    return [(label, time) for time, _, _, label, cancelled in sorted(entries)
+            if not cancelled]
+
+
 @settings(max_examples=200, deadline=None)
 @given(script=OPS)
-def test_calendar_matches_heap_reference(script):
-    assert replay("calendar", script) == replay("heap", script)
+def test_heap_matches_oracle(script):
+    assert replay(script) == oracle(script)
 
 
 @settings(max_examples=50, deadline=None)
 @given(ties=st.lists(st.integers(min_value=0, max_value=3),
                      min_size=2, max_size=40))
 def test_same_time_same_priority_ties_fire_in_schedule_order(ties):
-    """Entries tied on (time, priority) fire in scheduling order on both
-    implementations (the seq tiebreak)."""
+    """Entries tied on (time, priority) fire in scheduling order (the seq
+    tiebreak)."""
     script = [("schedule", 10.0, 0) for _ in ties]
-    calendar = replay("calendar", script)
-    heap = replay("heap", script)
-    assert calendar == heap
-    assert [label for label, _ in calendar] == sorted(
-        label for label, _ in calendar)
+    fired = replay(script)
+    assert fired == oracle(script)
+    assert [label for label, _ in fired] == sorted(
+        label for label, _ in fired)

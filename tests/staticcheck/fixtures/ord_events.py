@@ -24,3 +24,11 @@ class Orphan:
     def __init__(self, time, source):
         self.time = time
         self.source = source
+
+
+class Event:
+    kind = "event"
+
+    def __init__(self, time, source):
+        self.time = time
+        self.source = source

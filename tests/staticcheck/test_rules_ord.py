@@ -41,3 +41,16 @@ def test_ord002_mute_without_any_monitor(load_unit):
     # empty, and ORD002 must stay silent rather than flag every kind.
     findings = _run(load_unit, ("ord_events.py", "ord_unclean.py"))
     assert not [f for f in findings if f.rule == "ORD002"]
+
+
+def test_ord002_module_local_class_shadows_the_taxonomy_name(load_unit):
+    findings = _run(load_unit, ("ord_events.py", "ord_monitors.py",
+                                "ord_shadow.py"))
+    assert not [f for f in findings if f.rule == "ORD002"]
+
+
+def test_ord002_still_flags_a_taxonomy_construction(load_unit):
+    findings = _run(load_unit, ("ord_events.py", "ord_monitors.py",
+                                "ord_base_event.py"))
+    assert [(f.path, f.line, f.item) for f in findings
+            if f.rule == "ORD002"] == [("ord_base_event.py", 8, "kind:event")]

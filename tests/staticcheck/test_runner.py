@@ -74,7 +74,7 @@ class TestRepositoryGate:
             "src/repro/modelcheck/symmetry.py",
             "src/repro/modelcheck/vector.py"]
         ord_debt = [f for f in ast_debt if f.rule == "ORD002"]
-        assert len(ord_debt) == 20
+        assert len(ord_debt) == 19
         assert all(f.item.startswith("kind:") for f in ord_debt)
         assert set(by_rule) == {"SIM003", "CON003", "WID001", "ORD002"}
         assert report.stale_baseline == []

@@ -1,12 +1,12 @@
 """Differential golden traces: the refactored hot path is bit-exact.
 
-The engine rebuild (indexed calendar queue, compiled MEDL dispatch tables,
-single channel-state process) is a pure performance refactor -- the typed
-event stream it produces must be byte-identical to the stream the
+The engine rebuild (compiled MEDL dispatch tables, single channel-state
+process, pooled event scheduling) is a pure performance refactor -- the
+typed event stream it produces must be byte-identical to the stream the
 pre-refactor stack produced.  Both paper conformance scenarios were
 captured as JSONL golden fixtures before the refactor; here each scenario
-is replayed on both event-queue implementations and the exported stream is
-compared byte-for-byte against the fixture.
+is replayed and the exported stream is compared byte-for-byte against the
+fixture.
 """
 
 import filecmp
@@ -25,17 +25,15 @@ GOLDEN_TRACES = [
 ]
 
 
-@pytest.mark.parametrize("event_queue", ["calendar", "heap"])
 @pytest.mark.parametrize("name,golden", GOLDEN_TRACES,
                          ids=[name for name, _ in GOLDEN_TRACES])
-def test_conformance_trace_is_byte_identical(name, golden, event_queue,
-                                             tmp_path):
-    cluster = SCENARIOS[name].run(event_queue=event_queue)
-    exported = tmp_path / f"{name}_{event_queue}.jsonl"
+def test_conformance_trace_is_byte_identical(name, golden, tmp_path):
+    cluster = SCENARIOS[name].run()
+    exported = tmp_path / f"{name}.jsonl"
     cluster.monitor.export_jsonl(str(exported))
     assert filecmp.cmp(str(exported), str(golden), shallow=False), (
-        f"{name} event stream on the {event_queue!r} queue diverged from "
-        f"the pre-refactor golden fixture {golden.name}")
+        f"{name} event stream diverged from the pre-refactor golden "
+        f"fixture {golden.name}")
 
 
 def test_golden_fixtures_are_nonempty():
