@@ -19,9 +19,8 @@ small-shifting PASS configuration EXP-P1 is anchored to:
 * **intra-config jobs** -- wall-clock of ``--jobs 2`` (frontier
   sharding) against the packed baseline on the same single
   configuration.  Both gates anchor to the *recorded* EXP-P1 packed rate
-  rather than a live re-run: the packed engine itself now expands large
-  BFS levels through the vectorized kernel, so a live packed rate would
-  move with the code under test.  The live cold packed rate (median and
+  rather than a live re-run, so they do not move with the host or with
+  changes to the packed engine.  The live cold packed rate (median and
   min..max of ``PACKED_REPEATS`` fresh models) is reported for context.
   On a single-core host the sharder degrades to serial
   (``effective_jobs`` capping), so a separate *forced* 2-worker pool run

@@ -27,6 +27,15 @@ from repro.core.authority import CouplerAuthority
 from repro.core.verification import verify_all_authorities, verify_config
 from repro.model.scenarios import trace1_scenario, trace2_scenario
 
+#: ``--engine`` choices of ``verify`` and ``conform``.  The tuple engine
+#: stays a library option (``InvariantChecker(engine="tuple")``).
+ENGINE_CHOICES = ("auto", "packed", "vectorized")
+ENGINE_HELP = ("BFS engine (default: auto = the exact array engine when "
+               "numpy imports and the model's node blocks fit uint64 "
+               "words, else packed; packed = scalar integer-state search; "
+               "vectorized = the array engine with symmetry reduction and "
+               "--jobs frontier sharding)")
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -494,12 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "processes; with --engine vectorized, shard "
                              "each check's BFS frontier across N workers "
                              "instead (default: serial)")
-    verify.add_argument("--engine",
-                        choices=("auto", "packed", "tuple", "vectorized"),
-                        default="auto",
-                        help="state representation for the BFS core "
-                             "(default: auto = packed when available; "
-                             "vectorized = batched NumPy frontiers)")
+    verify.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
+                        help=ENGINE_HELP)
     verify.add_argument("--no-symmetry", action="store_true",
                         dest="no_symmetry",
                         help="disable the vectorized engine's rotational "
@@ -590,12 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "report slot-level agreement")
     conform.add_argument("scenario", choices=["trace1", "trace2", "all"],
                          help="which paper counterexample to replay")
-    conform.add_argument("--engine",
-                         choices=("auto", "packed", "tuple", "vectorized"),
-                         default="auto",
-                         help="state representation for the BFS core "
-                              "(default: auto = packed when available; "
-                              "vectorized = batched NumPy frontiers)")
+    conform.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
+                         help=ENGINE_HELP)
     conform.add_argument("--no-symmetry", action="store_true",
                          dest="no_symmetry",
                          help="disable the vectorized engine's rotational "

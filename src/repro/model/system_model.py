@@ -579,13 +579,9 @@ class TTAStartupModel:
         and node blocks that fit ``uint64`` words (see
         :func:`repro.modelcheck.vector.represents`).
         """
-        kernel = getattr(self, "_cache_vector_kernel", None)
-        if kernel is None:
-            from repro.modelcheck.vector import VectorKernel
+        from repro.modelcheck.vector import model_kernel
 
-            kernel = VectorKernel(self)
-            self._cache_vector_kernel = kernel
-        return kernel.successors_batch(words, tails)
+        return model_kernel(self).successors_batch(words, tails)
 
     # -- labels ------------------------------------------------------------------------
 

@@ -11,23 +11,30 @@ Three engines share the same search semantics:
 
 * the **tuple engine** walks :meth:`successors` transitions directly and
   records labels as it goes (one shared BFS core also drives
-  :func:`find_deadlocks`);
+  :func:`find_deadlocks` and :func:`find_trace_to`);
 * the **packed engine** walks integer state codes (see
-  :mod:`repro.modelcheck.encode`), hashing machine ints instead of nested
-  tuples and decoding states only when a counterexample is rebuilt.  It is
-  selected automatically for systems with a native packed path (the TTA
-  startup model) and enumerates successors in the same order as the tuple
-  engine, so both return identical verdicts, counts, and traces.  Levels
-  of at least :data:`BATCH_MIN_LEVEL` states get their successors from one
-  call of the batch kernel, which returns them in that same order;
-* the **vectorized engine** (see :mod:`repro.modelcheck.vector`) processes
-  whole BFS levels as NumPy arrays of packed codes, optionally under
-  symmetry reduction (:mod:`repro.modelcheck.symmetry`).  It visits the
-  same reachable set and returns the same verdict and a shortest
-  counterexample, but completes each level before testing the invariant
-  (so on violating configurations ``states_explored`` counts the full
-  violating level) and reports *raw* enumerated transitions (duplicate
-  successors of one parent are not collapsed).
+  :mod:`repro.modelcheck.encode`) one state and one transition at a time,
+  hashing machine ints instead of nested tuples and decoding states only
+  when a counterexample is rebuilt.  It enumerates successors in the same
+  order as the tuple engine, so both return identical verdicts, counts,
+  and traces.  It is the fallback where the array engine cannot run (no
+  numpy, node blocks wider than ``uint64``, no native batch path) and the
+  differential oracle of the array engine's tests;
+* the **array engine** (reported as ``"vectorized"``; see
+  :mod:`repro.modelcheck.vector`) runs the same level-order search over
+  whole BFS levels held as NumPy arrays.  Each level's edges come in the
+  packed engine's enumeration order, and one stable sort by target code
+  per level (:class:`~repro.modelcheck.vector.LevelDiscovery`) recovers
+  every decision the packed loop makes edge by edge: which edge first
+  reaches each new state, the per-parent-deduplicated transition count,
+  and where ``max_states`` cuts the level.  Under ``engine="auto"`` it
+  returns the packed engine's result on every field.  Under
+  ``engine="vectorized"`` it adds opt-in symmetry reduction
+  (:mod:`repro.modelcheck.symmetry`) and frontier sharding
+  (:mod:`repro.modelcheck.shard`), and differs in one count: on a
+  violating level ``states_explored`` includes the whole level (up to
+  ``max_states``), not just the states discovered before the violating
+  one.
 """
 
 from __future__ import annotations
@@ -36,13 +43,12 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.modelcheck.encode import (
     PackedSystemAdapter,
     compile_packed_invariant,
     have_numpy,
-    require_numpy,
 )
 from repro.modelcheck.model import TransitionSystem
 from repro.modelcheck.state import StateView
@@ -54,7 +60,7 @@ Invariant = Callable[[StateView], bool]
 #: Engine names accepted by :class:`InvariantChecker`.
 ENGINES = ("auto", "packed", "tuple", "vectorized")
 
-#: Smallest BFS level the packed engine expands with one batch-kernel call
+#: Smallest BFS level the array engine expands with one batch-kernel call
 #: instead of one ``packed_successors`` call per state.  A kernel call
 #: carries ~100 us of fixed array set-up, so small levels stay scalar.
 #: Expansion cost per level, warm tables, states drawn from the first 14
@@ -201,37 +207,6 @@ def _tuple_bfs(system: TransitionSystem,
     return search
 
 
-def _batch_expander(packed: Any
-                    ) -> Optional[Callable[[List[int]],
-                                           Iterable[Tuple[int, int]]]]:
-    """A whole-level ``codes -> (parent, target) edges`` expander over the
-    system's batch kernel, or None where the kernel cannot run: no native
-    batch path, no numpy, or node blocks wider than its ``uint64`` words
-    (slots >= 5)."""
-    if not (hasattr(packed, "packed_successors_batch")
-            and hasattr(packed, "packed_geometry") and have_numpy()):
-        return None
-    from repro.modelcheck.vector import represents
-
-    block_radix, node_count, tail_scale = packed.packed_geometry()
-    if not represents(block_radix, node_count):
-        return None
-    np = require_numpy()
-
-    def expand(codes: List[int]) -> Iterable[Tuple[int, int]]:
-        split = [divmod(code, tail_scale) for code in codes]
-        words = np.array([word for _, word in split], dtype=np.uint64)
-        tails = np.array([tail for tail, _ in split], dtype=np.int64)
-        succ_words, succ_tails, rows = packed.packed_successors_batch(words,
-                                                                      tails)
-        # Python ints: full-shifting codes are 72 bits wide.
-        return zip([codes[row] for row in rows.tolist()],
-                   [word + tail * tail_scale for word, tail
-                    in zip(succ_words.tolist(), succ_tails.tolist())])
-
-    return expand
-
-
 def _rebuild_trace(space, parent: Dict[tuple, Any], violating: tuple) -> Trace:
     chain: List[TraceStep] = []
     state: Optional[tuple] = violating
@@ -248,26 +223,33 @@ class InvariantChecker:
 
     ``engine`` is one of:
 
-    * ``"auto"`` (default) -- the packed engine when the system provides a
-      native packed path (``packed_successors`` + ``codec``), the tuple
-      engine otherwise;
-    * ``"packed"`` -- force packed search; systems without a native path
-      are wrapped in :class:`~repro.modelcheck.encode.PackedSystemAdapter`
-      (every variable must declare a domain);
-    * ``"tuple"`` -- force the classic tuple search;
-    * ``"vectorized"`` -- batched NumPy frontier search; needs numpy and
-      a system with a native batch path (``packed_successors_batch`` +
-      ``packed_geometry``), otherwise it *warns and falls back* to the
-      packed engine (the result's ``engine`` field records what actually
-      ran).
+    * ``"auto"`` (default) -- the exact array engine when numpy imports
+      and the system has a native batch path (``packed_successors_batch``
+      + ``packed_geometry``) whose node blocks fit ``uint64`` words
+      (:func:`repro.modelcheck.vector.represents`); else the packed engine
+      when the system has a native packed path (``packed_successors`` +
+      ``codec``); else the tuple engine.  The array engine returns the
+      packed engine's result on every field but ``engine``;
+    * ``"packed"`` -- force the scalar packed search; systems without a
+      native path are wrapped in
+      :class:`~repro.modelcheck.encode.PackedSystemAdapter` (every
+      variable must declare a domain);
+    * ``"tuple"`` -- force the classic tuple search (a library option:
+      :func:`find_trace_to`, :func:`find_deadlocks` and the EXP-P1
+      baseline use it);
+    * ``"vectorized"`` -- the array engine with symmetry reduction and
+      frontier sharding available; on a violating level it counts the
+      whole level in ``states_explored``.  Without numpy or a native
+      batch path it *warns and falls back* to the packed engine (the
+      result's ``engine`` field records what actually ran).
 
     ``symmetry`` (vectorized engine only) enables rotational symmetry
     reduction when it is provably sound for the model and invariant at
     hand (see :class:`repro.modelcheck.symmetry.RotationGroup`); pass
     ``False`` -- the CLI's ``--no-symmetry`` -- to force the full search.
 
-    ``jobs`` (vectorized engine only) shards each BFS level across a
-    worker pool (:class:`repro.modelcheck.shard.FrontierSharder`) --
+    ``jobs`` (vectorized engine only) shards each large BFS level across
+    a worker pool (:class:`repro.modelcheck.shard.FrontierSharder`) --
     parallelism *within one check*, orthogonal to the task-level fan-out
     of :mod:`repro.modelcheck.parallel`.  Verdicts, counts, and traces
     are identical to the single-process search.
@@ -308,11 +290,21 @@ class InvariantChecker:
             return PackedSystemAdapter(self.system)
         return None
 
-    def _vectorized_system(self) -> Optional[Any]:
-        """The system to vector-search, or None (with a warning) when the
-        vectorized engine cannot run and must fall back to packed."""
-        if not (hasattr(self.system, "packed_successors_batch")
-                and hasattr(self.system, "packed_geometry")):
+    def _array_system(self) -> Optional[Any]:
+        """The system to search with the array engine, or None when it
+        cannot run and the search falls back to packed (with a warning
+        when ``"vectorized"`` was asked for)."""
+        has_batch = (hasattr(self.system, "packed_successors_batch")
+                     and hasattr(self.system, "packed_geometry"))
+        if self.engine == "auto":
+            if has_batch and have_numpy():
+                from repro.modelcheck.vector import represents
+
+                block_radix, node_count, _ = self.system.packed_geometry()
+                if represents(block_radix, node_count):
+                    return self.system
+            return None
+        if not has_batch:
             warnings.warn(
                 "vectorized engine needs a native batch path "
                 "(packed_successors_batch); falling back to the packed "
@@ -329,10 +321,10 @@ class InvariantChecker:
 
     def check(self, invariant: Invariant) -> CheckResult:
         """BFS over reachable states, checking ``invariant`` at each."""
-        if self.engine == "vectorized":
-            vectorized = self._vectorized_system()
-            if vectorized is not None:
-                return self._check_vectorized(vectorized, invariant)
+        if self.engine in ("auto", "vectorized"):
+            array_system = self._array_system()
+            if array_system is not None:
+                return self._check_levels(array_system, invariant)
         packed = self._packed_system()
         if packed is not None:
             return self._check_packed(packed, invariant)
@@ -368,16 +360,12 @@ class InvariantChecker:
         The hot loop touches only ints: parent links are code -> code, the
         invariant is compiled to digit tests where possible, and labels are
         re-derived from the tuple-level transition relation only for the
-        (short) counterexample chain.  Each level's ``(parent, target)``
-        edges come either from one batch-kernel call or from one
-        ``packed_successors`` call per state; both yield the same edges in
-        the same order, so the walk over them decides identically.
+        (short) counterexample chain.
         """
         started = time.perf_counter()
         codec = packed.codec
         packed_invariant = compile_packed_invariant(invariant, codec)
         successors_of = packed.packed_successors
-        expand_level = _batch_expander(packed)
         max_states = self.max_states
         max_depth = self.max_depth
         progress = self.progress
@@ -423,28 +411,24 @@ class InvariantChecker:
                 truncated = True
                 break
             next_level: List[int] = []
-            if expand_level is not None and len(current) >= BATCH_MIN_LEVEL:
-                edges: Iterable[Tuple[int, int]] = expand_level(current)
-            else:
-                edges = ((code, target) for code in current
-                         for target in successors_of(code))
-            for code, target in edges:
-                transitions += 1
-                if target in parent:
-                    continue
-                if max_states is not None and len(parent) >= max_states:
-                    truncated = True
-                    continue
-                parent[target] = code
-                states_added += 1
-                if (progress is not None
-                        and states_added % progress_interval == 0):
-                    progress(states_added, depth + 1)
-                if not packed_invariant(target):
-                    violating = target
-                    max_depth_seen = depth + 1
-                    return make_result()
-                next_level.append(target)
+            for code in current:
+                for target in successors_of(code):
+                    transitions += 1
+                    if target in parent:
+                        continue
+                    if max_states is not None and len(parent) >= max_states:
+                        truncated = True
+                        continue
+                    parent[target] = code
+                    states_added += 1
+                    if (progress is not None
+                            and states_added % progress_interval == 0):
+                        progress(states_added, depth + 1)
+                    if not packed_invariant(target):
+                        violating = target
+                        max_depth_seen = depth + 1
+                        return make_result()
+                    next_level.append(target)
             if next_level:
                 max_depth_seen = depth + 1
             current = next_level
@@ -488,61 +472,110 @@ class InvariantChecker:
             steps.append(TraceStep(state=states[position], label=label))
         return Trace(space=packed.space, steps=steps)
 
-    # -- vectorized engine --------------------------------------------------------
+    # -- array engine -------------------------------------------------------------
 
-    def _check_vectorized(self, system: Any, invariant: Invariant) -> CheckResult:
-        """Whole-level BFS over NumPy arrays of split packed codes.
+    def _check_levels(self, system: Any, invariant: Invariant) -> CheckResult:
+        """Level-synchronous BFS over NumPy arrays of split packed codes.
 
-        Each level is expanded, deduplicated, committed, and *then*
-        tested against the invariant as one batch; the first violating
-        state in code order yields the counterexample (same minimum
-        length as the scalar engines, since both search level by level).
-        Under symmetry reduction the search runs in the quotient space
-        and the counterexample is mapped back to a concrete run.
+        Each level's edges come in the packed engine's enumeration order:
+        from one :meth:`VectorKernel.successor_level` call (or the
+        sharder) for levels of at least :data:`BATCH_MIN_LEVEL` states,
+        from ``packed_successors`` per state below that.  A
+        :class:`~repro.modelcheck.vector.LevelDiscovery` resolves them
+        against the visited set; the new states stay in discovery order
+        with an int32 first-parent row each, so ``max_states`` keeps the
+        same prefix the packed loop keeps, the invariant's first hit is
+        the packed loop's violating state, and the counterexample is read
+        back through the stored parent rows.  Under symmetry reduction
+        the search runs in the quotient space and the counterexample is
+        mapped back to a concrete run.
         """
-        from repro.modelcheck.symmetry import RotationGroup
+        from repro.modelcheck.symmetry import (
+            RotationGroup,
+            decanonicalize_trace,
+        )
         from repro.modelcheck.vector import (
-            VectorExplorer,
+            FusedSeenSet,
+            LevelDiscovery,
+            SplitSeenSet,
             compile_batch_invariant,
+            model_kernel,
         )
 
         started = time.perf_counter()
-        codec = system.codec
+        vectorized = self.engine == "vectorized"
         _, _, tail_scale = system.packed_geometry()
-        violations = compile_batch_invariant(invariant, codec, tail_scale)
+        violations = compile_batch_invariant(invariant, system.codec,
+                                             tail_scale)
+        kernel = model_kernel(system)
+        np = kernel.np
         group = RotationGroup.build(system, invariant=invariant,
-                                    enabled=self.symmetry)
+                                    enabled=vectorized and self.symmetry)
         canonical = None if group.trivial else group.canonicalize
+        seen = FusedSeenSet(np) if kernel.fused else SplitSeenSet(np)
         sharder = None
-        expander = None
-        if self.jobs is not None and self.jobs > 1:
+        if vectorized and self.jobs is not None and self.jobs > 1:
             from repro.modelcheck.shard import FrontierSharder
 
             sharder = FrontierSharder(system, jobs=self.jobs,
                                       use_symmetry=not group.trivial)
-            expander = sharder.successor_level
-        explorer = VectorExplorer(system, canonical=canonical,
-                                  expander=expander)
         max_states = self.max_states
         max_depth = self.max_depth
         progress = self.progress
         progress_interval = self.progress_interval
 
-        levels: List[Tuple[Any, Any]] = []
+        def expand(words: Any, tails: Any) -> Tuple[Any, Any, Any]:
+            """One level's ``(succ_words, succ_tails, parent_rows)``."""
+            if len(words) < BATCH_MIN_LEVEL:
+                targets = [system.packed_successors(code)
+                           for code in kernel.join_codes(words, tails)]
+                parents = np.repeat(np.arange(len(targets)),
+                                    [len(codes) for codes in targets])
+                succ_words, succ_tails = kernel.split_codes(
+                    [code for codes in targets for code in codes])
+            elif sharder is not None:
+                return sharder.successor_level(words, tails)
+            else:
+                succ_words, succ_tails, parents = kernel.successor_level(
+                    words, tails, scalar_order=True)
+            if canonical is not None:
+                succ_words, succ_tails = canonical(succ_words, succ_tails)
+            return succ_words, succ_tails, parents
+
+        #: Per depth: the admitted states and their first-parent rows.
+        levels: List[Tuple[Any, Any, Any]] = []
         transitions = 0
         states_added = 0
-        progress_fired = 0
         truncated = False
-        violating: Optional[int] = None
         max_depth_seen = 0
 
-        def make_result() -> CheckResult:
+        def admit(count: int, depth: int) -> None:
+            """Count ``count`` more states, firing progress at every
+            interval boundary crossed, as the packed loop does."""
+            nonlocal states_added
+            if progress is not None:
+                for crossed in range(states_added // progress_interval + 1,
+                                     (states_added + count)
+                                     // progress_interval + 1):
+                    progress(crossed * progress_interval, depth)
+            states_added += count
+
+        def make_result(violating: Optional[int] = None,
+                        explored: Optional[int] = None) -> CheckResult:
             trace = None
             if violating is not None:
-                trace = self._rebuild_vectorized_trace(
-                    system, explorer, group, levels, violating)
+                codes = []
+                row = violating
+                for words, tails, parents in reversed(levels):
+                    codes.append(int(words[row]) + int(tails[row]) * tail_scale)
+                    row = int(parents[row])
+                codes.reverse()
+                if not group.trivial:
+                    codes = decanonicalize_trace(system, group, codes)
+                trace = self._trace_from_code_chain(system, codes)
             return CheckResult(holds=violating is None,
-                               states_explored=explorer.seen_count,
+                               states_explored=(len(seen) if explored is None
+                                                else explored),
                                transitions_explored=transitions,
                                depth_reached=max_depth_seen,
                                elapsed_seconds=time.perf_counter() - started,
@@ -550,106 +583,49 @@ class InvariantChecker:
                                truncated=truncated,
                                engine="vectorized")
 
-        def absorb_level(words: Any, tails: Any, depth: int) -> Optional[int]:
-            """Track one committed batch; the violating code, if any."""
-            nonlocal states_added, progress_fired, max_depth_seen
-            if len(words) == 0:
-                return None
-            levels.append((words, tails))
-            if depth > max_depth_seen:
-                max_depth_seen = depth
-            states_added += len(words)
-            # Batch-granular progress: fire once per interval boundary the
-            # batch crossed, reporting the boundary value so downstream
-            # consumers see the same monotonic sequence as the scalar
-            # engines (which fire exactly at each crossing).
-            while (progress is not None
-                   and states_added // progress_interval > progress_fired):
-                progress_fired += 1
-                progress(progress_fired * progress_interval, depth)
-            mask = violations(words, tails)
-            hits = explorer.np.flatnonzero(mask)
-            if len(hits):
-                first = int(hits[0])
-                return int(words[first]) + int(tails[first]) * tail_scale
-            return None
-
         try:
-            words, tails, over = explorer.initial_level(limit=max_states)
-            truncated |= over
-            violating = absorb_level(words, tails, 0)
-            if violating is not None:
-                return make_result()
-
+            words, tails = kernel.split_codes(system.packed_initial_states())
+            if canonical is not None:
+                words, tails = canonical(words, tails)
+            level = LevelDiscovery(kernel, seen, words, tails,
+                                   np.zeros(len(words), dtype=np.int64))
             depth = 0
-            while len(words):
+            while True:
+                admitted = len(level)
+                # Like the packed loop, max_states never cuts the
+                # initial states.
+                if depth and max_states is not None:
+                    admitted = min(admitted, max(0, max_states - len(seen)))
+                words = level.words[:admitted]
+                tails = level.tails[:admitted]
+                hits = np.flatnonzero(violations(words, tails))
+                if len(hits):
+                    rank = int(hits[0])
+                    admit(rank + 1, depth)
+                    if depth:
+                        transitions += level.transitions_through(rank)
+                    max_depth_seen = depth
+                    levels.append((words, tails, level.parents))
+                    return make_result(rank, len(seen) + (
+                        admitted if vectorized else rank + 1))
+                admit(admitted, depth)
+                if depth:
+                    transitions += level.transitions
+                truncated |= admitted < len(level)
+                if not admitted:
+                    break
+                level.commit(seen, admitted)
+                levels.append((words, tails, level.parents))
+                max_depth_seen = depth
                 if max_depth is not None and depth >= max_depth:
                     truncated = True
                     break
-                remaining: Optional[int] = None
-                if max_states is not None:
-                    remaining = max_states - explorer.seen_count
-                    if remaining <= 0:
-                        truncated = True
-                        break
-                words, tails, raw, over = explorer.step(words, tails,
-                                                        limit=remaining)
-                transitions += raw
-                truncated |= over
-                violating = absorb_level(words, tails, depth + 1)
-                if violating is not None:
-                    return make_result()
+                level = LevelDiscovery(kernel, seen, *expand(words, tails))
                 depth += 1
-
             return make_result()
         finally:
             if sharder is not None:
                 sharder.close()
-
-    def _rebuild_vectorized_trace(self, system: Any, explorer: Any,
-                                  group: Any, levels: List[Tuple[Any, Any]],
-                                  violating: int) -> Trace:
-        """Shortest concrete trace from the per-level state batches.
-
-        The vectorized search keeps no parent links; instead the (short)
-        counterexample chain is recovered backwards by re-expanding each
-        stored level with the batch kernel and selecting, per hop, the
-        smallest-code predecessor.  Under symmetry the chain lives in the
-        quotient space and is first mapped back to a concrete run (see
-        :func:`repro.modelcheck.symmetry.decanonicalize_trace`).
-        """
-        from repro.modelcheck.symmetry import decanonicalize_trace
-
-        np = explorer.np
-        kernel = explorer.kernel
-        tail_scale = kernel.tail_scale
-        chain = [violating]
-        target = violating
-        for level_words, level_tails in reversed(levels[:-1]):
-            succ_words, succ_tails, parents = kernel.successor_level(
-                level_words, level_tails)
-            if not group.trivial:
-                succ_words, succ_tails = group.canonicalize(succ_words,
-                                                            succ_tails)
-            target_tail, target_word = divmod(target, tail_scale)
-            match = np.flatnonzero(
-                (succ_tails == target_tail)
-                & (succ_words == np.uint64(target_word)))
-            if len(match) == 0:  # pragma: no cover - BFS guarantees a parent
-                raise AssertionError(
-                    "stored level has no predecessor of the counterexample")
-            candidates = parents[match]
-            candidate_words = level_words[candidates]
-            candidate_tails = level_tails[candidates]
-            best = np.lexsort((candidate_words, candidate_tails))[0]
-            target = (int(candidate_words[best])
-                      + int(candidate_tails[best]) * tail_scale)
-            chain.append(target)
-        chain.reverse()
-        if not group.trivial:
-            chain = decanonicalize_trace(system, group, chain)
-        return self._trace_from_code_chain(system, chain)
-
 
 @dataclass
 class DeadlockSearchResult:

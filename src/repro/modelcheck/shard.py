@@ -10,14 +10,15 @@ rows -- so each level is split into contiguous shards, one per worker:
    ``multiprocessing.shared_memory`` (words then tails, one block), so
    ``N`` workers map the same pages instead of unpickling ``N`` copies;
 2. each worker attaches, copies *its slice only*, expands it with its own
-   :class:`~repro.modelcheck.vector.VectorKernel` (applying the same
-   symmetry canonicalization, when enabled, worker-side), locally
-   sort-deduplicates, and returns the shard's successors;
-3. the parent concatenates the shards and merges them into the one
-   visited set between levels (the explorer's absorb step), preserving
-   the engine's deterministic code ordering -- the result is independent
-   of worker scheduling because per-shard outputs depend only on the
-   shard contents and are concatenated in shard order.
+   :class:`~repro.modelcheck.vector.VectorKernel` in the scalar engine's
+   enumeration order (applying the same symmetry canonicalization, when
+   enabled, worker-side), and returns the shard's edges with parent rows
+   offset by the shard's start;
+3. the parent concatenates the shards in shard order.  Edges are
+   parent-major and shards are contiguous row ranges, so the result is
+   exactly the serial level's edge list -- independent of worker
+   scheduling -- and the checker's level loop resolves it as it would
+   the serial one.
 
 Workers run the task body inside
 :func:`repro.modelcheck.parallel.run_task_enveloped`, so task exceptions
@@ -47,7 +48,7 @@ from repro.modelcheck.parallel import (
     run_task_enveloped,
     unwrap_envelope,
 )
-from repro.modelcheck.vector import VectorKernel, sort_unique_split
+from repro.modelcheck.vector import VectorKernel, model_kernel
 
 #: Per-process cache of (model, kernel, canonicalizer) keyed by config.
 _WORKER_STATE: Dict[Any, Tuple[Any, Any, Any]] = {}
@@ -76,13 +77,14 @@ def _worker_state(config: Any, use_symmetry: bool) -> Tuple[Any, Any, Any]:
     return state
 
 
-def _expand_shard(task: Tuple) -> Tuple[Any, Any, int]:
+def _expand_shard(task: Tuple) -> Tuple[Any, Any, Any]:
     """Expand one frontier shard (runs inside a worker process).
 
     ``task`` is ``(shm_name, total, start, stop, config, use_symmetry)``;
     the shared block holds ``total`` uint64 words followed by ``total``
-    int64 tails.  Returns the shard's successors, locally sort-deduped,
-    plus the raw transition count.
+    int64 tails.  Returns the shard's edges in scalar enumeration order,
+    as ``(succ_words, succ_tails, parent_rows)`` with rows indexing the
+    whole frontier.
     """
     shm_name, total, start, stop, config, use_symmetry = task
     np = require_numpy()
@@ -96,19 +98,21 @@ def _expand_shard(task: Tuple) -> Tuple[Any, Any, int]:
                               offset=8 * (total + start)).copy()
     finally:
         block.close()
-    succ_words, succ_tails, _ = kernel.successor_level(words, tails)
-    raw = len(succ_words)
+    succ_words, succ_tails, parents = kernel.successor_level(
+        words, tails, scalar_order=True)
     if canonical is not None:
         succ_words, succ_tails = canonical(succ_words, succ_tails)
-    succ_words, succ_tails = sort_unique_split(np, succ_words, succ_tails)
-    return succ_words, succ_tails, raw
+    return succ_words, succ_tails, parents + start
 
 
 class FrontierSharder:
-    """Pool-backed drop-in for the explorer's level expansion.
+    """Pool-backed drop-in for one level's scalar-order expansion.
 
-    Use as the ``expander`` of a
-    :class:`~repro.modelcheck.vector.VectorExplorer`; call :meth:`close`
+    :meth:`successor_level` has the signature of
+    :meth:`VectorKernel.successor_level` with ``scalar_order=True`` (plus
+    canonicalization under symmetry): the checker's level loop calls it,
+    and it also serves as the ``expander`` of a
+    :class:`~repro.modelcheck.vector.VectorExplorer`.  Call :meth:`close`
     (or use as a context manager) when the search ends.
 
     ``jobs`` is the requested width; like
@@ -131,11 +135,7 @@ class FrontierSharder:
         else:
             self.effective_jobs = max(1, min(jobs, available_cpus()))
         model.ensure_packed_tables()
-        kernel = getattr(model, "_cache_vector_kernel", None)
-        if kernel is None:
-            kernel = VectorKernel(model)
-            model._cache_vector_kernel = kernel
-        self.kernel = kernel
+        self.kernel = model_kernel(model)
         self._canonical = None
         if use_symmetry:
             from repro.modelcheck.symmetry import (
@@ -172,10 +172,11 @@ class FrontierSharder:
 
     # -- expansion ---------------------------------------------------------------
 
-    def successor_level(self, words: Any, tails: Any) -> Tuple[Any, Any, int]:
-        """One level's successors (canonicalized, per-shard deduped) and
-        the raw transition count -- sharded when worthwhile, serial
-        otherwise; always the same values either way."""
+    def successor_level(self, words: Any, tails: Any) -> Tuple[Any, Any, Any]:
+        """One level's edges ``(succ_words, succ_tails, parent_rows)`` in
+        scalar enumeration order, canonicalized under symmetry -- sharded
+        when worthwhile, serial otherwise; always the same arrays either
+        way."""
         if (self.effective_jobs <= 1
                 or self.fallback_reason is not None
                 or len(words) < self.min_frontier):
@@ -187,14 +188,14 @@ class FrontierSharder:
             self.close()
             return self._serial_level(words, tails)
 
-    def _serial_level(self, words: Any, tails: Any) -> Tuple[Any, Any, int]:
-        succ_words, succ_tails, _ = self.kernel.successor_level(words, tails)
-        raw = len(succ_words)
+    def _serial_level(self, words: Any, tails: Any) -> Tuple[Any, Any, Any]:
+        succ_words, succ_tails, parents = self.kernel.successor_level(
+            words, tails, scalar_order=True)
         if self._canonical is not None:
             succ_words, succ_tails = self._canonical(succ_words, succ_tails)
-        return succ_words, succ_tails, raw
+        return succ_words, succ_tails, parents
 
-    def _sharded_level(self, words: Any, tails: Any) -> Tuple[Any, Any, int]:
+    def _sharded_level(self, words: Any, tails: Any) -> Tuple[Any, Any, Any]:
         np = self.np
         total = len(words)
         block = shared_memory.SharedMemory(create=True, size=16 * total)
@@ -225,7 +226,6 @@ class FrontierSharder:
             block.unlink()
         results = [unwrap_envelope(envelope) for envelope in envelopes]
         self.sharded_levels += 1
-        succ_words = np.concatenate([result[0] for result in results])
-        succ_tails = np.concatenate([result[1] for result in results])
-        raw = sum(result[2] for result in results)
-        return succ_words, succ_tails, raw
+        succ_words, succ_tails, parents = (np.concatenate(part)
+                                           for part in zip(*results))
+        return succ_words, succ_tails, parents

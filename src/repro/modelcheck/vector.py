@@ -49,14 +49,23 @@ Per-level kernel
    index (last node fastest, like the scalar product) selects one option
    per node and the successor word is the dot product of option codes
    with the node scales;
-6. **scalar order + per-parent dedup** -- the rows are scattered into
+6. **scalar order** -- on request the rows are scattered into
    :meth:`TTAStartupModel.packed_successors` enumeration order (parent,
-   fault context, then node options with the last node fastest) and a
-   stable lexsort + neighbour mask drops every repeat of a target within
-   one parent, keeping its first occurrence -- the per-state ``seen``
-   dict of the scalar path, so targets, their order, and transition
-   counts all agree and the packed BFS can expand a whole level in one
-   call.
+   fault context, then node options with the last node fastest).
+   :meth:`VectorKernel.successors_batch` additionally drops every repeat
+   of a target within one parent, like the per-state ``seen`` dict of
+   the scalar path.
+
+Level step
+----------
+
+:class:`LevelDiscovery` resolves one level's scalar-order edges against
+the visited set with one stable sort by target code: the first edge of
+each target's run discovers it, same-parent neighbours in a run are
+per-parent repeats.  New states stay in discovery order with their
+first parent's row, which is all the checker's exact level loop
+(:meth:`InvariantChecker._check_levels`) needs to reproduce the scalar
+packed engine's counts, truncation and counterexample.
 
 All sorts are plain ``np.lexsort``/``np.sort`` over integer keys -- the
 result order is fully determined by the key values, never by memory
@@ -444,6 +453,100 @@ class VectorKernel:
         return succ_words[keep], succ_tails[keep], parent[keep]
 
 
+def model_kernel(model) -> VectorKernel:
+    """The model's vector kernel, built on first use and kept on the model
+    (so its step tables live and die with that one model)."""
+    kernel = getattr(model, "_cache_vector_kernel", None)
+    if kernel is None:
+        kernel = VectorKernel(model)
+        model._cache_vector_kernel = kernel
+    return kernel
+
+
+class LevelDiscovery:
+    """One BFS level's edges resolved the way the scalar packed loop walks
+    them, with one stable sort by target code.
+
+    The edges ``(succ_words, succ_tails, parents)`` must come in the
+    scalar engine's enumeration order: parent-major, and per parent in
+    :meth:`TTAStartupModel.packed_successors` order (what
+    :meth:`VectorKernel.successor_level` returns with ``scalar_order``).
+    Ties of a stable sort keep edge order, so within one target's run of
+    edges
+
+    * the first is the edge that discovers the target, and
+    * parents never decrease, so an edge whose parent equals its run
+      neighbour's repeats a target of its own parent -- an edge the
+      per-state ``packed_successors`` dedup would never have produced.
+
+    Unvisited targets (``seen.filter_new``) become the level's new states
+    in *discovery* order -- the order of their first edges -- with the
+    row of their first parent in ``parents`` (int32).  Nothing is
+    committed until :meth:`commit`.
+    """
+
+    def __init__(self, kernel: VectorKernel, seen: Any, succ_words,
+                 succ_tails, parents) -> None:
+        np = kernel.np
+        edges = len(succ_words)
+        head = np.empty(edges, dtype=bool)
+        head[:1] = True
+        if kernel.fused:
+            codes = kernel.fuse(succ_words, succ_tails)
+            order = np.argsort(codes, kind="stable")
+            codes = codes[order]
+            np.not_equal(codes[1:], codes[:-1], out=head[1:])
+            codes = codes[head]
+            fresh = seen.filter_new(codes)
+            self._keys: Tuple[Any, ...] = (codes[fresh],)
+        else:
+            order = np.lexsort((succ_words, succ_tails))
+            words, tails = succ_words[order], succ_tails[order]
+            head[1:] = (words[1:] != words[:-1]) | (tails[1:] != tails[:-1])
+            words, tails = words[head], tails[head]
+            fresh = seen.filter_new(words, tails)
+            self._keys = (words[fresh], tails[fresh])
+        sorted_parents = parents[order]
+        repeat = ~head
+        repeat[1:] &= sorted_parents[1:] == sorted_parents[:-1]
+        self._order = order
+        self._repeat = repeat
+        #: Edges of the level that are not per-parent repeats.
+        self.transitions = edges - int(np.count_nonzero(repeat))
+        #: Index of each new state's first edge, in discovery order.
+        self.first_edge = np.sort(order[head][fresh])
+        self.words = succ_words[self.first_edge]
+        self.tails = succ_tails[self.first_edge]
+        self.parents = parents[self.first_edge].astype(np.int32)
+        self._kernel = kernel
+
+    def __len__(self) -> int:
+        return len(self.first_edge)
+
+    def transitions_through(self, rank: int) -> int:
+        """Non-repeat edges up to and including the first edge of the new
+        state at discovery ``rank`` -- what the scalar loop has counted
+        when it reaches that state."""
+        np = self._kernel.np
+        stop = int(self.first_edge[rank]) + 1
+        repeat = np.zeros(len(self._order), dtype=bool)
+        repeat[self._order] = self._repeat
+        return stop - int(np.count_nonzero(repeat[:stop]))
+
+    def commit(self, seen: Any, count: int) -> None:
+        """Add the first ``count`` new states (discovery order) to the
+        visited set."""
+        if count == len(self):
+            seen.insert(*self._keys)
+            return
+        kernel = self._kernel
+        words, tails = self.words[:count], self.tails[:count]
+        if kernel.fused:
+            seen.insert(kernel.np.sort(kernel.fuse(words, tails)))
+        else:
+            seen.insert(*sort_unique_split(kernel.np, words, tails))
+
+
 def sort_unique_split(np, words, tails) -> Tuple["object", "object"]:
     """Sort by ``(tail, word)`` and drop duplicate states."""
     if len(words) == 0:
@@ -564,8 +667,8 @@ class SplitSeenSet:
 class VectorExplorer:
     """Level-synchronous BFS driver state over the vector kernel.
 
-    The caller (invariant checker, sharded runner) owns the loop --
-    progress, violation handling, depth limits -- and drives two
+    The unordered reachable-set sweep behind ``count_reachable`` and the
+    EXP-P6 benchmark.  The caller owns the loop and drives two
     operations: :meth:`initial_level` seeds the search, :meth:`step`
     advances it one BFS level.  Both return the *newly discovered*
     states as sorted-unique ``(words, tails)`` pairs in ``(tail, word)``
@@ -577,15 +680,16 @@ class VectorExplorer:
     ``limit`` caps how many new states may be committed: when a batch
     would overshoot, exactly the first ``limit`` states (in code order)
     are kept and the overshoot flag comes back ``True`` -- this is how
-    the checker lands on *exactly* ``max_states``.
+    ``count_reachable`` detects that the reachable set exceeds its
+    limit.
 
     ``canonical`` is an optional symmetry hook ``(words, tails) ->
     (words, tails)`` mapping every state to its orbit representative; it
     is applied to initial states and to every successor batch, *before*
     deduplication, so the search explores the quotient space.
 
-    ``expander`` substitutes a custom level-expansion callable
-    ``(words, tails) -> (succ_words, succ_tails, raw)`` for the local
+    ``expander`` substitutes a custom level-expansion callable with the
+    signature of :meth:`VectorKernel.successor_level` for the local
     kernel -- the hook behind sharded expansion
     (:class:`repro.modelcheck.shard.FrontierSharder`).  The expander owns
     canonicalization of its output; ``canonical`` is then only applied
@@ -597,10 +701,7 @@ class VectorExplorer:
         self.np = np
         self.model = model
         model.ensure_packed_tables()
-        kernel = getattr(model, "_cache_vector_kernel", None)
-        if kernel is None:
-            kernel = VectorKernel(model)
-            model._cache_vector_kernel = kernel
+        kernel = model_kernel(model)
         self.kernel = kernel
         self.canonical = canonical
         self.expander = expander
@@ -631,14 +732,14 @@ class VectorExplorer:
         unique), the raw transition count enumerated, and the overshoot
         flag."""
         if self.expander is not None:
-            succ_words, succ_tails, raw = self.expander(words, tails)
+            succ_words, succ_tails, _ = self.expander(words, tails)
         else:
             succ_words, succ_tails, _ = self.kernel.successor_level(words,
                                                                     tails)
-            raw = len(succ_words)
             if self.canonical is not None:
                 succ_words, succ_tails = self.canonical(succ_words,
                                                         succ_tails)
+        raw = len(succ_words)
         new_words, new_tails, truncated = self._absorb(
             succ_words, succ_tails, limit)
         return new_words, new_tails, raw, truncated

@@ -62,13 +62,6 @@ def test_engines_identical_on_paper_traces(make_config, expected_length):
     assert len(packed_result.counterexample) == len(tuple_result.counterexample)
 
 
-def test_auto_engine_selects_packed_for_tta_model():
-    config = scenario_for_authority(CouplerAuthority.PASSIVE)
-    system = TTAStartupModel(config)
-    result = InvariantChecker(system).check(no_clique_freeze(config))
-    assert result.engine == "packed"
-
-
 def test_engine_override_via_verify_authority():
     tuple_run = verify_authority(CouplerAuthority.FULL_SHIFTING, engine="tuple")
     packed_run = verify_authority(CouplerAuthority.FULL_SHIFTING,

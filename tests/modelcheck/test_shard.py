@@ -1,8 +1,8 @@
 """Tests for sharded frontier expansion: a forced worker pool must
-produce exactly the serial expansion (shard-order concatenation is
-deterministic), small frontiers must skip the pool, and pool
-infrastructure failures must degrade to the serial path with a recorded
-reason -- never a wrong answer."""
+produce exactly the serial scalar-order edge list (shard-order
+concatenation with offset parent rows is deterministic), small frontiers
+must skip the pool, and pool infrastructure failures must degrade to the
+serial path with a recorded reason -- never a wrong answer."""
 
 from concurrent.futures.process import BrokenProcessPool
 
@@ -12,7 +12,7 @@ from repro.core.authority import CouplerAuthority
 from repro.model.scenarios import scenario_for_authority
 from repro.model.system_model import TTAStartupModel
 from repro.modelcheck.shard import FrontierSharder
-from repro.modelcheck.vector import VectorExplorer, sort_unique_split
+from repro.modelcheck.vector import VectorExplorer
 
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
@@ -39,20 +39,14 @@ def test_sharded_level_equals_serial_level():
     assert len(words) > 8
     with FrontierSharder(system, jobs=2, min_frontier=1,
                          force_pool=True) as sharder:
-        shard_words, shard_tails, shard_raw = sharder.successor_level(
-            words, tails)
+        sharded = sharder.successor_level(words, tails)
         assert sharder.sharded_levels == 1
         assert sharder.fallback_reason is None
-    serial_words, serial_tails, _ = system._cache_vector_kernel \
-        .successor_level(words, tails)
-    serial_raw = len(serial_words)
-    assert shard_raw == serial_raw
-    # Worker-side shards are locally deduped; compare as sorted sets.
-    assert sorted(zip(*map(np.ndarray.tolist,
-                           sort_unique_split(np, shard_words,
-                                             shard_tails)))) == \
-        sorted(zip(*map(np.ndarray.tolist,
-                        sort_unique_split(np, serial_words, serial_tails))))
+    serial = system._cache_vector_kernel.successor_level(
+        words, tails, scalar_order=True)
+    # Same edges, same order, parent rows indexing the whole frontier.
+    assert [array.tolist() for array in sharded] == \
+        [array.tolist() for array in serial]
 
 
 def test_full_search_through_sharder_matches_serial_search():
@@ -109,14 +103,12 @@ def test_pool_failure_degrades_to_serial_with_reason():
     sharder = FrontierSharder(system, jobs=2, min_frontier=1,
                               force_pool=True)
     sharder._pool = BrokenPool()
-    shard_words, shard_tails, raw = sharder.successor_level(words, tails)
+    degraded = sharder.successor_level(words, tails)
     assert sharder.fallback_reason is not None
     assert "BrokenProcessPool" in sharder.fallback_reason
-    serial_words, serial_tails, serial_raw = sharder._serial_level(words,
-                                                                   tails)
-    assert raw == serial_raw
-    assert shard_words.tolist() == serial_words.tolist()
-    assert shard_tails.tolist() == serial_tails.tolist()
+    serial = sharder._serial_level(words, tails)
+    assert [array.tolist() for array in degraded] == \
+        [array.tolist() for array in serial]
     # Once degraded, the sharder stays serial (no pool thrash).
     sharder.successor_level(words, tails)
     assert sharder.sharded_levels == 0

@@ -445,3 +445,20 @@ def test_checker_falls_back_to_packed_without_numpy(monkeypatch):
         result = checker.check(no_clique_freeze(config))
     assert result.engine == "packed"
     assert result.holds
+
+
+def test_auto_engine_falls_back_to_packed_without_numpy(monkeypatch):
+    """Without numpy ``auto`` runs the scalar packed engine, silently."""
+    import warnings
+
+    from repro.model.properties import no_clique_freeze
+    from repro.modelcheck.checker import InvariantChecker
+
+    monkeypatch.setattr(encode, "_np", None)
+    config = scenario_for_authority(CouplerAuthority.PASSIVE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = InvariantChecker(TTAStartupModel(config)).check(
+            no_clique_freeze(config))
+    assert result.engine == "packed"
+    assert result.states_explored == 14772

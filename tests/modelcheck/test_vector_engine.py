@@ -2,7 +2,10 @@
 engine -- same verdicts, same counterexample lengths, and concrete
 counterexamples that replay step by step through the scalar model -- on
 the paper's own configurations, with and without symmetry reduction.
-The vectorized path is an optimisation, never a semantics change."""
+Where no symmetry applies it walks the packed engine's own search, and
+differs only in counting the whole violating level.  The vectorized path
+is an optimisation, never a semantics change.  The tests at the end pin
+which engine ``auto`` picks."""
 
 import dataclasses
 import warnings
@@ -15,6 +18,7 @@ from repro.core.verification import (expected_verdicts, verify_all_authorities,
 from repro.model.properties import no_clique_freeze
 from repro.model.scenarios import scenario_for_authority
 from repro.model.system_model import TTAStartupModel
+from repro.modelcheck import shard
 from repro.modelcheck.checker import InvariantChecker, check_invariant
 from repro.modelcheck.model import ExplicitTransitionSystem, count_reachable
 from repro.modelcheck.state import StateSpace, Variable
@@ -27,6 +31,27 @@ def run_engine(config, engine, symmetry=True, jobs=None):
     checker = InvariantChecker(system, engine=engine, symmetry=symmetry,
                                jobs=jobs)
     return checker.check(no_clique_freeze(config))
+
+
+def observable(result):
+    """Every field of a check but ``engine`` and the wall-clock time."""
+    steps = (None if result.counterexample is None else
+             [(step.state, step.label)
+              for step in result.counterexample.steps])
+    return (result.holds, result.truncated, result.states_explored,
+            result.transitions_explored, result.depth_reached, steps)
+
+
+class ScalarOnly:
+    """The wrapped model minus its batch path."""
+
+    def __init__(self, system):
+        self._system = system
+
+    def __getattr__(self, name):
+        if name == "packed_successors_batch":
+            raise AttributeError(name)
+        return getattr(self._system, name)
 
 
 def assert_concrete_counterexample(config, trace):
@@ -70,6 +95,15 @@ def test_vectorized_matches_packed_on_verification_matrix(authority, symmetry):
     vector_result = run_engine(config, "vectorized", symmetry=symmetry)
     assert_equivalent(packed_result, vector_result, config)
     assert vector_result.holds == expected_verdicts()[authority]
+    # Per-node listen timeouts leave no rotation symmetry, so both runs
+    # are the packed engine's search; only a violating level's state
+    # count may differ (the vectorized engine counts the whole level).
+    exact, vector = observable(packed_result), observable(vector_result)
+    if packed_result.holds:
+        assert vector == exact
+    else:
+        assert vector[:2] + vector[3:] == exact[:2] + exact[3:]
+        assert vector[2] > exact[2]
 
 
 @pytest.mark.parametrize("authority", [CouplerAuthority.PASSIVE,
@@ -91,13 +125,27 @@ def test_vectorized_under_symmetry_reduction(authority):
         assert_concrete_counterexample(config, quotient.counterexample)
 
 
-def test_vectorized_with_frontier_sharding_matches_serial():
-    config = scenario_for_authority(CouplerAuthority.SMALL_SHIFTING)
+def test_vectorized_with_frontier_sharding_matches_serial(monkeypatch):
+    """A forced 2-worker pool shards every level of at least 64 states;
+    concatenated in shard order, the shards are the serial level's edge
+    list, so every field -- the counterexample chain included -- agrees
+    with the single-process search."""
+    sharders = []
+
+    class ForcedSharder(shard.FrontierSharder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, min_frontier=64, force_pool=True,
+                             **kwargs)
+            sharders.append(self)
+
+    monkeypatch.setattr(shard, "FrontierSharder", ForcedSharder)
+    config = scenario_for_authority(CouplerAuthority.FULL_SHIFTING)
     serial = run_engine(config, "vectorized")
     sharded = run_engine(config, "vectorized", jobs=2)
-    assert sharded.holds == serial.holds
-    assert sharded.states_explored == serial.states_explored
-    assert sharded.transitions_explored == serial.transitions_explored
+    assert [sharder.sharded_levels > 0 for sharder in sharders] == [True]
+    assert sharders[0].fallback_reason is None
+    assert observable(sharded) == observable(serial)
+    assert len(sharded.counterexample) == 13
 
 
 def test_vectorized_respects_max_states_truncation():
@@ -150,13 +198,36 @@ def test_verify_all_authorities_vectorized_matrix():
                for result in results.values())
 
 
-def test_auto_engine_still_selects_packed():
-    """Auto stays on the scalar packed engine; vectorized is opt-in."""
+def test_auto_engine_selects_the_array_engine():
+    """With numpy, ``auto`` runs the array engine -- silently, and with
+    the packed engine's counts."""
     config = scenario_for_authority(CouplerAuthority.PASSIVE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = verify_config(config, engine="auto")
-    assert result.check.engine == "packed"
+    assert result.check.engine == "vectorized"
+    assert result.check.states_explored == 14772
+
+
+@pytest.mark.parametrize("make_system", [
+    lambda: TTAStartupModel(scenario_for_authority(CouplerAuthority.PASSIVE,
+                                                   slots=5)),
+    lambda: ScalarOnly(TTAStartupModel(scenario_for_authority(
+        CouplerAuthority.PASSIVE))),
+], ids=["slots5-too-wide", "no-batch-path"])
+def test_auto_engine_falls_back_to_packed(make_system):
+    """Node blocks wider than uint64 (slots=5) or a system without a
+    batch path: ``auto`` runs the scalar packed engine, without a
+    warning."""
+    system = make_system()
+    invariant = no_clique_freeze(system.config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = InvariantChecker(system, max_states=500).check(invariant)
+    packed = InvariantChecker(system, max_states=500,
+                              engine="packed").check(invariant)
+    assert result.engine == "packed"
+    assert observable(result) == observable(packed)
 
 
 def test_conformance_replays_decanonicalized_counterexample():

@@ -44,6 +44,17 @@ def test_verify_command(capsys):
     assert out.count("VIOLATED") == 1
 
 
+@pytest.mark.parametrize("command", [["verify"], ["conform", "trace1"]],
+                         ids=["verify", "conform"])
+def test_engine_choices_leave_out_the_tuple_engine(command):
+    """The tuple engine is a library option, not a command-line one."""
+    parser = build_parser()
+    assert parser.parse_args(command + ["--engine", "packed"]).engine \
+        == "packed"
+    with pytest.raises(SystemExit):
+        parser.parse_args(command + ["--engine", "tuple"])
+
+
 def test_trace_coldstart_command(capsys):
     code, out = run_cli(capsys, "trace", "coldstart")
     assert code == 0  # 0 = counterexample found, as expected
