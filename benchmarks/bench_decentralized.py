@@ -3,11 +3,13 @@
 A mid-frame jammer on a generated bus cluster forces a wave of protocol
 freezes (clique errors) among the healthy nodes.  The sampling-based
 decentralized monitors (:mod:`repro.obs.decentralized`) watch the same
-run at rates {1.0, 0.5, 0.25, 0.1}: at full rate their verdicts must be
-*identical* to the central monitors (the differential gate), and below
-full rate the benchmark quantifies the fidelity cost -- how many
-violations the per-node samplers still catch, and how much later the
-first one is flagged (verdict-detection latency).
+run at rates {1.0, 0.5, 0.25, 0.1}.  The reference is the central
+monitor: the same :class:`repro.obs.monitors.VerdictMonitor` at full
+rate, one observer of the whole bus.  At rate 1.0 the network is that
+monitor with no sampling draw, so its verdicts must be identical (the
+gate); below full rate the benchmark quantifies the fidelity cost -- how
+many violations the per-node samplers still catch, and how much later
+the first one is flagged (verdict-detection latency).
 
 ``REPRO_BENCH_FAST=1`` drops the size ladder to {8, 16}; fidelity
 numbers are deterministic either way (seeded Bernoulli samplers).
@@ -24,7 +26,7 @@ from repro.faults.types import FaultDescriptor, FaultType
 from repro.gen.config import GenConfig
 from repro.gen.materialize import materialize
 from repro.obs.decentralized import DecentralizedMonitorNetwork
-from repro.obs.monitors import NoCliqueFreezeMonitor, VictimMonitor
+from repro.obs.monitors import VerdictMonitor
 
 from bench_des_engine import BENCH_DES_JSON
 
@@ -44,17 +46,15 @@ def run_cell(nodes, rate):
     spec = apply_fault(spec, FaultDescriptor(
         FaultType.MID_FRAME_JAMMER, target=spec.node_names[1]))
     cluster = Cluster(spec)
-    central_victims = VictimMonitor.for_cluster(cluster)
-    central_clique = NoCliqueFreezeMonitor.for_cluster(cluster)
+    central = VerdictMonitor.for_cluster(cluster)
     network = DecentralizedMonitorNetwork.for_cluster(
         cluster, sampling_rate=rate, seed=1)
     cluster.power_on()
     cluster.run(rounds=ROUNDS, pause_gc=True)
 
     round_duration = cluster.medl.round_duration()
-    truth = sorted(central_clique.violations,
-                   key=lambda entry: (entry.time, entry.node))
-    seen = network.violations()
+    truth = central.violations
+    seen = network.violations
     stats = network.sampling_stats()
     return {
         "nodes": nodes,
@@ -67,7 +67,7 @@ def run_cell(nodes, rate):
             round(truth[0].time / round_duration, 4) if truth else None),
         "first_detection_rounds": (
             round(seen[0].time / round_duration, 4) if seen else None),
-        "victims_agree": network.victims() == central_victims.victims(),
+        "victims_agree": network.victims() == central.victims(),
         "violations_identical": seen == truth,
     }
 

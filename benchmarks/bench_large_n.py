@@ -19,7 +19,7 @@ records, per size:
   measured by this benchmark on the same host and scaled by the
   calibration probe of EXP-P7 (see ``SET_JUDGE_NODE_SLOTS_PER_S``);
 * **startup latency in rounds** -- time until every node is ACTIVE,
-  from the online :class:`repro.obs.monitors.StartupMonitor`, divided
+  from the online :class:`repro.obs.monitors.VerdictMonitor`, divided
   by the round duration.  Listen timeouts are ``slots + node_slot``
   silent slots, so latency measured in *rounds* is expected to stay
   O(1) while the round itself grows linearly with N -- the scaling
@@ -43,7 +43,7 @@ from repro.analysis.tables import format_table
 from repro.cluster import Cluster
 from repro.gen.config import GenConfig
 from repro.gen.materialize import materialize
-from repro.obs.monitors import StartupMonitor
+from repro.obs.monitors import VerdictMonitor
 from repro.ttp.constants import ControllerStateName
 
 from bench_des_engine import BENCH_DES_JSON, calibration_rate
@@ -74,7 +74,7 @@ def run_size(nodes):
     spec = materialize(GenConfig(name="bench-large-n", nodes=nodes, seed=1))
     spec.monitor_capacity = MONITOR_CAPACITY
     cluster = Cluster(spec)
-    startup = StartupMonitor.for_cluster(cluster)
+    startup = VerdictMonitor.for_cluster(cluster)
     cluster.power_on()
     started = time.perf_counter()
     cluster.run(rounds=ROUNDS, pause_gc=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cluster import Cluster, ClusterSpec
-from repro.obs.monitors import StartupMonitor
+from repro.obs.monitors import VerdictMonitor
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def measure_startup(topology: str = "star", stagger: float = 37.0,
     cluster = Cluster(spec)
     # Online: the monitor tracks per-node first activations as the stream
     # is emitted; no post-hoc trace query (works on a bounded-buffer bus).
-    startup = StartupMonitor.for_cluster(cluster)
+    startup = VerdictMonitor.for_cluster(cluster)
     cluster.power_on(stagger=stagger)
     cluster.run(rounds=max_rounds)
 

@@ -24,7 +24,7 @@ from repro.faults.injector import apply_fault
 from repro.faults.types import FaultDescriptor, FaultType
 from repro.network.signal import ReceiverTolerance
 from repro.obs.events import Event
-from repro.obs.monitors import VictimMonitor
+from repro.obs.monitors import VerdictMonitor
 
 
 @dataclass
@@ -144,10 +144,10 @@ def run_injection(fault: FaultDescriptor, topology: str,
     """Inject one fault into a fresh cluster and report the outcome.
 
     The victim verdict is evaluated online, in a single pass over the
-    event stream, by a subscribed :class:`VictimMonitor`.
+    event stream, by a subscribed :class:`VerdictMonitor`.
     """
     cluster = injection_cluster(fault, topology, authority=authority, seed=seed)
-    victims = VictimMonitor.for_cluster(cluster)
+    victims = VerdictMonitor.for_cluster(cluster)
     cluster.power_on()
     cluster.run(rounds=rounds)
     return InjectionOutcome(
@@ -185,7 +185,7 @@ def guardian_vs_coupler_blocking(blocked_node: str = "B",
     bus_spec = apply_fault(bus_spec, FaultDescriptor(
         FaultType.GUARDIAN_BLOCK_ALL, target=blocked_node))
     bus = Cluster(bus_spec)
-    bus_victims = VictimMonitor.for_cluster(bus)
+    bus_victims = VerdictMonitor.for_cluster(bus)
     bus.power_on()
     bus.run(rounds=rounds)
 
@@ -193,7 +193,7 @@ def guardian_vs_coupler_blocking(blocked_node: str = "B",
     star_spec = apply_fault(star_spec, FaultDescriptor(
         FaultType.COUPLER_SILENCE, target="0"))
     star = Cluster(star_spec)
-    star_victims = VictimMonitor.for_cluster(star)
+    star_victims = VerdictMonitor.for_cluster(star)
     star.power_on()
     star.run(rounds=rounds)
 
@@ -293,7 +293,7 @@ def _collision_preset(seed: int, rounds: float) -> AdversarialPresetResult:
             # attacks the startup itself (the paper's worst case).
             fault = FaultDescriptor(fault_type, target="B")
             cluster = injection_cluster(fault, topology, seed=seed)
-            victims = VictimMonitor.for_cluster(cluster)
+            victims = VerdictMonitor.for_cluster(cluster)
             from repro.obs.monitors import CollisionAttackMonitor
 
             attack = CollisionAttackMonitor.for_cluster(cluster)
@@ -397,17 +397,17 @@ _MONITOR_RATES = (1.0, 0.5, 0.2)
 
 
 def _monitors_preset(seed: int, rounds: float) -> AdversarialPresetResult:
-    """Sampling-based decentralized monitors vs the central trio.
+    """Sampling-based decentralized monitors vs the central monitor.
 
     Runs the bus collision attack (which produces real victims) once per
-    sampling rate with both monitor stacks attached.  At rate 1.0 the
-    decentralized verdicts must be *identical* to the central ones; lower
-    rates show the fidelity/bandwidth tradeoff (missed events can only
-    make verdicts optimistic or pessimistic per node, never invent new
-    event content).
+    sampling rate, with a full-rate central monitor and a decentralized
+    network at that rate attached.  At rate 1.0 the decentralized verdicts
+    must be *identical* to the central ones and take no sampling draws;
+    lower rates show the fidelity/bandwidth tradeoff (missed events can
+    only make verdicts optimistic or pessimistic per node, never invent
+    new event content).
     """
     from repro.obs.decentralized import DecentralizedMonitorNetwork
-    from repro.obs.monitors import NoCliqueFreezeMonitor, StartupMonitor
 
     fault = FaultDescriptor(FaultType.COLLIDING_SENDER, target="B")
     result = AdversarialPresetResult(
@@ -416,21 +416,19 @@ def _monitors_preset(seed: int, rounds: float) -> AdversarialPresetResult:
                  "decentralized victims", "verdict"])
     for rate in _MONITOR_RATES:
         cluster = injection_cluster(fault, "bus", seed=seed)
-        central_victims = VictimMonitor.for_cluster(cluster)
-        central_startup = StartupMonitor.for_cluster(cluster)
-        central_clique = NoCliqueFreezeMonitor.for_cluster(cluster)
+        central_monitor = VerdictMonitor.for_cluster(cluster)
         network = DecentralizedMonitorNetwork.for_cluster(
             cluster, sampling_rate=rate, seed=seed)
         cluster.power_on()
         cluster.run(rounds=rounds)
         stats = network.sampling_stats()
-        central = central_victims.victims()
+        central = central_monitor.victims()
         local = network.victims()
         agrees = (local == central
-                  and network.completed == central_startup.completed
+                  and network.completed == central_monitor.completed
                   and network.all_active_time()
-                  == central_startup.all_active_time()
-                  and network.holds == central_clique.holds)
+                  == central_monitor.all_active_time()
+                  and network.holds == central_monitor.holds)
         key = f"rate_{rate:g}"
         result.event_streams[key] = list(network.verdict_events())
         result.rows.append((

@@ -22,7 +22,7 @@ from repro.cluster import Cluster
 from repro.exec.runner import TaskRunner
 from repro.gen.config import GenConfig
 from repro.gen.materialize import materialize
-from repro.obs.monitors import StartupMonitor, VictimMonitor
+from repro.obs.monitors import VerdictMonitor
 
 #: Ring-buffer bound for sweep runs: every verdict is computed online, so
 #: cells never need the full trace and memory stays flat in N and rounds.
@@ -41,12 +41,11 @@ def sweep_cell(task: Dict[str, Any]) -> Dict[str, Any]:
     spec = materialize(config)
     spec.monitor_capacity = SWEEP_MONITOR_CAPACITY
     cluster = Cluster(spec)
-    startup = StartupMonitor.for_cluster(cluster)
-    victims = VictimMonitor.for_cluster(cluster)
-    # Sub-unit monitor_sampling additionally attaches the decentralized
-    # per-node monitors and reports their agreement with the central
-    # verdict; full-rate configs keep the exact report keys (and bytes)
-    # they always produced.
+    verdicts = VerdictMonitor.for_cluster(cluster)
+    # Sub-unit monitor_sampling additionally attaches the sampled per-node
+    # monitors and reports their agreement with the full-rate verdict;
+    # full-rate configs keep the exact report keys (and bytes) they always
+    # produced.
     sampling = config.faults.monitor_sampling
     network = None
     if sampling < 1.0:
@@ -58,8 +57,8 @@ def sweep_cell(task: Dict[str, Any]) -> Dict[str, Any]:
     cluster.run(rounds=task["rounds"], pause_gc=True)
 
     round_duration = cluster.medl.round_duration()
-    all_active = startup.all_active_time()
-    harmed = victims.victims()
+    all_active = verdicts.all_active_time()
+    harmed = verdicts.victims()
     faulty = bool(spec.injected_faults)
     cell = {
         "size": task["size"],

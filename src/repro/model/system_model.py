@@ -567,22 +567,6 @@ class TTAStartupModel:
             self._cache_step_raw[key] = raw
         return raw
 
-    def packed_successors_batch(self, words: "object", tails: "object"):
-        """Whole-frontier successor computation (vectorized kernel).
-
-        ``words``/``tails`` are aligned numpy arrays in the split
-        representation of :meth:`packed_geometry`.  Returns
-        ``(succ_words, succ_tails, parent_index)``: for every parent row,
-        exactly the targets :meth:`packed_successors` returns for that
-        state, in the same order and deduplicated the same way, so
-        transition counts agree; rows come parent-major.  Requires numpy,
-        and node blocks that fit ``uint64`` words (see
-        :func:`repro.modelcheck.vector.represents`).
-        """
-        from repro.modelcheck.vector import model_kernel
-
-        return model_kernel(self).successors_batch(words, tails)
-
     # -- labels ------------------------------------------------------------------------
 
     @staticmethod

@@ -18,7 +18,7 @@ Three engines share the same search semantics:
   when a counterexample is rebuilt.  It enumerates successors in the same
   order as the tuple engine, so both return identical verdicts, counts,
   and traces.  It is the fallback where the array engine cannot run (no
-  numpy, node blocks wider than ``uint64``, no native batch path) and the
+  numpy, node blocks wider than ``uint64``, no ``packed_geometry``) and the
   differential oracle of the array engine's tests;
 * the **array engine** (reported as ``"vectorized"``; see
   :mod:`repro.modelcheck.vector`) runs the same level-order search over
@@ -224,12 +224,13 @@ class InvariantChecker:
     ``engine`` is one of:
 
     * ``"auto"`` (default) -- the exact array engine when numpy imports
-      and the system has a native batch path (``packed_successors_batch``
-      + ``packed_geometry``) whose node blocks fit ``uint64`` words
-      (:func:`repro.modelcheck.vector.represents`); else the packed engine
-      when the system has a native packed path (``packed_successors`` +
-      ``codec``); else the tuple engine.  The array engine returns the
-      packed engine's result on every field but ``engine``;
+      and the system declares the word layout the vector kernel reads
+      (``packed_geometry``) with node blocks that fit ``uint64`` words
+      (:func:`repro.modelcheck.vector.represents`); else the packed
+      engine when the system has a native packed path
+      (``packed_successors`` + ``codec``); else the tuple engine.  The
+      array engine returns the packed engine's result on every field but
+      ``engine``;
     * ``"packed"`` -- force the scalar packed search; systems without a
       native path are wrapped in
       :class:`~repro.modelcheck.encode.PackedSystemAdapter` (every
@@ -239,9 +240,9 @@ class InvariantChecker:
       baseline use it);
     * ``"vectorized"`` -- the array engine with symmetry reduction and
       frontier sharding available; on a violating level it counts the
-      whole level in ``states_explored``.  Without numpy or a native
-      batch path it *warns and falls back* to the packed engine (the
-      result's ``engine`` field records what actually ran).
+      whole level in ``states_explored``.  Without numpy or
+      ``packed_geometry`` it *warns and falls back* to the packed engine
+      (the result's ``engine`` field records what actually ran).
 
     ``symmetry`` (vectorized engine only) enables rotational symmetry
     reduction when it is provably sound for the model and invariant at
@@ -294,21 +295,20 @@ class InvariantChecker:
         """The system to search with the array engine, or None when it
         cannot run and the search falls back to packed (with a warning
         when ``"vectorized"`` was asked for)."""
-        has_batch = (hasattr(self.system, "packed_successors_batch")
-                     and hasattr(self.system, "packed_geometry"))
+        has_geometry = hasattr(self.system, "packed_geometry")
         if self.engine == "auto":
-            if has_batch and have_numpy():
+            if has_geometry and have_numpy():
                 from repro.modelcheck.vector import represents
 
                 block_radix, node_count, _ = self.system.packed_geometry()
                 if represents(block_radix, node_count):
                     return self.system
             return None
-        if not has_batch:
+        if not has_geometry:
             warnings.warn(
                 "vectorized engine needs a native batch path "
-                "(packed_successors_batch); falling back to the packed "
-                "engine", RuntimeWarning, stacklevel=3)
+                "(packed_geometry); falling back to the packed engine",
+                RuntimeWarning, stacklevel=3)
             return None
         if not have_numpy():
             warnings.warn(

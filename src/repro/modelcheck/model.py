@@ -118,11 +118,10 @@ def _count_reachable_vectorized(system: TransitionSystem,
     """
     from repro.modelcheck.vector import VectorExplorer
 
-    if not (hasattr(system, "packed_successors_batch")
-            and hasattr(system, "packed_geometry")):
+    if not hasattr(system, "packed_geometry"):
         raise ValueError(
             "vectorized counting needs a system with a native batch path "
-            "(packed_successors_batch)")
+            "(packed_geometry)")
     explorer = VectorExplorer(system)
 
     def guard(over: bool) -> None:

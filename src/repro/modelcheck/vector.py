@@ -25,7 +25,7 @@ small enumeration (<= a few thousand values) kept in ``int64``.
 Per-level kernel
 ----------------
 
-:meth:`VectorKernel.successors_batch` computes, for a whole frontier:
+:meth:`VectorKernel.successor_level` computes, for a whole frontier:
 
 1. **digit planes** -- per-node local codes via a ``divmod`` chain by
    ``block_radix`` (one array op per node);
@@ -51,10 +51,9 @@ Per-level kernel
    with the node scales;
 6. **scalar order** -- on request the rows are scattered into
    :meth:`TTAStartupModel.packed_successors` enumeration order (parent,
-   fault context, then node options with the last node fastest).
-   :meth:`VectorKernel.successors_batch` additionally drops every repeat
-   of a target within one parent, like the per-state ``seen`` dict of
-   the scalar path.
+   fault context, then node options with the last node fastest); the
+   rows are not deduplicated (:class:`LevelDiscovery` drops the
+   per-parent repeats).
 
 Level step
 ----------
@@ -298,8 +297,8 @@ class VectorKernel:
         ``parent_index[j]`` is the row of the input frontier that produced
         successor ``j``.  The output is *not* deduplicated: one target
         reachable through two fault contexts appears twice (each
-        occurrence is a distinct transition).  Callers that need the
-        scalar path's per-parent target sets use :meth:`successors_batch`.
+        occurrence is a distinct transition).  :class:`LevelDiscovery`
+        drops the repeats the scalar path's per-state dedup never makes.
 
         By default deterministic rows come first, then multi-option rows;
         ``scalar_order`` scatters them into the enumeration order of
@@ -420,37 +419,6 @@ class VectorKernel:
             succ_words = succ_words.take(order)
             rows = rows.take(order)
         return succ_words, row_next_tail.take(rows), row_state.take(rows)
-
-    def successors_batch(self, words, tails):
-        """All successors of a frontier, deduplicated per parent.
-
-        The scalar-parity sibling of :meth:`successor_level`: for every
-        parent, the result is exactly the tuple
-        :meth:`TTAStartupModel.packed_successors` returns -- same targets,
-        same order (parent-major, then fault context, then node options
-        with the last node fastest), each repeated target dropped after
-        its first occurrence -- so a BFS walking the batch in row order
-        makes the scalar engine's every decision.
-        """
-        np = self.np
-        succ_words, succ_tails, parent = self.successor_level(
-            words, tails, scalar_order=True)
-        if len(succ_words) == 0:
-            return succ_words, succ_tails, parent
-        # Parent and tail fuse into one sort key; both are small ints.
-        # lexsort is stable, so equal targets of one parent stay in
-        # enumeration order and the first of each run is the one to keep.
-        group = parent * self.tail_radix + succ_tails
-        order = np.lexsort((succ_words, group))
-        sorted_words = succ_words[order]
-        sorted_group = group[order]
-        first = np.empty(len(order), dtype=bool)
-        first[0] = True
-        first[1:] = ((sorted_group[1:] != sorted_group[:-1])
-                     | (sorted_words[1:] != sorted_words[:-1]))
-        keep = np.empty_like(first)
-        keep[order] = first
-        return succ_words[keep], succ_tails[keep], parent[keep]
 
 
 def model_kernel(model) -> VectorKernel:

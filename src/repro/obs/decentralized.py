@@ -1,281 +1,54 @@
 """Sampling-based decentralized monitors (per-node observation).
 
-The central online monitors (:mod:`repro.obs.monitors`) watch one global
-event bus -- a single point of observation that the paper's own
-decentralization argument warns against.  This module distributes the
-same verdicts: every node gets a :class:`NodeMonitor` that subscribes
-*only* to that node's locally observable events (``node:X`` sources), and
-a :class:`DecentralizedMonitorNetwork` infers the global Section 5.1
-verdicts by gossip-free aggregation of the per-node summaries.
+A central monitor watches one global event bus -- a single point of
+observation that the paper's own decentralization argument warns against.
+The verdicts do not need one: :class:`repro.obs.monitors.VerdictMonitor`
+folds each node's locally observable events (``node:X`` sources) into a
+per-node summary and derives the global Section 5.1, victim and startup
+verdicts from those summaries alone, with order-independent arithmetic
+(set membership, ``min`` over grid phases, ``max`` over first
+activations).  Partitioning the stream by node is therefore exact, and
+the central monitor is simply the full-rate case of the per-node one.
 
-Soundness: the central ``VictimMonitor`` / ``StartupMonitor`` /
-``NoCliqueFreezeMonitor`` consume only per-node events
-(``state`` / ``freeze`` / ``activated`` / ``cold_start_grid``) and
-aggregate them with order-independent folds (set membership, ``min`` over
-grid phases, ``max`` over first-activation times).  Partitioning the
-stream by node and re-aggregating is therefore *exact*: at sampling rate
-1.0 the decentralized verdicts are identical to the central ones -- the
-differential tests in ``tests/obs/test_decentralized.py`` pin this on
-both paper conformance traces.
-
-Sampling (after Bartocci's sampling-based decentralized monitoring): each
-node monitor keeps only a Bernoulli(``sampling_rate``) subsample of its
-local events, drawn from a per-node seeded stream.  Sub-unit rates trade
-verdict fidelity (missed freezes, late activation detection) for
-observation bandwidth -- the tradeoff the decentralized-monitor benchmark
+Sampling (after Bartocci's sampling-based decentralized monitoring): below
+rate 1.0 every node keeps only a Bernoulli(``sampling_rate``) subsample of
+its local events, drawn from a per-node seeded stream.  Sub-unit rates
+trade verdict fidelity (missed freezes, late activation detection) for
+observation bandwidth -- the tradeoff EXP-P9
 (``benchmarks/bench_decentralized.py``) quantifies.
+
+:class:`DecentralizedMonitorNetwork` is that monitor plus its export
+surface: sampling totals and one typed verdict event per node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List
 
 from repro.obs.events import DecentralizedVerdict, Event
-from repro.obs.monitors import (PROTOCOL_FORCED_REASONS, OnlineMonitor,
-                                PropertyViolation, _node_of)
-from repro.sim.rng import RandomStream
-
-#: The event kinds a node monitor consumes (the same per-node vocabulary
-#: the central verdict monitors consume).
-_RELEVANT_KINDS = frozenset({"state", "freeze", "activated",
-                             "cold_start_grid"})
+from repro.obs.monitors import VerdictMonitor
 
 
-@dataclass(frozen=True)
-class NodeSummary:
-    """One node monitor's locally inferred state."""
+class DecentralizedMonitorNetwork(VerdictMonitor):
+    """Per-node verdict monitors with a sampling filter and an export.
 
-    node: str
-    state: Optional[str]
-    freeze_reason: Optional[str]
-    ever_activated: bool
-    first_active: Optional[float]
-    anchor: Optional[float]
-    cold_start_phases: Tuple[float, ...]
-    protocol_freezes: Tuple[PropertyViolation, ...]
-    sampled_events: int
-    skipped_events: int
-
-
-class NodeMonitor(OnlineMonitor):
-    """Per-node monitor over the node's locally observable events.
-
-    ``healthy`` mirrors the central monitors' fault-awareness: a faulty
-    node's cold-start grids are not legitimate and its freezes are not
-    property violations.  ``sampling_rate`` below 1.0 drops events from a
-    deterministic per-node Bernoulli stream; at exactly 1.0 no stream is
-    consumed at all, so full-rate monitoring is draw-free.
+    Folds exactly what :class:`VerdictMonitor` folds; it adds the time of
+    the last event seen (the timestamp of the exported verdicts) and the
+    two export methods.
     """
 
-    def __init__(self, node: str, round_duration: float,
-                 sampling_rate: float = 1.0,
-                 rng: Optional[RandomStream] = None,
-                 healthy: bool = True) -> None:
-        super().__init__()
-        if not 0.0 < sampling_rate <= 1.0:
-            raise ValueError(
-                f"sampling_rate must be in (0, 1], got {sampling_rate!r}")
-        if sampling_rate < 1.0 and rng is None:
-            raise ValueError(
-                f"node {node!r} samples at {sampling_rate} but has no rng; "
-                f"pass a RandomStream or monitor at full rate")
-        self.node = node
-        self.round_duration = round_duration
-        self.sampling_rate = sampling_rate
-        self.healthy = healthy
-        self._source = f"node:{node}"
-        self._rng = rng
-        self.sampled_events = 0
-        self.skipped_events = 0
-        self._state: Optional[str] = None
-        self._freeze_reason: Optional[str] = None
-        self._ever_activated = False
-        self._first_active: Optional[float] = None
-        self._anchor: Optional[float] = None
-        self._cold_start_phases: List[float] = []
-        self._protocol_freezes: List[PropertyViolation] = []
-
-    def on_event(self, event: Event) -> None:
-        if event.source != self._source:
-            return  # only locally observable events
-        kind = event.kind
-        if kind not in _RELEVANT_KINDS:
-            return
-        if (self.sampling_rate < 1.0
-                and not self._rng.bernoulli(self.sampling_rate)):
-            self.skipped_events += 1
-            return
-        self.sampled_events += 1
-        details = event.details
-        if kind == "state":
-            state = details["state"]
-            self._state = state
-            if state == "active" and self._first_active is None:
-                self._first_active = event.time
-        elif kind == "freeze":
-            self._state = "freeze"
-            reason = details["reason"]
-            self._freeze_reason = reason
-            if self.healthy and reason in PROTOCOL_FORCED_REASONS:
-                self._protocol_freezes.append(PropertyViolation(
-                    time=event.time, node=self.node, reason=reason))
-        elif kind == "activated":
-            self._ever_activated = True
-            self._anchor = details["round_start"]
-        elif kind == "cold_start_grid" and self.healthy:
-            self._cold_start_phases.append(
-                details["round_start"] % self.round_duration)
-
-    def summary(self) -> NodeSummary:
-        """Immutable snapshot of the locally inferred state."""
-        return NodeSummary(
-            node=self.node,
-            state=self._state,
-            freeze_reason=self._freeze_reason,
-            ever_activated=self._ever_activated,
-            first_active=self._first_active,
-            anchor=self._anchor,
-            cold_start_phases=tuple(self._cold_start_phases),
-            protocol_freezes=tuple(self._protocol_freezes),
-            sampled_events=self.sampled_events,
-            skipped_events=self.skipped_events)
-
-
-class DecentralizedMonitorNetwork(OnlineMonitor):
-    """Gossip-free aggregation of per-node monitors into global verdicts.
-
-    Subscribes once to the event bus and routes each event to the
-    (single) node monitor that could have observed it locally; the global
-    verdict methods fold the per-node summaries with the same
-    order-independent arithmetic the central monitors use, so no
-    monitor-to-monitor communication is ever needed.
-    """
-
-    def __init__(self, node_names: Sequence[str], healthy_nodes: Set[str],
-                 round_duration: float, grid_tolerance: float = 1.0,
-                 sampling_rate: float = 1.0, seed: int = 0) -> None:
-        super().__init__()
-        self.node_names = list(node_names)
-        self.healthy_nodes = set(healthy_nodes)
-        self.round_duration = round_duration
-        self.grid_tolerance = grid_tolerance
-        self.sampling_rate = sampling_rate
-        self._last_time = 0.0
-        self.monitors: Dict[str, NodeMonitor] = {
-            name: NodeMonitor(
-                node=name, round_duration=round_duration,
-                sampling_rate=sampling_rate,
-                rng=(None if sampling_rate >= 1.0
-                     else RandomStream(seed=seed, path=f"obs/{name}")),
-                healthy=name in self.healthy_nodes)
-            for name in self.node_names}
-
-    @classmethod
-    def for_cluster(cls, cluster, sampling_rate: float = 1.0,
-                    grid_tolerance: float = 1.0,
-                    seed: int = 0) -> "DecentralizedMonitorNetwork":
-        """A network wired to a built (not yet run) cluster."""
-        from repro.ttp.controller import NodeFaultBehavior
-
-        healthy = {name for name, controller in cluster.controllers.items()
-                   if controller.config.fault is NodeFaultBehavior.HEALTHY}
-        instance = cls(node_names=list(cluster.controllers),
-                       healthy_nodes=healthy,
-                       round_duration=cluster.medl.round_duration(),
-                       grid_tolerance=grid_tolerance,
-                       sampling_rate=sampling_rate, seed=seed)
-        instance.attach(cluster.monitor)
-        return instance
+    #: Time of the last event seen, the timestamp of the exported verdicts.
+    _last_time = 0.0
 
     def on_event(self, event: Event) -> None:
         if event.time > self._last_time:
             self._last_time = event.time
-        node = _node_of(event.source)
-        if node is None:
-            return
-        monitor = self.monitors.get(node)
-        if monitor is not None:
-            monitor.on_event(event)
-
-    # -- aggregated global verdicts (VictimMonitor equivalents) ------------
-
-    def _legit_phases(self) -> List[float]:
-        phases: List[float] = []
-        for name in self.node_names:
-            if name in self.healthy_nodes:
-                phases.extend(self.monitors[name].summary().cold_start_phases)
-        return phases
-
-    def victims(self) -> List[str]:
-        """Fault-free nodes harmed so far (same order and arithmetic as
-        the central ``VictimMonitor``)."""
-        duration = self.round_duration
-        legit_phases = self._legit_phases()
-        victims = []
-        for name in self.node_names:
-            if name not in self.healthy_nodes:
-                continue
-            local = self.monitors[name].summary()
-            protocol_frozen = (
-                local.state == "freeze"
-                and local.freeze_reason in PROTOCOL_FORCED_REASONS)
-            wrong_grid = False
-            if legit_phases and local.anchor is not None:
-                phase = local.anchor % duration
-                distance = min(
-                    min((phase - legit) % duration, (legit - phase) % duration)
-                    for legit in legit_phases)
-                wrong_grid = distance > self.grid_tolerance
-            if protocol_frozen or wrong_grid or not local.ever_activated:
-                victims.append(name)
-        return victims
-
-    # -- aggregated global verdicts (StartupMonitor equivalents) -----------
-
-    @property
-    def completed(self) -> bool:
-        """Whether every watched node is active right now."""
-        return all(self.monitors[name].summary().state == "active"
-                   for name in self.node_names)
-
-    def all_active_time(self) -> Optional[float]:
-        """When the last node first became active (None while any node has
-        yet to activate or has since left the active state)."""
-        if not self.completed:
-            return None
-        times = [self.monitors[name].summary().first_active
-                 for name in self.node_names]
-        known = [time for time in times if time is not None]
-        if not known:
-            return None
-        return max(known)
-
-    # -- aggregated global verdicts (NoCliqueFreezeMonitor equivalents) ----
-
-    def violations(self) -> List[PropertyViolation]:
-        """Section 5.1 violations across all healthy nodes, merged in
-        (time, node) order -- the deterministic decentralized counterpart
-        of the central monitor's emission-order list."""
-        merged: List[PropertyViolation] = []
-        for name in self.node_names:
-            merged.extend(self.monitors[name].summary().protocol_freezes)
-        return sorted(merged, key=lambda entry: (entry.time, entry.node))
-
-    @property
-    def holds(self) -> bool:
-        """Whether the Section 5.1 property has held over the stream."""
-        return not self.violations()
-
-    # -- export -------------------------------------------------------------
+        super().on_event(event)
 
     def sampling_stats(self) -> Dict[str, int]:
-        """Sampled/skipped event totals across all node monitors."""
-        sampled = sum(monitor.sampled_events
-                      for monitor in self.monitors.values())
-        skipped = sum(monitor.skipped_events
-                      for monitor in self.monitors.values())
-        return {"sampled": sampled, "skipped": skipped}
+        """Sampled/skipped per-node event totals across all nodes."""
+        return {"sampled": self.sampled_events,
+                "skipped": self.skipped_events}
 
     def verdict_events(self) -> List[DecentralizedVerdict]:
         """One typed verdict event per node, for JSONL export.
@@ -288,7 +61,6 @@ class DecentralizedMonitorNetwork(OnlineMonitor):
         harmed = set(self.victims())
         events: List[DecentralizedVerdict] = []
         for name in self.node_names:
-            local = self.monitors[name].summary()
             if name not in self.healthy_nodes:
                 verdict = "faulty"
             elif name in harmed:
@@ -298,6 +70,6 @@ class DecentralizedMonitorNetwork(OnlineMonitor):
             events.append(DecentralizedVerdict(
                 time=self._last_time, source=f"node:{name}",
                 node=name, verdict=verdict,
-                detail=local.state or "never_started",
+                detail=self._state.get(name) or "never_started",
                 sampling_rate=self.sampling_rate))
         return events

@@ -3,19 +3,18 @@
 Each monitor is a :class:`repro.sim.monitor.TraceMonitor` subscriber that
 evaluates an experiment verdict *incrementally*, in a single pass over the
 events as they are emitted -- the runtime-monitoring counterpart of the
-post-hoc trace queries the campaigns used to run.  Because the verdicts
-are derived from the same event stream, an online monitor produces exactly
-the answer the corresponding post-hoc query would (guarded by the
-equivalence tests in ``tests/obs/``), but without retaining the trace:
-every monitor works unchanged against a bounded ring-buffer bus.
+post-hoc trace queries the campaigns used to run.  The tests in
+``tests/obs/`` compare every verdict with its post-hoc query over a
+retained trace; the monitors themselves never retain the trace, so each
+works unchanged against a bounded ring-buffer bus.
 
-* :class:`VictimMonitor` -- the fault-injection campaign's "victim"
-  metric (EXP-S2/EXP-S4): which fault-free nodes were harmed.
-* :class:`StartupMonitor` -- the startup-latency measurement (EXP-S6):
-  when did the whole cluster become active.
-* :class:`NoCliqueFreezeMonitor` -- the paper's Section 5.1 property
-  evaluated on the DES: no fault-free node is ever forced into the
-  freeze state by the protocol.
+* :class:`VerdictMonitor` -- one per-node fold behind three verdicts: the
+  fault-injection campaign's "victim" metric (EXP-S2/EXP-S4), the
+  startup latency (EXP-S6: when did the whole cluster become active), and
+  the paper's Section 5.1 property on the DES (no fault-free node is ever
+  forced into the freeze state by the protocol).  A sampling rate below
+  1.0 turns it into the sampling-based decentralized monitor network of
+  :mod:`repro.obs.decentralized`.
 * :class:`CollisionAttackMonitor` -- the adversarial collision families:
   how many jams an attacker fired, how many the guardians/couplers
   blocked, and whether any reached the medium and corrupted deliveries.
@@ -31,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.obs.events import Event
 from repro.sim.monitor import TraceMonitor
+from repro.sim.rng import RandomStream
 
 #: Freeze reasons imposed by the protocol (mirrors
 #: ``repro.ttp.controller.PROTOCOL_FORCED_FREEZES`` without importing the
@@ -73,34 +73,75 @@ class OnlineMonitor:
         return self
 
 
-class VictimMonitor(OnlineMonitor):
-    """Online campaign metric: fault-free nodes harmed by the injection.
+@dataclass(frozen=True)
+class PropertyViolation:
+    """One observed violation of the Section 5.1 property."""
 
-    A healthy node is a victim when it is frozen by the protocol
-    (clique-avoidance or acknowledgment failure), never activated, or
-    anchored to a TDMA grid other than a legitimate one -- the same
-    definition as :meth:`repro.cluster.Cluster.healthy_victims`, derived
-    incrementally from ``state``/``freeze``/``activated``/
-    ``cold_start_grid`` events instead of final controller state.
+    time: float
+    node: str
+    reason: str
+
+
+#: The per-node event kinds the verdict fold consumes.
+_NODE_KINDS = {"state", "freeze", "activated", "cold_start_grid"}
+
+
+class VerdictMonitor(OnlineMonitor):
+    """The Section 5.1, victim and startup verdicts from one per-node fold.
+
+    Every verdict reads the same per-node summary: current protocol state,
+    last freeze reason, first activation time, activation anchor, the
+    cold-start grid phases of fault-free nodes and the protocol-forced
+    freezes of fault-free nodes.  The summary is folded from the
+    ``state`` / ``freeze`` / ``activated`` / ``cold_start_grid`` events of
+    the watched nodes only (``node:X`` sources), so the monitor is both the
+    single central observer and, partitioned by node, the decentralized
+    one: the folds are order-independent across nodes (set membership,
+    ``min`` over grid phases, ``max`` over first activations).
+
+    ``sampling_rate`` below 1.0 puts a seeded per-node Bernoulli filter in
+    front of the fold (Bartocci's sampling-based decentralized
+    monitoring): each node keeps a subsample of its own events, drawn from
+    its own stream.  At 1.0 no stream exists and no draw is taken.
+    ``healthy_nodes`` are the fault-free nodes: a faulty node's cold-start
+    grids are not legitimate, and its freezes are not violations.
     """
 
     def __init__(self, node_names: Sequence[str], healthy_nodes: Set[str],
-                 round_duration: float, grid_tolerance: float = 1.0) -> None:
+                 round_duration: float, grid_tolerance: float = 1.0,
+                 sampling_rate: float = 1.0, seed: int = 0) -> None:
         super().__init__()
+        if not round_duration > 0:
+            raise ValueError(
+                f"round_duration must be positive, got {round_duration!r}")
+        if not grid_tolerance >= 0:
+            raise ValueError(
+                f"grid_tolerance must be >= 0, got {grid_tolerance!r}")
+        if not 0.0 < sampling_rate <= 1.0:
+            raise ValueError(
+                f"sampling_rate must be in (0, 1], got {sampling_rate!r}")
         self.node_names = list(node_names)
         self.healthy_nodes = set(healthy_nodes)
         self.round_duration = round_duration
         self.grid_tolerance = grid_tolerance
+        self.sampling_rate = sampling_rate
+        self._watched = {f"node:{name}": name for name in self.node_names}
+        self._samplers = (None if sampling_rate == 1.0 else
+                          {name: RandomStream(seed=seed, path=f"obs/{name}")
+                           for name in self.node_names})
+        self.sampled_events = 0
+        self.skipped_events = 0
         self._state: Dict[str, str] = {}
         self._freeze_reason: Dict[str, str] = {}
-        self._ever_activated: Set[str] = set()
+        self._first_active: Dict[str, float] = {}
         self._anchor: Dict[str, float] = {}
         self._legit_phases: List[float] = []
+        self._violations: List[PropertyViolation] = []
 
     @classmethod
-    def for_cluster(cls, cluster,
-                    grid_tolerance: float = 1.0) -> "VictimMonitor":
-        """A monitor wired to a built (not yet run) cluster."""
+    def for_cluster(cls, cluster, sampling_rate: float = 1.0,
+                    seed: int = 0) -> "VerdictMonitor":
+        """A monitor of every node of a built (not yet run) cluster."""
         from repro.ttp.controller import NodeFaultBehavior
 
         healthy = {name for name, controller in cluster.controllers.items()
@@ -108,29 +149,51 @@ class VictimMonitor(OnlineMonitor):
         instance = cls(node_names=list(cluster.controllers),
                        healthy_nodes=healthy,
                        round_duration=cluster.medl.round_duration(),
-                       grid_tolerance=grid_tolerance)
+                       sampling_rate=sampling_rate, seed=seed)
         instance.attach(cluster.monitor)
         return instance
 
     def on_event(self, event: Event) -> None:
-        node = _node_of(event.source)
+        kind = event.kind
+        if kind not in _NODE_KINDS:
+            return
+        node = self._watched.get(event.source)
         if node is None:
             return
-        kind = event.kind
+        if (self._samplers is not None
+                and not self._samplers[node].bernoulli(self.sampling_rate)):
+            self.skipped_events += 1
+            return
+        self.sampled_events += 1
+        details = event.details
         if kind == "state":
-            self._state[node] = event.details["state"]
+            state = details["state"]
+            self._state[node] = state
+            if state == "active":
+                self._first_active.setdefault(node, event.time)
         elif kind == "freeze":
+            reason = details["reason"]
             self._state[node] = "freeze"
-            self._freeze_reason[node] = event.details["reason"]
+            self._freeze_reason[node] = reason
+            if (node in self.healthy_nodes
+                    and reason in PROTOCOL_FORCED_REASONS):
+                self._violations.append(PropertyViolation(
+                    time=event.time, node=node, reason=reason))
         elif kind == "activated":
-            self._ever_activated.add(node)
-            self._anchor[node] = event.details["round_start"]
+            self._anchor[node] = details["round_start"]
         elif kind == "cold_start_grid" and node in self.healthy_nodes:
             self._legit_phases.append(
-                event.details["round_start"] % self.round_duration)
+                details["round_start"] % self.round_duration)
 
     def victims(self) -> List[str]:
-        """Fault-free nodes harmed so far (campaign order)."""
+        """Fault-free nodes harmed so far, in ``node_names`` order.
+
+        A healthy node is a victim when it is frozen by the protocol
+        (clique-avoidance or acknowledgment failure), never activated, or
+        anchored to a TDMA grid other than a legitimate one -- the
+        definition of :meth:`repro.cluster.Cluster.healthy_victims`,
+        derived from events instead of final controller state.
+        """
         duration = self.round_duration
         victims = []
         for name in self.node_names:
@@ -146,43 +209,9 @@ class VictimMonitor(OnlineMonitor):
                     min((phase - legit) % duration, (legit - phase) % duration)
                     for legit in self._legit_phases)
                 wrong_grid = distance > self.grid_tolerance
-            if protocol_frozen or wrong_grid or name not in self._ever_activated:
+            if protocol_frozen or wrong_grid or name not in self._anchor:
                 victims.append(name)
         return victims
-
-
-class StartupMonitor(OnlineMonitor):
-    """Online startup-latency measurement: first time every node is active.
-
-    Tracks each node's current protocol state and first activation time;
-    :meth:`all_active_time` reproduces the post-hoc query of
-    :func:`repro.analysis.startup_latency.measure_startup`.
-    """
-
-    def __init__(self, node_names: Sequence[str]) -> None:
-        super().__init__()
-        self.node_names = list(node_names)
-        self._state: Dict[str, str] = {}
-        self._first_active: Dict[str, float] = {}
-
-    @classmethod
-    def for_cluster(cls, cluster) -> "StartupMonitor":
-        """A monitor wired to a built (not yet run) cluster."""
-        instance = cls(node_names=list(cluster.controllers))
-        instance.attach(cluster.monitor)
-        return instance
-
-    def on_event(self, event: Event) -> None:
-        node = _node_of(event.source)
-        if node is None:
-            return
-        if event.kind == "state":
-            state = event.details["state"]
-            self._state[node] = state
-            if state == "active":
-                self._first_active.setdefault(node, event.time)
-        elif event.kind == "freeze":
-            self._state[node] = "freeze"
 
     @property
     def completed(self) -> bool:
@@ -197,58 +226,18 @@ class StartupMonitor(OnlineMonitor):
             return None
         return max(self._first_active.values())
 
-
-@dataclass(frozen=True)
-class PropertyViolation:
-    """One observed violation of the Section 5.1 property."""
-
-    time: float
-    node: str
-    reason: str
-
-
-class NoCliqueFreezeMonitor(OnlineMonitor):
-    """The paper's Section 5.1 property, evaluated online on the DES.
-
-    The model checker's invariant (:func:`repro.model.properties.
-    no_clique_freeze`) forbids any node from reaching the protocol-forced
-    freeze state.  On the simulation the same property reads: no *watched*
-    (fault-free) node ever emits a ``freeze`` event whose reason is
-    protocol-forced.  Faulty nodes are excluded exactly as the model
-    excludes them ("the nodes are modeled not to fail").
-    """
-
-    def __init__(self, watched_nodes: Sequence[str]) -> None:
-        super().__init__()
-        self.watched_nodes = set(watched_nodes)
-        self.violations: List[PropertyViolation] = []
-
-    @classmethod
-    def for_cluster(cls, cluster) -> "NoCliqueFreezeMonitor":
-        """Watch every fault-free node of a built (not yet run) cluster."""
-        from repro.ttp.controller import NodeFaultBehavior
-
-        watched = [name for name, controller in cluster.controllers.items()
-                   if controller.config.fault is NodeFaultBehavior.HEALTHY]
-        instance = cls(watched_nodes=watched)
-        instance.attach(cluster.monitor)
-        return instance
-
-    def on_event(self, event: Event) -> None:
-        if event.kind != "freeze":
-            return
-        node = _node_of(event.source)
-        if node is None or node not in self.watched_nodes:
-            return
-        reason = event.details["reason"]
-        if reason in PROTOCOL_FORCED_REASONS:
-            self.violations.append(
-                PropertyViolation(time=event.time, node=node, reason=reason))
+    @property
+    def violations(self) -> List[PropertyViolation]:
+        """Protocol-forced freezes of fault-free nodes, in (time, node)
+        order: the paper's Section 5.1 property evaluated on the DES (the
+        model checker's :func:`repro.model.properties.no_clique_freeze`)."""
+        return sorted(self._violations,
+                      key=lambda entry: (entry.time, entry.node))
 
     @property
     def holds(self) -> bool:
-        """Whether the property has held over the stream so far."""
-        return not self.violations
+        """Whether the Section 5.1 property has held over the stream."""
+        return not self._violations
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from repro.faults.campaign import (ADVERSARIAL_PRESETS, injection_cluster,
                                    run_adversarial_preset)
 from repro.faults.injector import apply_fault
 from repro.faults.types import FaultDescriptor, FaultType
-from repro.obs.monitors import CollisionAttackMonitor, VictimMonitor
+from repro.obs.monitors import CollisionAttackMonitor, VerdictMonitor
 from repro.ttp.controller import NodeFaultBehavior
 
 
@@ -54,7 +54,7 @@ def test_collision_attack_bus_propagates_star_contains(fault_type):
     for topology in ("bus", "star"):
         cluster = injection_cluster(
             FaultDescriptor(fault_type, target="B"), topology)
-        victims = VictimMonitor.for_cluster(cluster)
+        victims = VerdictMonitor.for_cluster(cluster)
         attack = CollisionAttackMonitor.for_cluster(cluster)
         cluster.power_on()
         cluster.run(rounds=40.0)

@@ -16,9 +16,10 @@ from repro.modelcheck import encode
 from repro.modelcheck.encode import NUMPY_HINT, StateCodec, have_numpy, require_numpy
 from repro.modelcheck.model import count_reachable
 from repro.modelcheck.state import StateSpace, Variable
-from repro.modelcheck.vector import (FusedSeenSet, SplitSeenSet, VectorExplorer,
-                                     VectorKernel, compile_batch_invariant,
-                                     represents, sort_unique_split)
+from repro.modelcheck.vector import (FusedSeenSet, LevelDiscovery, SplitSeenSet,
+                                     VectorExplorer, VectorKernel,
+                                     compile_batch_invariant, represents,
+                                     sort_unique_split)
 
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
@@ -112,7 +113,7 @@ def test_kernel_successor_level_matches_scalar_successors():
     """One level of the batched pipeline produces exactly the scalar
     (parent, target) relation.  Raw row counts may differ (two fault
     contexts reaching one target are distinct rows), so parity is on the
-    relation, with exact-count parity covered by successors_batch."""
+    relation, with exact-count parity covered by the LevelDiscovery tests."""
     system = TTAStartupModel(
         scenario_for_authority(CouplerAuthority.SMALL_SHIFTING))
     system.ensure_packed_tables()
@@ -130,19 +131,41 @@ def test_kernel_successor_level_matches_scalar_successors():
     assert produced == expected
 
 
+def seen_set(kernel, words, tails):
+    """A visited set holding the states ``(words, tails)``."""
+    if kernel.fused:
+        seen = FusedSeenSet(np)
+        seen.insert(np.unique(kernel.fuse(words, tails)))
+    else:
+        seen = SplitSeenSet(np)
+        seen.insert(*sort_unique_split(np, words, tails))
+    return seen
+
+
 def test_kernel_successors_batch_deduplicates_per_parent():
+    """A one-parent level through :class:`LevelDiscovery` over an empty
+    visited set keeps each target once: exactly the scalar successor
+    set, in ``packed_successors`` order, and one transition per distinct
+    target."""
     system = TTAStartupModel(
         scenario_for_authority(CouplerAuthority.FULL_SHIFTING))
     system.ensure_packed_tables()
     kernel = VectorKernel(system)
     codec = system.codec
+    empty = kernel.split_codes([])
     for state in system.initial_states():
-        words, tails = kernel.split_codes([codec.pack(state)])
-        batched = sorted(set(kernel.join_codes(
-            *kernel.successors_batch(words, tails)[:2])))
-        scalar = sorted({codec.pack(transition.target)
-                         for transition in system.successors(state)})
-        assert batched == scalar
+        code = codec.pack(state)
+        discovery = LevelDiscovery(
+            kernel, seen_set(kernel, *empty), *kernel.successor_level(
+                *kernel.split_codes([code]), scalar_order=True))
+        batched = kernel.join_codes(discovery.words, discovery.tails)
+        assert len(set(batched)) == len(batched)
+        assert sorted(batched) == sorted(
+            {codec.pack(transition.target)
+             for transition in system.successors(state)})
+        assert tuple(batched) == system.packed_successors(code)
+        assert discovery.transitions == len(batched)
+        assert set(discovery.parents.tolist()) <= {0}
 
 
 @pytest.mark.parametrize("authority", [CouplerAuthority.PASSIVE,
@@ -189,13 +212,16 @@ def reachable_frontier(authority, depth):
 
 
 def successors_by_parent(kernel, codes):
-    """``successors_batch`` of ``codes`` as {parent code: [target codes]}."""
-    succ_words, succ_tails, parent = kernel.successors_batch(
-        *kernel.split_codes(codes))
+    """The scalar-order successors of ``codes`` as {parent code: [target
+    codes]}, each parent's repeated targets dropped."""
+    succ_words, succ_tails, parent = kernel.successor_level(
+        *kernel.split_codes(codes), scalar_order=True)
     by_parent = {code: [] for code in codes}
     for row, target in zip(parent.tolist(),
                            kernel.join_codes(succ_words, succ_tails)):
-        by_parent[codes[row]].append(target)
+        targets = by_parent[codes[row]]
+        if target not in targets:
+            targets.append(target)
     return by_parent
 
 
@@ -266,13 +292,44 @@ def test_order_pools_have_multi_option_rows():
        st.integers(min_value=1, max_value=200))
 @settings(max_examples=40, deadline=None)
 def test_successors_batch_matches_scalar_order(name, rng, size):
-    """For every parent of a random reachable frontier, the batch kernel
-    returns exactly the ``packed_successors`` tuple, order included."""
+    """For every parent of a random reachable frontier, the kernel's
+    scalar-order edges less their per-parent repeats are exactly the
+    ``packed_successors`` tuple, order included."""
     system, pool = order_pool(name)
     codes = rng.sample(pool, min(size, len(pool)))
     by_parent = successors_by_parent(VectorKernel(system), codes)
     for code in codes:
         assert tuple(by_parent[code]) == system.packed_successors(code)
+
+
+@given(st.sampled_from(sorted(ORDER_CONFIGS)), st.randoms(use_true_random=False),
+       st.integers(min_value=1, max_value=200))
+@settings(max_examples=40, deadline=None)
+def test_level_discovery_matches_scalar_order(name, rng, size):
+    """Over a random reachable frontier that is itself visited, as in a
+    BFS, :class:`LevelDiscovery` drops the per-parent repeats
+    (transition count) and finds the new states in the scalar loop's
+    discovery order, each with its first parent."""
+    system, pool = order_pool(name)
+    codes = rng.sample(pool, min(size, len(pool)))
+    kernel = VectorKernel(system)
+    words, tails = kernel.split_codes(codes)
+    discovery = LevelDiscovery(kernel, seen_set(kernel, words, tails),
+                               *kernel.successor_level(words, tails,
+                                                       scalar_order=True))
+    known = set(codes)
+    transitions = 0
+    new_states, first_parents = [], []
+    for row, code in enumerate(codes):
+        for target in system.packed_successors(code):
+            transitions += 1
+            if target not in known:
+                known.add(target)
+                new_states.append(target)
+                first_parents.append(row)
+    assert discovery.transitions == transitions
+    assert kernel.join_codes(discovery.words, discovery.tails) == new_states
+    assert discovery.parents.tolist() == first_parents
 
 
 def test_kernel_rejects_node_blocks_wider_than_uint64():

@@ -43,13 +43,14 @@ def observable(result):
 
 
 class ScalarOnly:
-    """The wrapped model minus its batch path."""
+    """The wrapped model minus its batch path (the word layout the vector
+    kernel reads)."""
 
     def __init__(self, system):
         self._system = system
 
     def __getattr__(self, name):
-        if name == "packed_successors_batch":
+        if name == "packed_geometry":
             raise AttributeError(name)
         return getattr(self._system, name)
 
