@@ -24,8 +24,6 @@ from repro.analysis.figure3 import figure3_reference_points, figure3_series
 from repro.analysis.sweep import geometric_range
 from repro.analysis.tables import format_table
 from repro.core.authority import CouplerAuthority
-from repro.core.verification import verify_all_authorities, verify_config
-from repro.model.scenarios import trace1_scenario, trace2_scenario
 
 #: ``--engine`` choices of ``verify`` and ``conform``.  The tuple engine
 #: stays a library option (``InvariantChecker(engine="tuple")``).
@@ -78,6 +76,8 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.core.verification import verify_all_authorities
+
     results = verify_all_authorities(slots=args.slots, engine=args.engine,
                                      jobs=args.jobs,
                                      symmetry=not args.no_symmetry,
@@ -97,6 +97,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.core.verification import verify_config
+    from repro.model.scenarios import trace1_scenario, trace2_scenario
+
     config = trace2_scenario() if args.variant == "cstate" else trace1_scenario()
     result = verify_config(config)
     if args.narrate:
@@ -463,6 +466,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_conform(args: argparse.Namespace) -> int:
     from repro.conformance import SCENARIOS, check_conformance
+    from repro.core.verification import verify_config
 
     names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
     all_conform = True

@@ -24,7 +24,12 @@ from repro.core.buffer_analysis import (
     minimum_buffer_bits,
 )
 from repro.core.tradeoffs import DesignPoint, evaluate_design, explore_design_space
-from repro.core.verification import VerificationResult, verify_authority, verify_all_authorities
+
+#: Names resolved on first access (PEP 562), so importing ``repro.core``
+#: -- as every simulator module does, through ``repro.core.authority`` --
+#: does not load the model checker.
+_LAZY_EXPORTS = ("VerificationResult", "verify_all_authorities",
+                 "verify_authority")
 
 __all__ = [
     "AuthorityFeatures",
@@ -42,3 +47,11 @@ __all__ = [
     "verify_all_authorities",
     "verify_authority",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.core import verification
+
+    return getattr(verification, name)

@@ -10,7 +10,9 @@ Public surface:
 * :class:`TaskExecutionError` -- raised by :meth:`TaskRunner.map` when a
   task exhausts its retry budget;
 * :class:`CheckpointStore` / :class:`CheckpointMismatch` -- the resumable
-  JSONL store and its validation error.
+  JSONL store and its validation error;
+* :mod:`repro.exec.pool` -- the task envelope, pool-failure
+  classification and CPU count shared with the model checker's pools.
 """
 
 from repro.exec.checkpoint import (CheckpointEntry, CheckpointMismatch,

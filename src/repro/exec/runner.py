@@ -40,12 +40,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.exec.checkpoint import CheckpointStore
-from repro.modelcheck.parallel import (_POOL_FAILURES, available_cpus,
-                                       run_task_enveloped)
+from repro.exec.pool import _POOL_FAILURES, available_cpus, run_task_enveloped
 from repro.obs.events import (CheckpointWritten, TaskFailed, TaskRetried,
                               TaskStarted)
 

@@ -17,6 +17,11 @@ behind :meth:`repro.model.system_model.TTAStartupModel.packed_successors`.
 
 Decoding is only needed when a counterexample is rebuilt, never on the hot
 search path.
+
+numpy is imported on first use, by the first :func:`have_numpy` or
+:func:`require_numpy` call, never at module load: the scalar packed engine
+and every simulator command run without it, and a process that never takes
+a vectorized path never pays for the import.
 """
 
 from __future__ import annotations
@@ -25,10 +30,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.modelcheck.state import StateSpace, StateView
 
-try:  # numpy is a core dependency, but the packed engine works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+#: ``_np`` before the first import attempt; ``None`` means "absent".
+_UNTRIED = object()
+_np: Any = _UNTRIED
 
 #: Guidance attached to every numpy-gated entry point.
 NUMPY_HINT = ("numpy is required for the vectorized frontier engine "
@@ -36,17 +40,30 @@ NUMPY_HINT = ("numpy is required for the vectorized frontier engine "
               "(--engine packed) works without it")
 
 
+def _numpy() -> Any:
+    """The numpy module, imported on the first call, or ``None``."""
+    global _np
+    if _np is _UNTRIED:
+        try:  # numpy is a core dependency, but the packed engine works without it.
+            import numpy
+        except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+            numpy = None
+        _np = numpy
+    return _np
+
+
 def have_numpy() -> bool:
     """Whether the vectorized (batched) code paths are available."""
-    return _np is not None
+    return _numpy() is not None
 
 
 def require_numpy():
     """The numpy module, or a clear ImportError telling the user what the
     vectorized paths need and which engine works without it."""
-    if _np is None:
+    np = _numpy()
+    if np is None:
         raise ImportError(NUMPY_HINT)
-    return _np
+    return np
 
 
 class StateCodec:

@@ -20,84 +20,23 @@ draws from its own seeded substream), and sweep grid points share nothing.
 Worker functions live at module top level (picklable by reference) and
 rebuild models from their configs inside the worker; nothing with caches
 or closures crosses the process boundary.
+
+The pool primitives -- the :func:`~repro.exec.pool.run_task_enveloped`
+task envelope, the pool-failure classification and
+:func:`~repro.exec.pool.available_cpus` -- live in :mod:`repro.exec.pool`,
+shared with :class:`repro.exec.TaskRunner`, which the simulator commands
+use without importing the checker.  This module imports them from there.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from pickle import PicklingError
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: Exception types that indicate the *pool* (not the task) failed: the
-#: work could not be pickled, worker processes could not be spawned, or
-#: the pool broke mid-flight.  Task bodies run inside
-#: :func:`run_task_enveloped`, which captures their exceptions and ships
-#: them back as data -- so an exception of one of these types escaping
-#: the pool machinery can only come from the infrastructure itself
-#: (pickling raises ``PicklingError``/``TypeError``/``AttributeError``
-#: depending on the payload), never from user task code.
-_POOL_FAILURES: Tuple[type, ...] = (PicklingError, AttributeError, TypeError,
-                                    ImportError, OSError)
-try:  # BrokenProcessPool subclasses RuntimeError, not OSError.
-    from concurrent.futures.process import BrokenProcessPool
-    _POOL_FAILURES = _POOL_FAILURES + (BrokenProcessPool,)
-except ImportError:  # pragma: no cover - always present on CPython >= 3.3
-    pass
-
-
-class RemoteTraceback(Exception):
-    """Carries a worker-side traceback as the ``__cause__`` of a re-raised
-    task exception, so the parent-side stack trace shows where the task
-    actually failed inside the worker process."""
-
-    def __str__(self) -> str:
-        return "\n\n--- worker-side traceback ---\n" + self.args[0]
-
-
-def run_task_enveloped(function: Callable[[Any], Any],
-                       task: Any) -> Tuple[str, Any, Optional[str]]:
-    """Run ``function(task)`` and capture the outcome as data.
-
-    Returns ``("ok", value, None)`` on success and
-    ``("error", exception, formatted_traceback)`` on failure.  Runs inside
-    worker processes: because the task exception travels back as a
-    *return value*, anything raised out of the pool machinery itself is
-    unambiguously an infrastructure failure (see ``_POOL_FAILURES``).
-    An unpicklable task exception is replaced by a ``RuntimeError``
-    carrying its repr, so the envelope always crosses the process
-    boundary.
-    """
-    try:
-        return ("ok", function(task), None)
-    except Exception as exc:
-        formatted = traceback.format_exc()
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            exc = RuntimeError(f"unpicklable task exception "
-                               f"{type(exc).__name__}: {exc}")
-        return ("error", exc, formatted)
-
-
-def unwrap_envelope(envelope: Tuple[str, Any, Optional[str]]) -> Any:
-    """Value of an ``("ok", ...)`` envelope; re-raises an ``("error", ...)``
-    one with the worker-side traceback attached as ``__cause__``."""
-    status, value, formatted = envelope
-    if status == "ok":
-        return value
-    if formatted is not None:
-        raise value from RemoteTraceback(formatted)
-    raise value
-
-
-def available_cpus() -> int:
-    """Best-effort CPU count (1 when undetectable)."""
-    return os.cpu_count() or 1
+from repro.exec.pool import _POOL_FAILURES, available_cpus, run_task_enveloped, unwrap_envelope
+from repro.modelcheck.encode import have_numpy
 
 
 @dataclass
@@ -201,6 +140,10 @@ def verify_authorities_parallel(slots: int = 4,
     """
     from repro.core.authority import all_authorities
 
+    if engine in ("auto", "vectorized"):
+        # The array engine imports numpy on first use: import it once here,
+        # before the pool forks, not once in every worker.
+        have_numpy()
     authorities = list(all_authorities())
     tasks = [(authority.value, slots, out_of_slot_budget, max_states, engine)
              for authority in authorities]

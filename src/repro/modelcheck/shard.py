@@ -21,7 +21,7 @@ rows -- so each level is split into contiguous shards, one per worker:
    the serial one.
 
 Workers run the task body inside
-:func:`repro.modelcheck.parallel.run_task_enveloped`, so task exceptions
+:func:`repro.exec.pool.run_task_enveloped`, so task exceptions
 come back as data and re-raise in the parent with the worker-side
 traceback attached; pool infrastructure failures (spawn errors, a broken
 pool, shared-memory attach failures) instead degrade to the identical
@@ -41,13 +41,13 @@ from functools import partial
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.modelcheck.encode import require_numpy
-from repro.modelcheck.parallel import (
+from repro.exec.pool import (
     _POOL_FAILURES,
     available_cpus,
     run_task_enveloped,
     unwrap_envelope,
 )
+from repro.modelcheck.encode import require_numpy
 from repro.modelcheck.vector import VectorKernel, model_kernel
 
 #: Per-process cache of (model, kernel, canonicalizer) keyed by config.

@@ -30,41 +30,40 @@ relies on, from the bit level up:
 * :mod:`repro.ttp.modes` -- operating modes and deferred mode changes.
 """
 
-from repro.ttp.acknowledgment import AckOutcome, AcknowledgmentState
-from repro.ttp.clique import CliqueCounters, CliqueVerdict, clique_avoidance_test
-from repro.ttp.cni import CniMessage, CommunicationNetworkInterface
-from repro.ttp.constants import (
-    COLD_START_FRAME_BITS,
-    CRC_BITS,
-    I_FRAME_BITS,
-    LINE_ENCODING_BITS,
-    N_FRAME_BITS,
-    X_FRAME_BITS,
-    ControllerStateName,
-    FrameKind,
-)
-from repro.ttp.controller import (
-    ControllerConfig,
-    FreezeReason,
-    NodeFaultBehavior,
-    TTPController,
-)
-from repro.ttp.crc import crc16, crc24
-from repro.ttp.cstate import CState
-from repro.ttp.decode import DecodedFrame, DecodeError, decode_frame
-from repro.ttp.frames import (
-    ColdStartFrame,
-    Frame,
-    FrameObservation,
-    IFrame,
-    NFrame,
-    XFrame,
-)
-from repro.ttp.host import FreshnessWatchdog, HostRuntime, HostTask, PeriodicPublisher
-from repro.ttp.medl import Medl, SlotDescriptor
-from repro.ttp.membership import MembershipView
-from repro.ttp.modes import ModeSet, validate_mode_compatible
-from repro.ttp.startup import StartupRules, listen_timeout_slots
+import importlib
+
+#: Submodule of each public name.  Names resolve on first access
+#: (PEP 562), so importing :mod:`repro.ttp.constants` -- as the buffer
+#: analysis and the model checker do -- does not load the controller
+#: and, with it, the simulator.
+_EXPORTS = {name: module for module, names in (
+    ("acknowledgment", ("AckOutcome", "AcknowledgmentState")),
+    ("clique", ("CliqueCounters", "CliqueVerdict", "clique_avoidance_test")),
+    ("cni", ("CniMessage", "CommunicationNetworkInterface")),
+    ("constants", (
+        "COLD_START_FRAME_BITS", "CRC_BITS", "I_FRAME_BITS",
+        "LINE_ENCODING_BITS", "N_FRAME_BITS", "X_FRAME_BITS",
+        "ControllerStateName", "FrameKind",
+    )),
+    ("controller", (
+        "ControllerConfig", "FreezeReason", "NodeFaultBehavior",
+        "TTPController",
+    )),
+    ("crc", ("crc16", "crc24")),
+    ("cstate", ("CState",)),
+    ("decode", ("DecodedFrame", "DecodeError", "decode_frame")),
+    ("frames", (
+        "ColdStartFrame", "Frame", "FrameObservation", "IFrame", "NFrame",
+        "XFrame",
+    )),
+    ("host", (
+        "FreshnessWatchdog", "HostRuntime", "HostTask", "PeriodicPublisher",
+    )),
+    ("medl", ("Medl", "SlotDescriptor")),
+    ("membership", ("MembershipView",)),
+    ("modes", ("ModeSet", "validate_mode_compatible")),
+    ("startup", ("StartupRules", "listen_timeout_slots")),
+) for name in names}
 
 __all__ = [
     "COLD_START_FRAME_BITS",
@@ -110,3 +109,10 @@ __all__ = [
     "listen_timeout_slots",
     "validate_mode_compatible",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

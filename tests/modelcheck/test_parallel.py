@@ -111,6 +111,24 @@ def test_matrix_jobs_one_is_serial():
     assert _matrix_signature(jobs_one) == _matrix_signature(serial)
 
 
+@pytest.mark.parametrize("engine, imported", [("auto", True), ("packed", False)])
+def test_matrix_fan_out_imports_numpy_before_the_pool(monkeypatch, engine,
+                                                       imported):
+    """numpy loads on first use; the parent loads it before workers fork
+    from it, so they inherit it instead of each importing it."""
+    from repro.modelcheck import encode
+
+    class Recorder:
+        def map(self, function, tasks):
+            self.numpy_tried = encode._np is not encode._UNTRIED
+            return [None] * len(tasks)
+
+    monkeypatch.setattr(encode, "_np", encode._UNTRIED)
+    recorder = Recorder()
+    verify_authorities_parallel(engine=engine, runner=recorder)
+    assert recorder.numpy_tried is imported
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo equivalence
 # ---------------------------------------------------------------------------

@@ -89,6 +89,14 @@ def test_jobs_capped_at_cpu_count_unless_forced():
     assert forced.effective_jobs == cpus + 7
 
 
+def test_jobs_capped_at_the_affinity_mask(monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    assert FrontierSharder(make_system(), jobs=4).effective_jobs == 1
+
+
 def test_pool_failure_degrades_to_serial_with_reason():
     system = make_system()
     words, tails = frontier_after(system, 4)

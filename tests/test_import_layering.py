@@ -1,0 +1,79 @@
+"""Import layering: each command loads only the layer it runs.
+
+The simulator commands (sweep, campaign, the cluster, the task runner, the
+CLI) must not import the model checker or numpy, and the checker must not
+import the simulator.  Every check runs in a fresh interpreter, because
+this test process has long since imported everything.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+CHECKER_LAYER = ("numpy", "repro.modelcheck.checker", "repro.model.system_model",
+                 "repro.core.verification")
+SIMULATOR_LAYER = ("repro.ttp.controller", "repro.network.channel",
+                   "repro.sim.engine")
+
+
+def fresh_interpreter(code: str):
+    """Run ``code`` in a new interpreter and return what it prints as JSON."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    completed = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, check=True)
+    return json.loads(completed.stdout)
+
+
+def loaded_after_import(module: str, watched) -> list:
+    return fresh_interpreter(
+        f"import importlib, json, sys\n"
+        f"importlib.import_module({module!r})\n"
+        f"print(json.dumps([name for name in {list(watched)!r} "
+        f"if name in sys.modules]))\n")
+
+
+@pytest.mark.parametrize("module", ["repro.gen.sweep", "repro.faults.campaign",
+                                    "repro.cluster", "repro.exec", "repro.cli"])
+def test_simulator_entry_points_do_not_load_the_checker(module):
+    assert loaded_after_import(module, CHECKER_LAYER) == []
+
+
+def test_checker_does_not_load_the_simulator():
+    assert loaded_after_import("repro.core.verification", SIMULATOR_LAYER) == []
+
+
+def test_lazy_exports_resolve():
+    resolved = fresh_interpreter(
+        "import json\n"
+        "from repro.core import verify_authority\n"
+        "from repro.ttp import TTPController\n"
+        "print(json.dumps([verify_authority.__module__, TTPController.__module__]))\n")
+    assert resolved == ["repro.core.verification", "repro.ttp.controller"]
+
+
+@pytest.mark.parametrize("package", ["repro.core", "repro.ttp"])
+def test_unknown_attribute_raises_attribute_error(package):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(importlib.import_module(package), "no_such_name")
+
+
+def test_numpy_loads_on_first_vectorized_use():
+    loaded = fresh_interpreter(
+        "import json, sys\n"
+        "from repro.modelcheck import encode\n"
+        "before = 'numpy' in sys.modules\n"
+        "available = encode.have_numpy()\n"
+        "print(json.dumps([before, available, 'numpy' in sys.modules]))\n")
+    before, available, after = loaded
+    assert not before
+    assert after == available
