@@ -55,7 +55,7 @@ from repro.ttp.frames import (
     XFrame,
 )
 from repro.ttp.medl import Medl, MedlDispatch
-from repro.ttp.membership import MembershipView
+from repro.ttp.membership import MembershipView, word_members
 from repro.ttp.startup import StartupRules
 
 #: Hot-path aliases: the tick path compares controller states thousands of
@@ -230,17 +230,31 @@ class TTPController:
         self.state = ControllerStateName.FREEZE
         self.freeze_reason: FreezeReason = FreezeReason.POWER_ON
         self.slot = self.own_slot
-        self.cstate = CState(medl_position=self.own_slot)
         self.view = MembershipView(own_slot=self.own_slot)
+        #: The C-state as plain ints, advanced once per slot; the
+        #: :attr:`cstate` snapshot is built from them on first read.
+        self._global_time = 0
+        self._position = self.own_slot
+        self._member_word = 0
+        self._dmc = 0
+        self._cstate: Optional[CState] = None
         self.startup = StartupRules(slot_count=medl.slot_count, node_slot=self.own_slot)
         self.ever_integrated = False
         self.tick_count = 0
         self._fault_announced = False
         self._init_slots_left = 0
-        self._mailbox: List[Tuple[int, Transmission, bool, float]] = []
+        self._mailbox: List[Tuple[int, Transmission, bool]] = []
         self._tick_event: Optional[Event] = None
         self._judged_since_test = 0
-        self._last_listen_event: Optional[Tuple[int, float]] = None
+        #: Frame identity and completion time of the last frame consumed
+        #: by the listen path and of the last clock-sync measurement, kept
+        #: as scalars so a channel replica (same frame, same instant) is
+        #: dropped without building a key per reception.  ``id()`` is
+        #: never 0, so the initial values match no frame.
+        self._last_listen_frame = 0
+        self._last_listen_time = 0.0
+        self._last_sync_frame = 0
+        self._last_sync_time = 0.0
         self._skip_next_judge = False
         #: Reference time of the round start of the grid this node joined
         #: (set at first activation); used to detect grid capture.
@@ -252,7 +266,6 @@ class TTPController:
             discard=1, max_correction=self.config.max_sync_correction)
         self._slot_start_ref = 0.0
         self._sync_adjustment = 0.0
-        self._last_sync_event: Optional[Tuple[int, float]] = None
         #: Byzantine-clock bookkeeping: the absolute grid offset currently
         #: held (corrections are deltas between targets) and the round
         #: counter driving the oscillate pattern.
@@ -302,6 +315,34 @@ class TTPController:
         self._emit(ev.ModeRequest, mode=mode)
 
     @property
+    def cstate(self) -> CState:
+        """The C-state as of the last slot advance (or assignment).
+
+        Built on first read and cached until the next advance: a node
+        reads it only to send, about once per round, while the slot
+        judge compares against the int fields directly.  The membership
+        is the view's word at advance time, so judging later slots does
+        not change the snapshot.
+        """
+        cstate = self._cstate
+        if cstate is None:
+            word = self._member_word
+            view = self.view
+            members = (view.membership_set() if word == view.word
+                       else word_members(word))
+            cstate = self._cstate = CState._unchecked(
+                self._global_time, self._position, members, self._dmc, word)
+        return cstate
+
+    @cstate.setter
+    def cstate(self, cstate: CState) -> None:
+        self._global_time = cstate.global_time
+        self._position = cstate.medl_position
+        self._member_word = cstate.membership_word()
+        self._dmc = cstate.dmc_mode
+        self._cstate = cstate
+
+    @property
     def integrated(self) -> bool:
         """Whether the node currently participates in the cluster."""
         return self.state in (ControllerStateName.ACTIVE, ControllerStateName.PASSIVE)
@@ -312,7 +353,6 @@ class TTPController:
                          corrupted: bool) -> None:
         if transmission.source == self.name:
             return  # own frames are accounted for at send time
-        now = self.sim.now
         if self.state is _LISTEN:
             if self._faulty and self._collision_attack_active():
                 # An active collision attacker never phase-locks onto the
@@ -323,8 +363,9 @@ class TTPController:
             # aligns the local slot grid to the observed cluster grid.
             self._listen_receive(transmission, corrupted)
             return
-        event_key = (id(transmission.frame), now)
-        if event_key == self._last_listen_event:
+        now = self.sim.now
+        frame_id = id(transmission.frame)
+        if frame_id == self._last_listen_frame and now == self._last_listen_time:
             # Second-channel copy of the frame we just integrated on.
             return
         if self.config.clock_sync_enabled and not corrupted:
@@ -338,11 +379,13 @@ class TTPController:
             expected = self._slot_start_ref + transmission.duration
             deviation = now - expected
             max_correction = self.config.max_sync_correction
-            if (event_key != self._last_sync_event
+            if ((frame_id != self._last_sync_frame
+                 or now != self._last_sync_time)
                     and -max_correction <= deviation <= max_correction):
-                self._last_sync_event = event_key
+                self._last_sync_frame = frame_id
+                self._last_sync_time = now
                 self.synchronizer.observe(self.slot, expected, now)
-        self._mailbox.append((channel_index, transmission, corrupted, now))
+        self._mailbox.append((channel_index, transmission, corrupted))
 
     def _make_observation(self, transmission: Transmission,
                           corrupted: bool) -> FrameObservation:
@@ -396,18 +439,18 @@ class TTPController:
             return {}
         if len(mailbox) == 1:
             # Fast path: one completed transmission on one channel.
-            channel_index, transmission, corrupted, _arrival = mailbox[0]
+            channel_index, transmission, corrupted = mailbox[0]
             return {channel_index: self._make_observation(transmission,
                                                           corrupted)}
         if len(mailbox) == 2 and mailbox[0][0] != mailbox[1][0]:
             # Steady state: one frame per channel, no interference.
-            index0, tx0, corrupted0, _ = mailbox[0]
-            index1, tx1, corrupted1, _ = mailbox[1]
+            index0, tx0, corrupted0 = mailbox[0]
+            index1, tx1, corrupted1 = mailbox[1]
             return {index0: self._make_observation(tx0, corrupted0),
                     index1: self._make_observation(tx1, corrupted1)}
 
         per_channel: Dict[int, List[Tuple[Transmission, bool]]] = {}
-        for channel_index, transmission, corrupted, _arrival in mailbox:
+        for channel_index, transmission, corrupted in mailbox:
             per_channel.setdefault(channel_index, []).append((transmission, corrupted))
 
         observations: Dict[int, FrameObservation] = {}
@@ -442,7 +485,7 @@ class TTPController:
     def _enter_cold_start(self) -> None:
         self.state = ControllerStateName.COLD_START
         self.slot = self.own_slot
-        self.cstate = CState(global_time=self.cstate.global_time,
+        self.cstate = CState(global_time=self._global_time,
                              medl_position=self.own_slot,
                              membership=frozenset({self.own_slot}))
         self.view.assign((self.own_slot,))
@@ -619,8 +662,9 @@ class TTPController:
         observed slot (frame completion plus the residual slot time), which
         is how a real controller phase-locks onto the cluster's TDMA grid.
         """
-        event_key = (id(transmission.frame), self.sim.now)
-        if event_key == self._last_listen_event:
+        frame_id = id(transmission.frame)
+        now = self.sim.now
+        if frame_id == self._last_listen_frame and now == self._last_listen_time:
             return
 
         observation = self._make_observation(transmission, corrupted)
@@ -629,7 +673,8 @@ class TTPController:
             # Not consumed: the replica on the other channel may still be
             # usable (e.g. only one coupler corrupts its copy).
             return
-        self._last_listen_event = event_key
+        self._last_listen_frame = frame_id
+        self._last_listen_time = now
         decision = self.startup.observe_slot(kind, FrameKind.NONE)
         frame = observation.frame
         assert frame is not None
@@ -731,9 +776,8 @@ class TTPController:
             else:
                 bad1 = True
 
-        cstate = self.cstate
-        global_time = cstate.global_time
-        position = cstate.medl_position
+        global_time = self._global_time
+        position = self._position
         tolerance = self.tolerance
         window = tolerance.window
         threshold = tolerance.threshold
@@ -757,7 +801,13 @@ class TTPController:
                         and frame_cstate.medl_position == position):
                     correct0 = (expected_word is None or
                                 frame_cstate.membership_word() == expected_word)
-        if tx1 is not None:
+        if tx1 is tx0 and bad1 == bad0:
+            # The star forwarded one transmission on both channels: the
+            # replica's verdict is channel 0's.
+            frame1 = frame0
+            valid1 = valid0
+            correct1 = correct0
+        elif tx1 is not None:
             frame1 = tx1.frame
             shape = tx1.shape
             if (not bad1 and shape.level >= threshold
@@ -848,8 +898,8 @@ class TTPController:
                               if observation.frame is not None), None)
                 self._emit(
                     ev.SlotFailed, slot=self.slot,
-                    expected_time=self.cstate.global_time,
-                    expected_pos=self.cstate.medl_position,
+                    expected_time=self._global_time,
+                    expected_pos=self._position,
                     frame_time=None if frame is None else frame.cstate.global_time,
                     frame_pos=None if frame is None else frame.cstate.medl_position,
                     frame_members=None if frame is None
@@ -868,8 +918,8 @@ class TTPController:
                 continue
             frame = observation.frame
             assert frame is not None
-            if (frame.cstate.global_time != self.cstate.global_time
-                    or frame.cstate.medl_position != self.cstate.medl_position):
+            if (frame.cstate.global_time != self._global_time
+                    or frame.cstate.medl_position != self._position):
                 continue
             outcome = self.ack.observe_successor(frame.cstate.membership)
             if outcome is AckOutcome.SEND_FAULT:
@@ -905,7 +955,7 @@ class TTPController:
             frame = observation.frame
             if isinstance(frame, XFrame) and frame.data_bits:
                 self.cni.deliver(self.slot, frame.data_bits,
-                                 self.cstate.global_time)
+                                 self._global_time)
             return  # one delivery per slot (channels are replicas)
 
     def _frame_correct(self, observation: FrameObservation) -> bool:
@@ -913,8 +963,8 @@ class TTPController:
             return False
         assert observation.frame is not None
         frame_cstate = observation.frame.cstate
-        if (frame_cstate.global_time != self.cstate.global_time
-                or frame_cstate.medl_position != self.cstate.medl_position):
+        if (frame_cstate.global_time != self._global_time
+                or frame_cstate.medl_position != self._position):
             return False
         if self.config.strict_membership_agreement:
             # TTP/C membership check: the sender includes itself at its
@@ -930,8 +980,7 @@ class TTPController:
         if slot > slot_count:
             slot = 1
         self.slot = slot
-        cstate = self.cstate
-        position = cstate.medl_position + 1
+        position = self._position + 1
         if position > slot_count:
             position = 1
         # The cluster switches modes together at the round boundary --
@@ -944,13 +993,13 @@ class TTPController:
             self._install_mode(self.current_mode)
             self._emit(ev.ModeChange, mode=self.current_mode)
         # One slot elapsed; membership snapshot and pending DMC travel in
-        # the C-state (single validated-by-construction build per slot).
+        # the C-state, kept as ints until someone reads ``cstate``.
         pending = self.pending_mode
-        view = self.view
-        self.cstate = CState._unchecked(
-            (cstate.global_time + 1) % (1 << 16), position,
-            view.membership_set(),
-            0 if pending is None else pending + 1, view.word)
+        self._global_time = (self._global_time + 1) % (1 << 16)
+        self._position = position
+        self._member_word = self.view.word
+        self._dmc = 0 if pending is None else pending + 1
+        self._cstate = None
 
     def _own_slot_actions(self) -> None:
         """Once-per-round actions at the node's own slot."""
@@ -1033,7 +1082,7 @@ class TTPController:
         view = self.view
         view.record_own_send()
         self.cstate = CState._unchecked(
-            self.cstate.global_time, self.cstate.medl_position,
+            self._global_time, self._position,
             view.membership_set(), mcr, view.word)
         cstate = self._sending_cstate()
         payload = self.cni.outgoing_payload()

@@ -22,6 +22,12 @@ from repro.ttp.cstate import CState
 from repro.ttp.frames import FrameObservation
 
 
+def word_members(word: int) -> FrozenSet[int]:
+    """The slot ids whose bits are set in a membership word."""
+    return frozenset(slot for slot in range(word.bit_length())
+                     if word >> slot & 1)
+
+
 @dataclass
 class SlotJudgment:
     """A receiver's verdict about one slot's traffic."""
@@ -141,8 +147,7 @@ class MembershipView:
         """Immutable snapshot for embedding into a C-state."""
         word = self.word
         if word != self._snapshot_word:
-            self._snapshot = frozenset(
-                slot for slot in range(word.bit_length()) if word >> slot & 1)
+            self._snapshot = word_members(word)
             self._snapshot_word = word
         return self._snapshot
 

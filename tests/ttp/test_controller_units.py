@@ -7,9 +7,11 @@ judgment bookkeeping) against hand-built inputs.
 
 import pytest
 
+from repro.network.channel import Transmission
 from repro.network.signal import ReceiverTolerance
 from repro.sim.engine import Simulator
-from repro.ttp.controller import ControllerConfig, TTPController
+from repro.ttp.controller import (ControllerConfig, ControllerStateName,
+                                  TTPController)
 from repro.ttp.cstate import CState
 from repro.ttp.frames import FrameObservation, IFrame
 from repro.ttp.medl import Medl
@@ -103,6 +105,127 @@ def test_frame_correct_respects_receiver_tolerance():
     good = CState(global_time=5, medl_position=3, membership=frozenset({3}))
     marginal = observation(good, signal_level=0.8)
     assert not strict._frame_correct(marginal)
+
+
+# -- lazy C-state -------------------------------------------------------------------
+
+
+def eager_advance(controller):
+    """Advance one slot and return the C-state an eager build would have
+    produced at that moment."""
+    before = controller.cstate
+    pending = controller.pending_mode
+    position = before.medl_position % controller.medl.slot_count + 1
+    expected = CState(global_time=(before.global_time + 1) % (1 << 16),
+                      medl_position=position,
+                      membership=controller.view.membership_set(),
+                      dmc_mode=0 if pending is None else pending + 1)
+    controller._advance_slot()
+    return expected
+
+
+def integrated_controller(global_time, position, members):
+    controller, _ = make_controller()
+    controller.state = ControllerStateName.PASSIVE
+    controller.slot = position
+    controller.cstate = CState(global_time=global_time,
+                               medl_position=position,
+                               membership=frozenset(members))
+    controller.view.assign(members)
+    return controller
+
+
+def assert_same_cstate(lazy, eager):
+    assert lazy == eager
+    assert lazy.membership_word() == eager.membership_word()
+
+
+def test_lazy_cstate_global_time_wraps():
+    controller = integrated_controller((1 << 16) - 1, 3, {1, 3})
+    expected = eager_advance(controller)
+    assert expected.global_time == 0
+    assert_same_cstate(controller.cstate, expected)
+
+
+def test_lazy_cstate_position_wraps_at_slot_count():
+    controller = integrated_controller(10, 4, {1, 2, 4})
+    expected = eager_advance(controller)
+    assert expected.medl_position == 1
+    assert_same_cstate(controller.cstate, expected)
+    assert controller.slot == 1
+
+
+def test_lazy_cstate_dmc_follows_pending_mode():
+    controller = integrated_controller(10, 3, {3})
+    for pending, wire in ((None, 0), (0, 1), (2, 3)):
+        controller.pending_mode = pending
+        expected = eager_advance(controller)
+        assert expected.dmc_mode == wire
+        assert_same_cstate(controller.cstate, expected)
+
+
+def test_lazy_cstate_is_cached_until_the_next_advance():
+    controller = integrated_controller(10, 3, {1, 3})
+    controller._advance_slot()
+    snapshot = controller.cstate
+    assert controller.cstate is snapshot
+    controller._advance_slot()
+    assert controller.cstate is not snapshot
+    assert controller.cstate.global_time == 12
+
+
+def test_judging_a_later_slot_keeps_the_snapshot_membership():
+    controller = integrated_controller(10, 3, {1, 3, 4})
+    expected = eager_advance(controller)  # now judging slot 4
+    members = expected.membership
+    word = expected.membership_word()
+    # Slot 4 stays silent: the judge drops it from the view, but the
+    # C-state snapshot still carries the advance-time membership.
+    controller._judge_completed_slot([])
+    assert not controller.view.is_member(4)
+    assert controller.cstate.membership == members
+    assert controller.cstate.membership_word() == word
+    assert_same_cstate(controller.cstate, expected)
+
+
+def shared_mailbox(cstate, bad0=False, bad1=False):
+    frame = IFrame(sender_slot=cstate.medl_position, cstate=cstate)
+    transmission = Transmission(frame=frame, source="C", start_time=0.0,
+                                duration=1.0)
+    return [(0, transmission, bad0), (1, transmission, bad1)]
+
+
+def test_fast_judge_compares_against_an_assigned_cstate():
+    controller = integrated_controller(10, 3, {1, 2})
+    controller._advance_slot()
+    # The assignment replaces the advanced C-state wholesale.
+    controller.cstate = CState(global_time=5, medl_position=3)
+    controller.slot = 3
+    good = CState(global_time=5, medl_position=3,
+                  membership=frozenset({1, 2, 3}))
+    controller._judge_completed_slot(shared_mailbox(good))
+    assert controller.view.is_member(3)
+    assert controller.view.counters.agreed == 1
+
+    stale = CState(global_time=11, medl_position=3,
+                   membership=frozenset({1, 2, 3}))
+    controller._judge_completed_slot(shared_mailbox(stale))
+    assert not controller.view.is_member(3)
+    assert controller.view.counters.failed == 1
+
+
+def test_shared_replica_with_one_clean_copy_is_correct():
+    """A transmission forwarded on both channels is judged per copy when
+    only one copy is corrupted."""
+    good = CState(global_time=5, medl_position=3,
+                  membership=frozenset({1, 2, 3}))
+    for bad0, bad1 in ((True, False), (False, True)):
+        controller = integrated_controller(5, 3, {1, 2})
+        controller._judge_completed_slot(shared_mailbox(good, bad0, bad1))
+        assert controller.view.counters.agreed == 1
+    controller = integrated_controller(5, 3, {1, 2})
+    controller._judge_completed_slot(shared_mailbox(good, True, True))
+    assert controller.view.counters.failed == 1
 
 
 # -- DMC wire encoding ---------------------------------------------------------------

@@ -8,7 +8,11 @@ folds the mailbox into :class:`FrameObservation` values and runs
 controller in the same state.  The inputs are random mailboxes (0-3
 transmissions per channel, corrupted copies, signal shapes inside and
 outside the receiver tolerance) carrying C-states whose memberships range
-over slots 1..64, across the 16-bit boundaries of the wire field.
+over slots 1..64, across the 16-bit boundaries of the wire field.  Half
+of them carry one shared transmission on both channels, the way the star
+forwards a frame, with independently drawn corruption flags: the fast
+judge reuses channel 0's verdict for such a replica only when both
+copies are equally corrupted.
 """
 
 from hypothesis import given, settings
@@ -83,28 +87,38 @@ def judge_inputs(draw):
         return CState(global_time=time, medl_position=pos,
                       membership=membership, dmc_mode=dmc_mode)
 
+    def transmission():
+        frame_type = draw(st.sampled_from((IFrame, NFrame, XFrame)))
+        cstate = frame_cstate()
+        if frame_type is XFrame and SLOTS in cstate.membership:
+            # The X-frame's fixed C-state field stops at slot 63.
+            frame_type = IFrame
+        if frame_type is XFrame:
+            bits = tuple(draw(st.lists(st.integers(0, 1), max_size=4)))
+            frame = XFrame(sender_slot=position, cstate=cstate,
+                           data_bits=bits)
+        else:
+            frame = frame_type(sender_slot=position, cstate=cstate)
+        shape = SignalShape(
+            level=draw(st.sampled_from((1.0, 0.6, 0.5, 0.4, 0.0))),
+            timing_offset=draw(st.sampled_from(
+                (0.0, 0.5, -1.0, 1.0, 1.5, -2.0))))
+        return Transmission(frame=frame, source="X", start_time=0.0,
+                            duration=1.0, shape=shape)
+
     mailbox = []
+    if draw(st.booleans()):
+        # The star forwards one transmission object on both channels;
+        # each channel corrupts its copy independently.
+        shared = transmission()
+        mailbox.append((0, shared, draw(st.booleans())))
+        mailbox.append((1, shared, draw(st.booleans())))
+        extra = 1
+    else:
+        extra = 3
     for channel in (0, 1):
-        for _ in range(draw(st.integers(0, 3))):
-            frame_type = draw(st.sampled_from((IFrame, NFrame, XFrame)))
-            cstate = frame_cstate()
-            if frame_type is XFrame and SLOTS in cstate.membership:
-                # The X-frame's fixed C-state field stops at slot 63.
-                frame_type = IFrame
-            if frame_type is XFrame:
-                bits = tuple(draw(st.lists(st.integers(0, 1), max_size=4)))
-                frame = XFrame(sender_slot=position, cstate=cstate,
-                               data_bits=bits)
-            else:
-                frame = frame_type(sender_slot=position, cstate=cstate)
-            shape = SignalShape(
-                level=draw(st.sampled_from((1.0, 0.6, 0.5, 0.4, 0.0))),
-                timing_offset=draw(st.sampled_from(
-                    (0.0, 0.5, -1.0, 1.0, 1.5, -2.0))))
-            transmission = Transmission(frame=frame, source="X",
-                                        start_time=0.0, duration=1.0,
-                                        shape=shape)
-            mailbox.append((channel, transmission, draw(st.booleans()), 0.0))
+        for _ in range(draw(st.integers(0, extra))):
+            mailbox.append((channel, transmission(), draw(st.booleans())))
     mailbox = draw(st.permutations(mailbox))
     return {
         "members": receiver_members,
