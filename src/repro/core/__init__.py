@@ -14,22 +14,21 @@ Three pieces:
 * :mod:`repro.core.tradeoffs` -- design-space exploration combining both.
 """
 
-from repro.core.authority import AuthorityFeatures, CouplerAuthority
-from repro.core.buffer_analysis import (
-    BufferConstraints,
-    clock_ratio_limit,
-    max_delta_rho,
-    max_frame_bits,
-    maximum_buffer_bits,
-    minimum_buffer_bits,
-)
-from repro.core.tradeoffs import DesignPoint, evaluate_design, explore_design_space
+import importlib
 
-#: Names resolved on first access (PEP 562), so importing ``repro.core``
-#: -- as every simulator module does, through ``repro.core.authority`` --
-#: does not load the model checker.
-_LAZY_EXPORTS = ("VerificationResult", "verify_all_authorities",
-                 "verify_authority")
+#: Submodule of each public name, resolved on first access (PEP 562), so
+#: importing ``repro.core`` -- as every simulator module does, through
+#: ``repro.core.authority`` -- loads neither the model checker nor the
+#: buffer analysis.
+_EXPORTS = {name: module for module, names in (
+    ("authority", ("AuthorityFeatures", "CouplerAuthority")),
+    ("buffer_analysis", ("BufferConstraints", "clock_ratio_limit",
+                         "max_delta_rho", "max_frame_bits",
+                         "maximum_buffer_bits", "minimum_buffer_bits")),
+    ("tradeoffs", ("DesignPoint", "evaluate_design", "explore_design_space")),
+    ("verification", ("VerificationResult", "verify_all_authorities",
+                      "verify_authority")),
+) for name in names}
 
 __all__ = [
     "AuthorityFeatures",
@@ -50,8 +49,7 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    if name not in _LAZY_EXPORTS:
+    module = _EXPORTS.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from repro.core import verification
-
-    return getattr(verification, name)
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

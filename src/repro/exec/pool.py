@@ -7,7 +7,8 @@ wrapped in :func:`run_task_enveloped`, tell pool failures from task
 failures with ``_POOL_FAILURES``, and size their pools with
 :func:`available_cpus`.  They live here, beside the runner, so that the
 simulator commands, which fan out through :class:`TaskRunner`, never
-import the model checker.
+import the model checker.  ``_POOL_FAILURES`` resolves on first access,
+so a serial run never loads ``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -17,22 +18,6 @@ import pickle
 import traceback
 from pickle import PicklingError
 from typing import Any, Callable, Optional, Tuple
-
-#: Exception types that indicate the *pool* (not the task) failed: the
-#: work could not be pickled, worker processes could not be spawned, or
-#: the pool broke mid-flight.  Task bodies run inside
-#: :func:`run_task_enveloped`, which captures their exceptions and ships
-#: them back as data -- so an exception of one of these types escaping
-#: the pool machinery can only come from the infrastructure itself
-#: (pickling raises ``PicklingError``/``TypeError``/``AttributeError``
-#: depending on the payload), never from user task code.
-_POOL_FAILURES: Tuple[type, ...] = (PicklingError, AttributeError, TypeError,
-                                    ImportError, OSError)
-try:  # BrokenProcessPool subclasses RuntimeError, not OSError.
-    from concurrent.futures.process import BrokenProcessPool
-    _POOL_FAILURES = _POOL_FAILURES + (BrokenProcessPool,)
-except ImportError:  # pragma: no cover - always present on CPython >= 3.3
-    pass
 
 
 class RemoteTraceback(Exception):
@@ -91,3 +76,25 @@ def available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
+
+
+def __getattr__(name: str) -> Any:
+    """``_POOL_FAILURES``: exception types that indicate the *pool* (not
+    the task) failed -- the work could not be pickled, worker processes
+    could not be spawned, or the pool broke mid-flight.
+
+    Task bodies run inside :func:`run_task_enveloped`, which captures
+    their exceptions and ships them back as data -- so an exception of
+    one of these types escaping the pool machinery can only come from the
+    infrastructure itself (pickling raises ``PicklingError``/
+    ``TypeError``/``AttributeError`` depending on the payload), never
+    from user task code.  Built on first access (PEP 562), by the code
+    that is about to build a pool.
+    """
+    if name != "_POOL_FAILURES":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # BrokenProcessPool subclasses RuntimeError, not OSError.
+    from concurrent.futures.process import BrokenProcessPool
+
+    return (PicklingError, AttributeError, TypeError, ImportError, OSError,
+            BrokenProcessPool)

@@ -38,19 +38,17 @@ failure changes *when* a result arrives, never *what* it is.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Tuple)
 
 from repro.exec.checkpoint import CheckpointStore
-from repro.exec.pool import _POOL_FAILURES, available_cpus, run_task_enveloped
+from repro.exec.pool import available_cpus, run_task_enveloped
 from repro.obs.events import (CheckpointWritten, TaskFailed, TaskRetried,
                               TaskStarted)
 
-try:
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover - always present on CPython >= 3.3
-    BrokenProcessPool = None  # type: ignore[assignment,misc]
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: ``TaskResult.status`` values.
 TASK_OK = "ok"
@@ -361,6 +359,10 @@ class TaskRunner:
                     attempts: Dict[int, int], failures: Dict[int, int],
                     store: Optional[CheckpointStore], epoch: float) -> int:
         """Generational pool loop; returns the number of pool rebuilds."""
+        # Imported here, not at module level: a serial run never loads
+        # concurrent.futures.process and, with it, multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         rebuilds = 0
         while True:
             pending = [index for index in range(len(task_list))
@@ -428,6 +430,11 @@ class TaskRunner:
         the retry budget; tasks lost to a crash or submission failure are
         left unfinished for the caller to reschedule.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.exec.pool import _POOL_FAILURES
+
         info: Dict[Any, Tuple[int, float]] = {}
         crashed = False
         submission_failed = False
@@ -461,8 +468,7 @@ class TaskRunner:
                         status, value, remote_tb = future.result()
                     except _POOL_FAILURES as failure:
                         text = f"{type(failure).__name__}: {failure}"
-                        if (BrokenProcessPool is not None
-                                and isinstance(failure, BrokenProcessPool)):
+                        if isinstance(failure, BrokenProcessPool):
                             # Worker died: this task and everything still
                             # waiting is lost; the caller rebuilds the pool
                             # and re-submits only these unfinished tasks.

@@ -8,9 +8,16 @@
   topologies and tabulates containment vs. propagation (EXP-S2).
 """
 
-from repro.faults.campaign import CampaignResult, InjectionOutcome, run_campaign
-from repro.faults.injector import apply_fault
-from repro.faults.types import FaultDescriptor, FaultSite, FaultType
+import importlib
+
+#: Submodule of each public name, resolved on first access (PEP 562):
+#: the generated-cluster sweep applies faults through
+#: :mod:`repro.faults.injector` and never loads the campaign.
+_EXPORTS = {name: module for module, names in (
+    ("campaign", ("CampaignResult", "InjectionOutcome", "run_campaign")),
+    ("injector", ("apply_fault",)),
+    ("types", ("FaultDescriptor", "FaultSite", "FaultType")),
+) for name in names}
 
 __all__ = [
     "CampaignResult",
@@ -21,3 +28,10 @@ __all__ = [
     "apply_fault",
     "run_campaign",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

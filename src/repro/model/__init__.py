@@ -19,14 +19,18 @@ full-shifting authority level).
   experiment (EXP-V1, EXP-T1, EXP-T2).
 """
 
-from repro.model.config import ModelConfig
-from repro.model.properties import no_clique_freeze, property_description
-from repro.model.scenarios import (
-    scenario_for_authority,
-    trace1_scenario,
-    trace2_scenario,
-)
-from repro.model.system_model import TTAStartupModel
+import importlib
+
+#: Submodule of each public name, resolved on first access (PEP 562), so
+#: importing :mod:`repro.model.scenarios` -- as the conformance replays
+#: do -- does not load the transition system and the model checker.
+_EXPORTS = {name: module for module, names in (
+    ("config", ("ModelConfig",)),
+    ("properties", ("no_clique_freeze", "property_description")),
+    ("scenarios", ("scenario_for_authority", "trace1_scenario",
+                   "trace2_scenario")),
+    ("system_model", ("TTAStartupModel",)),
+) for name in names}
 
 __all__ = [
     "ModelConfig",
@@ -37,3 +41,10 @@ __all__ = [
     "trace1_scenario",
     "trace2_scenario",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

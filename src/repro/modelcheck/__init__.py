@@ -19,25 +19,22 @@ violation found is at minimum depth).
 * :mod:`repro.modelcheck.trace` -- counterexample rendering.
 """
 
-from repro.modelcheck.checker import (
-    CheckResult,
-    DeadlockSearchResult,
-    InvariantChecker,
-    check_invariant,
-)
-from repro.modelcheck.encode import (
-    PackedSystemAdapter,
-    StateCodec,
-    compile_packed_invariant,
-)
-from repro.modelcheck.model import Transition, TransitionSystem
-from repro.modelcheck.parallel import (
-    ParallelVerifier,
-    monte_carlo_parallel,
-    verify_authorities_parallel,
-)
-from repro.modelcheck.state import StateSpace, StateView, Variable
-from repro.modelcheck.trace import Trace, TraceStep, render_trace
+import importlib
+
+#: Submodule of each public name, resolved on first access (PEP 562), so
+#: importing a leaf such as :mod:`repro.modelcheck.state` does not load
+#: the BFS engines and the process pools.
+_EXPORTS = {name: module for module, names in (
+    ("checker", ("CheckResult", "DeadlockSearchResult", "InvariantChecker",
+                 "check_invariant")),
+    ("encode", ("PackedSystemAdapter", "StateCodec",
+                "compile_packed_invariant")),
+    ("model", ("Transition", "TransitionSystem")),
+    ("parallel", ("ParallelVerifier", "monte_carlo_parallel",
+                  "verify_authorities_parallel")),
+    ("state", ("StateSpace", "StateView", "Variable")),
+    ("trace", ("Trace", "TraceStep", "render_trace")),
+) for name in names}
 
 __all__ = [
     "CheckResult",
@@ -59,3 +56,10 @@ __all__ = [
     "render_trace",
     "verify_authorities_parallel",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -186,9 +186,9 @@ class Channel:
         active.append(transmission)
         monitor = self.monitor
         if monitor is not None:
-            # Built via __new__ + __dict__: the frozen-dataclass __init__
-            # routes every field through object.__setattr__, which the two
-            # per-transmission emits turn into a measurable hot-path cost.
+            # Built via __new__ + __dict__: the Event constructor's
+            # argument checks, paid by the two per-transmission emits,
+            # are a measurable hot-path cost.
             event = object.__new__(obs_events.TxStart)
             details = event.__dict__
             details["time"] = now

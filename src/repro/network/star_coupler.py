@@ -423,9 +423,9 @@ class StarCoupler:
     def _emit(self, event_cls, **details) -> None:
         monitor = self.monitor
         if monitor is not None:
-            # __new__ + __dict__ skips the frozen-dataclass __init__ (one
-            # object.__setattr__ per field); unset detail fields fall back
-            # to their class-level dataclass defaults.
+            # __new__ + __dict__ skips the Event constructor and its
+            # argument checks; unset detail fields fall back to their
+            # class-level defaults.
             event = object.__new__(event_cls)
             fields = event.__dict__
             fields["time"] = self.sim.now

@@ -59,23 +59,81 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, List, Optional, Type
+from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Event:
-    """Base of every typed event: when it happened and who emitted it."""
+    """Base of every typed event: when it happened and who emitted it.
+
+    Event kinds declare fields only.  The methods a frozen dataclass
+    would generate for each kind -- constructor, ``__eq__``, ``__hash__``,
+    ``__repr__`` and the frozen guard -- are written once here, over the
+    class's ``_names``; generating them per kind was the largest import
+    cost of a simulator command.  Unset details are not stored on the
+    instance but read through to the class defaults, exactly as in an
+    event an emit site builds by ``object.__new__`` and a ``__dict__``
+    fill.
+    """
 
     kind: ClassVar[str] = "event"
+    #: Field names in declaration order: time, source, then the details.
+    #: Set per kind by ``_register``.  Unannotated, so neither a field nor
+    #: a type hint.
+    _names = ("time", "source")
 
     time: float
     source: str
 
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        cls = type(self)
+        names = self._names
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} positional "
+                            f"arguments but {len(args)} were given")
+        values = self.__dict__
+        values.update(zip(names, args))
+        for name, value in kwargs.items():
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for "
+                                f"argument {name!r}")
+            if name not in names:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword "
+                                f"argument {name!r}")
+            values[name] = value
+        if len(values) < len(names):
+            missing = [name for name in names
+                       if name not in values and not hasattr(cls, name)]
+            if missing:
+                raise TypeError(f"{cls.__name__}() missing required "
+                                f"argument(s): {', '.join(map(repr, missing))}")
+
+    def _values(self) -> Tuple[Any, ...]:
+        return tuple([getattr(self, name) for name in self._names])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._names)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
     @property
     def details(self) -> Dict[str, Any]:
         """The event's detail fields as a plain dict (time/source excluded)."""
-        return {entry.name: getattr(self, entry.name)
-                for entry in fields(self) if entry.name not in ("time", "source")}
+        return {name: getattr(self, name) for name in self._names[2:]}
 
     def describe(self) -> str:
         """Single-line human-readable rendering."""
@@ -137,6 +195,7 @@ EVENT_TYPES: Dict[str, Type[Event]] = {}
 def _register(cls: Type[Event]) -> Type[Event]:
     if cls.kind in EVENT_TYPES:
         raise ValueError(f"duplicate event kind {cls.kind!r}")
+    cls._names = tuple(entry.name for entry in fields(cls))
     EVENT_TYPES[cls.kind] = cls
     return cls
 
@@ -145,7 +204,7 @@ def _register(cls: Type[Event]) -> Type[Event]:
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class StateChange(Event):
     """The controller entered a protocol state (paper Section 4.3 names)."""
 
@@ -154,7 +213,7 @@ class StateChange(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Integrated(Event):
     """The node joined the cluster, via a cold-start or C-state frame."""
 
@@ -164,7 +223,7 @@ class Integrated(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Activated(Event):
     """The node acquired sending rights; ``round_start`` anchors its grid."""
 
@@ -173,7 +232,7 @@ class Activated(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Freeze(Event):
     """The controller entered the freeze state."""
 
@@ -183,7 +242,7 @@ class Freeze(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class ColdStartGrid(Event):
     """A cold-starter proposed a TDMA grid starting at ``round_start``."""
 
@@ -192,7 +251,7 @@ class ColdStartGrid(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class CliqueTest(Event):
     """Outcome of the once-per-round clique-avoidance test."""
 
@@ -201,7 +260,7 @@ class CliqueTest(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class AckFailure(Event):
     """Two successors denied our membership: explicit-ack send fault."""
 
@@ -210,7 +269,7 @@ class AckFailure(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class SlotFailed(Event):
     """A judged slot failed; diagnostic snapshot for campaign forensics."""
 
@@ -225,7 +284,7 @@ class SlotFailed(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class FrameSent(Event):
     """A scheduled frame left the controller."""
 
@@ -235,7 +294,7 @@ class FrameSent(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class ModeRequest(Event):
     """Host requested a deferred mode change."""
 
@@ -244,7 +303,7 @@ class ModeRequest(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class DmcLatched(Event):
     """A mode-change request heard on the bus was latched."""
 
@@ -253,7 +312,7 @@ class DmcLatched(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class ModeChange(Event):
     """The cluster switched operating modes at a round boundary."""
 
@@ -262,7 +321,7 @@ class ModeChange(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Babble(Event):
     """Babbling-idiot fault traffic outside the node's own slot."""
 
@@ -271,7 +330,7 @@ class Babble(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class MasqueradeSend(Event):
     """A forged cold-start frame claiming another node's slot."""
 
@@ -280,7 +339,7 @@ class MasqueradeSend(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class CollisionJam(Event):
     """An attacker drove a deliberately overlapping transmission.
 
@@ -294,7 +353,7 @@ class CollisionJam(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class ByzantineTick(Event):
     """A Byzantine clock applied its deviation pattern this round."""
 
@@ -304,7 +363,7 @@ class ByzantineTick(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class SyncRound(Event):
     """Per-round clock-sync verdict: the applied FTA correction.
 
@@ -318,7 +377,7 @@ class SyncRound(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class FaultActivated(Event):
     """An injected node fault shaped wire traffic for the first time."""
 
@@ -330,7 +389,7 @@ class FaultActivated(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class TxStart(Event):
     """A transmission started driving a medium."""
 
@@ -340,7 +399,7 @@ class TxStart(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class TxComplete(Event):
     """A transmission completed and was delivered to the receivers."""
 
@@ -351,7 +410,7 @@ class TxComplete(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class TxDropped(Event):
     """A passive channel fault dropped a completed transmission."""
 
@@ -363,7 +422,7 @@ class TxDropped(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class BlockedByFault(Event):
     """A block-all guardian fault stopped its node's transmission."""
 
@@ -372,7 +431,7 @@ class BlockedByFault(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class BlockedOutOfWindow(Event):
     """A transmission arrived outside the sender's transmit window."""
 
@@ -381,7 +440,7 @@ class BlockedOutOfWindow(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class BlockedSemantic(Event):
     """Semantic analysis (port or C-state check) rejected a frame."""
 
@@ -390,7 +449,7 @@ class BlockedSemantic(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class UplinkSilenced(Event):
     """A silent-coupler fault swallowed an uplink transmission."""
 
@@ -399,7 +458,7 @@ class UplinkSilenced(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class OutOfSlotReplay(Event):
     """A full-shifting coupler replayed its buffered frame out of slot."""
 
@@ -409,7 +468,7 @@ class OutOfSlotReplay(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class BufferOccupancy(Event):
     """A full-shifting coupler stored a whole frame in its buffer."""
 
@@ -422,7 +481,7 @@ class BufferOccupancy(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class FaultInjected(Event):
     """A fault descriptor was wired into the cluster under simulation."""
 
@@ -435,7 +494,7 @@ class FaultInjected(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class DecentralizedVerdict(Event):
     """One node monitor's locally inferred verdict (export stream).
 
@@ -461,7 +520,7 @@ class DecentralizedVerdict(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class TaskStarted(Event):
     """A runner task attempt began (``attempt`` counts from 1)."""
 
@@ -471,7 +530,7 @@ class TaskStarted(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class TaskRetried(Event):
     """A failed task attempt was re-queued; ``reason`` is the failure
     class (``exception`` | ``timeout`` | ``worker-crash``)."""
@@ -484,7 +543,7 @@ class TaskRetried(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class TaskFailed(Event):
     """A task exhausted its retry budget and permanently failed."""
 
@@ -496,7 +555,7 @@ class TaskFailed(Event):
 
 
 @_register
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class CheckpointWritten(Event):
     """A finished task's result was persisted to the JSONL checkpoint."""
 

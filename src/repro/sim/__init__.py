@@ -14,11 +14,19 @@ dependency is used):
 The public names below are the stable API; everything else is internal.
 """
 
-from repro.sim.clock import ClockConfig, DriftingClock, ppm_to_rate, relative_rate_difference
-from repro.sim.engine import Event, SimulationError, Simulator
-from repro.sim.monitor import TraceMonitor, TraceRecord
-from repro.sim.process import Interrupt, Process, ProcessDied, Signal, Timeout
-from repro.sim.rng import RandomStream
+import importlib
+
+#: Submodule of each public name, resolved on first access (PEP 562), so
+#: a simulator module importing :mod:`repro.sim.engine` does not load the
+#: generator-based processes it never runs.
+_EXPORTS = {name: module for module, names in (
+    ("clock", ("ClockConfig", "DriftingClock", "ppm_to_rate",
+               "relative_rate_difference")),
+    ("engine", ("Event", "SimulationError", "Simulator")),
+    ("monitor", ("TraceMonitor", "TraceRecord")),
+    ("process", ("Interrupt", "Process", "ProcessDied", "Signal", "Timeout")),
+    ("rng", ("RandomStream",)),
+) for name in names}
 
 __all__ = [
     "ClockConfig",
@@ -37,3 +45,10 @@ __all__ = [
     "ppm_to_rate",
     "relative_rate_difference",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -1264,9 +1264,9 @@ class TTPController:
     def _emit(self, event_cls, **details) -> None:
         monitor = self.monitor
         if monitor is not None:
-            # Built via __new__ + __dict__ (the frozen-dataclass __init__
-            # routes every field through object.__setattr__); unset detail
-            # fields fall back to their class-level dataclass defaults.
+            # Built via __new__ + __dict__, skipping the Event constructor
+            # and its argument checks; unset detail fields fall back to
+            # their class-level defaults.
             event = object.__new__(event_cls)
             fields = event.__dict__
             fields["time"] = self.sim.now
