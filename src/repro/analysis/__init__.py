@@ -8,17 +8,22 @@
   benchmarks and the CLI.
 """
 
-from repro.analysis.examples import (
-    WorkedExample,
-    eq5_commodity_delta_rho,
-    eq6_max_frame,
-    eq8_minimal_protocol_delta_rho,
-    eq9_max_xframe_delta_rho,
-    worked_examples,
-)
-from repro.analysis.figure3 import Figure3Point, figure3_series, figure3_reference_points
-from repro.analysis.sweep import sweep_1d, sweep_2d
-from repro.analysis.tables import format_table
+import importlib
+
+#: Submodule of each public name.  Names resolve on first access
+#: (PEP 562), so the CLI's table helper does not load the buffer
+#: analysis behind the worked examples and Figure 3.
+_EXPORTS = {name: module for module, names in (
+    ("examples", (
+        "WorkedExample", "eq5_commodity_delta_rho", "eq6_max_frame",
+        "eq8_minimal_protocol_delta_rho", "eq9_max_xframe_delta_rho",
+        "worked_examples",
+    )),
+    ("figure3", ("Figure3Point", "figure3_reference_points",
+                 "figure3_series")),
+    ("sweep", ("sweep_1d", "sweep_2d")),
+    ("tables", ("format_table",)),
+) for name in names}
 
 __all__ = [
     "Figure3Point",
@@ -34,3 +39,10 @@ __all__ = [
     "sweep_2d",
     "worked_examples",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -19,9 +19,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.examples import worked_examples
-from repro.analysis.figure3 import figure3_reference_points, figure3_series
-from repro.analysis.sweep import geometric_range
 from repro.analysis.tables import format_table
 from repro.core.authority import CouplerAuthority
 
@@ -31,8 +28,8 @@ ENGINE_CHOICES = ("auto", "packed", "vectorized")
 ENGINE_HELP = ("BFS engine (default: auto = the exact array engine when "
                "numpy imports and the model's node blocks fit uint64 "
                "words, else packed; packed = scalar integer-state search; "
-               "vectorized = the array engine with symmetry reduction and "
-               "--jobs frontier sharding)")
+               "vectorized = the array engine with --jobs frontier "
+               "sharding)")
 
 
 def _positive_int(text: str) -> int:
@@ -80,7 +77,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     results = verify_all_authorities(slots=args.slots, engine=args.engine,
                                      jobs=args.jobs,
-                                     symmetry=not args.no_symmetry,
                                      **_resilience_kwargs(args))
     rows = []
     for authority, result in results.items():
@@ -112,6 +108,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_analysis(_args: argparse.Namespace) -> int:
+    from repro.analysis.examples import worked_examples
+
     rows = []
     for example in worked_examples():
         rows.append((example.equation, example.description,
@@ -124,6 +122,9 @@ def _cmd_analysis(_args: argparse.Namespace) -> int:
 
 
 def _cmd_figure3(args: argparse.Namespace) -> int:
+    from repro.analysis.figure3 import figure3_reference_points, figure3_series
+    from repro.analysis.sweep import geometric_range
+
     f_max_values = geometric_range(args.f_min, args.f_max_limit, args.points)
     series = figure3_series(args.f_min, f_max_values)
     rows = [(f"{point.f_max:.0f}", f"{point.ratio_limit:.4f}") for point in series]
@@ -472,8 +473,7 @@ def _cmd_conform(args: argparse.Namespace) -> int:
     all_conform = True
     for name in names:
         scenario = SCENARIOS[name]
-        result = verify_config(scenario.model_config(), engine=args.engine,
-                               symmetry=not args.no_symmetry)
+        result = verify_config(scenario.model_config(), engine=args.engine)
         if result.counterexample is None:
             print(f"{name}: model produced no counterexample to replay")
             all_conform = False
@@ -509,10 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "instead (default: serial)")
     verify.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
                         help=ENGINE_HELP)
-    verify.add_argument("--no-symmetry", action="store_true",
-                        dest="no_symmetry",
-                        help="disable the vectorized engine's rotational "
-                             "symmetry reduction even where it is sound")
     _add_resilience_flags(verify)
     verify.set_defaults(func=_cmd_verify)
 
@@ -601,10 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="which paper counterexample to replay")
     conform.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
                          help=ENGINE_HELP)
-    conform.add_argument("--no-symmetry", action="store_true",
-                         dest="no_symmetry",
-                         help="disable the vectorized engine's rotational "
-                              "symmetry reduction even where it is sound")
     conform.add_argument("--jsonl", default=None,
                          help="also export the DES event stream to this "
                               "file (per-scenario suffix with 'all')")

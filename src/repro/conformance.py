@@ -329,15 +329,12 @@ SCENARIOS: Dict[str, ReplayScenario] = {
 
 
 def conform_scenario(name: str, engine: str = "auto",
-                     trace: Optional[Trace] = None,
-                     symmetry: bool = True) -> ConformanceReport:
+                     trace: Optional[Trace] = None) -> ConformanceReport:
     """Replay one paper counterexample on the DES and check agreement.
 
     Model-checks the scenario's configuration (unless a ``trace`` is
     supplied), runs the tuned DES realization, abstracts its event stream,
-    and returns the slot-level agreement report.  ``symmetry`` reaches
-    the vectorized engine's symmetry reduction; the replayed trace is
-    always a concrete (de-canonicalized) run.
+    and returns the slot-level agreement report.
     """
     try:
         scenario = SCENARIOS[name]
@@ -347,8 +344,7 @@ def conform_scenario(name: str, engine: str = "auto",
     if trace is None:
         from repro.core.verification import verify_config
 
-        result = verify_config(scenario.model_config(), engine=engine,
-                               symmetry=symmetry)
+        result = verify_config(scenario.model_config(), engine=engine)
         if result.counterexample is None:
             raise RuntimeError(f"scenario {name!r} produced no counterexample "
                                "to replay")

@@ -67,18 +67,15 @@ class VerificationResult:
 def verify_config(config: ModelConfig,
                   max_states: Optional[int] = None,
                   engine: str = "auto",
-                  symmetry: bool = True,
                   jobs: Optional[int] = None) -> VerificationResult:
     """Model-check the Section 5.1 property on an explicit configuration.
 
-    ``symmetry`` and ``jobs`` only apply to the vectorized engine:
-    symmetry reduction when provably sound, and intra-check frontier
-    sharding across ``jobs`` workers (see
-    :mod:`repro.modelcheck.shard`).
+    ``jobs`` only applies to the vectorized engine: intra-check frontier
+    sharding across ``jobs`` workers (see :mod:`repro.modelcheck.shard`).
     """
     system = TTAStartupModel(config)
     checker = InvariantChecker(system, max_states=max_states, engine=engine,
-                               symmetry=symmetry, jobs=jobs)
+                               jobs=jobs)
     check = checker.check(no_clique_freeze(config))
     return VerificationResult(authority=config.authority, config=config,
                               check=check)
@@ -89,20 +86,18 @@ def verify_authority(authority: CouplerAuthority,
                      out_of_slot_budget: Optional[int] = 1,
                      max_states: Optional[int] = None,
                      engine: str = "auto",
-                     symmetry: bool = True,
                      jobs: Optional[int] = None) -> VerificationResult:
     """Model-check the property for one coupler authority level."""
     config = scenario_for_authority(authority, slots=slots,
                                     out_of_slot_budget=out_of_slot_budget)
     return verify_config(config, max_states=max_states, engine=engine,
-                         symmetry=symmetry, jobs=jobs)
+                         jobs=jobs)
 
 
 def verify_all_authorities(slots: int = 4,
                            out_of_slot_budget: Optional[int] = 1,
                            engine: str = "auto",
                            jobs: Optional[int] = None,
-                           symmetry: bool = True,
                            retries: int = 0,
                            task_timeout: Optional[float] = None,
                            checkpoint: Optional[str] = None,
@@ -140,7 +135,7 @@ def verify_all_authorities(slots: int = 4,
         return {authority: verify_authority(
                     authority, slots=slots,
                     out_of_slot_budget=out_of_slot_budget, engine=engine,
-                    symmetry=symmetry, jobs=jobs)
+                    jobs=jobs)
                 for authority in all_authorities()}
     if runner is not None or (jobs is not None and jobs != 1):
         from repro.modelcheck.parallel import verify_authorities_parallel
@@ -152,18 +147,6 @@ def verify_all_authorities(slots: int = 4,
                                         out_of_slot_budget=out_of_slot_budget,
                                         engine=engine)
             for authority in all_authorities()}
-
-
-def cross_validate(scenario: str = "trace1", engine: str = "auto",
-                   symmetry: bool = True):
-    """EXP-S3: replay a paper counterexample on the DES cluster and check
-    slot-level agreement (see :mod:`repro.conformance`).
-
-    Returns a :class:`repro.conformance.ConformanceReport`.
-    """
-    from repro.conformance import conform_scenario
-
-    return conform_scenario(scenario, engine=engine, symmetry=symmetry)
 
 
 def expected_verdicts() -> Dict[CouplerAuthority, bool]:

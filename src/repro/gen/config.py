@@ -185,6 +185,23 @@ class FaultMix:
         return cls(**data)
 
 
+#: The JSON type each scalar :class:`GenConfig` field must carry.  A
+#: bool is never an int here, and ``float`` also admits ints and None.
+_SCALAR_TYPES = {
+    "name": str, "topology": str, "authority": str, "node_prefix": str,
+    "nodes": int, "seed": int, "modes": int, "payload_frame_bits": int,
+    "shuffle_slots": bool, "slot_duration": float,
+}
+
+
+def _has_json_type(value, expected: type) -> bool:
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return value is None or isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Everything the cluster generator needs, in one declarative value."""
@@ -265,6 +282,11 @@ class GenConfig:
         if unknown:
             raise ValueError(f"unknown config key(s) {unknown}; valid keys "
                              f"are {sorted(cls.__dataclass_fields__)}")
+        for key, expected in _SCALAR_TYPES.items():
+            if key in data and not _has_json_type(data[key], expected):
+                kind = ("a number or null" if expected is float
+                        else expected.__name__)
+                raise ValueError(f"{key} must be {kind}, got {data[key]!r}")
         if "ppm" in data:
             data["ppm"] = Dist.from_json(data["ppm"])
         for dist_field in ("power_on_delay", "tolerance_threshold",

@@ -61,14 +61,6 @@ class ModelConfig:
     #: last node is powered off, about to be reawakened by its host -- the
     #: paper's "integrating into a running cluster" analysis.
     start_running: bool = False
-    #: Ablation switch: give every node the *same* listen timeout
-    #: (``2 * slots``, the longest legal value) instead of the paper's
-    #: per-node unique ``slots + node_slot``.  The unique timeouts are how
-    #: TTP/C resolves cold-start contention -- and they are also the only
-    #: thing that breaks the model's rotational node symmetry, so this
-    #: flag both demonstrates *why* the timeouts must be unique and turns
-    #: on the checker's symmetry reduction (see modelcheck/symmetry.py).
-    uniform_listen_timeout: bool = False
 
     def __post_init__(self) -> None:
         if self.slots < 2:
@@ -124,12 +116,8 @@ class ModelConfig:
         """Initial listen-timeout of one node, in slots.
 
         Paper Section 4.3.2 assigns each node the unique value
-        ``slots + node_slot``; the :attr:`uniform_listen_timeout` ablation
-        replaces it with the node-independent maximum ``2 * slots`` (still
-        inside the declared timeout domain).
+        ``slots + node_slot``.
         """
         from repro.ttp.startup import listen_timeout_slots
 
-        if self.uniform_listen_timeout:
-            return 2 * self.slots
         return listen_timeout_slots(self.slots, node_id)

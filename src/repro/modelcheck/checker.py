@@ -29,9 +29,8 @@ Three engines share the same search semantics:
   reaches each new state, the per-parent-deduplicated transition count,
   and where ``max_states`` cuts the level.  Under ``engine="auto"`` it
   returns the packed engine's result on every field.  Under
-  ``engine="vectorized"`` it adds opt-in symmetry reduction
-  (:mod:`repro.modelcheck.symmetry`) and frontier sharding
-  (:mod:`repro.modelcheck.shard`), and differs in one count: on a
+  ``engine="vectorized"`` it adds frontier sharding
+  (:mod:`repro.modelcheck.shard`) and differs in one count: on a
   violating level ``states_explored`` includes the whole level (up to
   ``max_states``), not just the states discovered before the violating
   one.
@@ -238,16 +237,11 @@ class InvariantChecker:
     * ``"tuple"`` -- force the classic tuple search (a library option:
       :func:`find_trace_to`, :func:`find_deadlocks` and the EXP-P1
       baseline use it);
-    * ``"vectorized"`` -- the array engine with symmetry reduction and
-      frontier sharding available; on a violating level it counts the
-      whole level in ``states_explored``.  Without numpy or
-      ``packed_geometry`` it *warns and falls back* to the packed engine
-      (the result's ``engine`` field records what actually ran).
-
-    ``symmetry`` (vectorized engine only) enables rotational symmetry
-    reduction when it is provably sound for the model and invariant at
-    hand (see :class:`repro.modelcheck.symmetry.RotationGroup`); pass
-    ``False`` -- the CLI's ``--no-symmetry`` -- to force the full search.
+    * ``"vectorized"`` -- the array engine with frontier sharding
+      available; on a violating level it counts the whole level in
+      ``states_explored``.  Without numpy or ``packed_geometry`` it
+      *warns and falls back* to the packed engine (the result's
+      ``engine`` field records what actually ran).
 
     ``jobs`` (vectorized engine only) shards each large BFS level across
     a worker pool (:class:`repro.modelcheck.shard.FrontierSharder`) --
@@ -262,7 +256,6 @@ class InvariantChecker:
                  progress: Optional[Callable[[int, int], None]] = None,
                  progress_interval: int = 50_000,
                  engine: str = "auto",
-                 symmetry: bool = True,
                  jobs: Optional[int] = None) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; pick one of {ENGINES}")
@@ -274,7 +267,6 @@ class InvariantChecker:
         self.progress = progress
         self.progress_interval = progress_interval
         self.engine = engine
-        self.symmetry = symmetry
         self.jobs = jobs
 
     # -- engine selection ---------------------------------------------------------
@@ -486,14 +478,8 @@ class InvariantChecker:
         with an int32 first-parent row each, so ``max_states`` keeps the
         same prefix the packed loop keeps, the invariant's first hit is
         the packed loop's violating state, and the counterexample is read
-        back through the stored parent rows.  Under symmetry reduction
-        the search runs in the quotient space and the counterexample is
-        mapped back to a concrete run.
+        back through the stored parent rows.
         """
-        from repro.modelcheck.symmetry import (
-            RotationGroup,
-            decanonicalize_trace,
-        )
         from repro.modelcheck.vector import (
             FusedSeenSet,
             LevelDiscovery,
@@ -509,16 +495,12 @@ class InvariantChecker:
                                              tail_scale)
         kernel = model_kernel(system)
         np = kernel.np
-        group = RotationGroup.build(system, invariant=invariant,
-                                    enabled=vectorized and self.symmetry)
-        canonical = None if group.trivial else group.canonicalize
         seen = FusedSeenSet(np) if kernel.fused else SplitSeenSet(np)
         sharder = None
         if vectorized and self.jobs is not None and self.jobs > 1:
             from repro.modelcheck.shard import FrontierSharder
 
-            sharder = FrontierSharder(system, jobs=self.jobs,
-                                      use_symmetry=not group.trivial)
+            sharder = FrontierSharder(system, jobs=self.jobs)
         max_states = self.max_states
         max_depth = self.max_depth
         progress = self.progress
@@ -533,14 +515,10 @@ class InvariantChecker:
                                     [len(codes) for codes in targets])
                 succ_words, succ_tails = kernel.split_codes(
                     [code for codes in targets for code in codes])
-            elif sharder is not None:
+                return succ_words, succ_tails, parents
+            if sharder is not None:
                 return sharder.successor_level(words, tails)
-            else:
-                succ_words, succ_tails, parents = kernel.successor_level(
-                    words, tails, scalar_order=True)
-            if canonical is not None:
-                succ_words, succ_tails = canonical(succ_words, succ_tails)
-            return succ_words, succ_tails, parents
+            return kernel.successor_level(words, tails, scalar_order=True)
 
         #: Per depth: the admitted states and their first-parent rows.
         levels: List[Tuple[Any, Any, Any]] = []
@@ -570,8 +548,6 @@ class InvariantChecker:
                     codes.append(int(words[row]) + int(tails[row]) * tail_scale)
                     row = int(parents[row])
                 codes.reverse()
-                if not group.trivial:
-                    codes = decanonicalize_trace(system, group, codes)
                 trace = self._trace_from_code_chain(system, codes)
             return CheckResult(holds=violating is None,
                                states_explored=(len(seen) if explored is None
@@ -585,8 +561,6 @@ class InvariantChecker:
 
         try:
             words, tails = kernel.split_codes(system.packed_initial_states())
-            if canonical is not None:
-                words, tails = canonical(words, tails)
             level = LevelDiscovery(kernel, seen, words, tails,
                                    np.zeros(len(words), dtype=np.int64))
             depth = 0
@@ -669,12 +643,10 @@ class DeadlockSearchResult:
 def check_invariant(system: TransitionSystem, invariant: Invariant,
                     max_states: Optional[int] = None,
                     max_depth: Optional[int] = None,
-                    engine: str = "auto",
-                    symmetry: bool = True) -> CheckResult:
+                    engine: str = "auto") -> CheckResult:
     """One-shot convenience wrapper over :class:`InvariantChecker`."""
     checker = InvariantChecker(system, max_states=max_states,
-                               max_depth=max_depth, engine=engine,
-                               symmetry=symmetry)
+                               max_depth=max_depth, engine=engine)
     return checker.check(invariant)
 
 

@@ -11,8 +11,7 @@ rows -- so each level is split into contiguous shards, one per worker:
    ``N`` workers map the same pages instead of unpickling ``N`` copies;
 2. each worker attaches, copies *its slice only*, expands it with its own
    :class:`~repro.modelcheck.vector.VectorKernel` in the scalar engine's
-   enumeration order (applying the same symmetry canonicalization, when
-   enabled, worker-side), and returns the shard's edges with parent rows
+   enumeration order, and returns the shard's edges with parent rows
    offset by the shard's start;
 3. the parent concatenates the shards in shard order.  Edges are
    parent-major and shards are contiguous row ranges, so the result is
@@ -50,29 +49,19 @@ from repro.exec.pool import (
 from repro.modelcheck.encode import require_numpy
 from repro.modelcheck.vector import VectorKernel, model_kernel
 
-#: Per-process cache of (model, kernel, canonicalizer) keyed by config.
-_WORKER_STATE: Dict[Any, Tuple[Any, Any, Any]] = {}
+#: Per-process cache of the worker-side kernel, keyed by config.
+_WORKER_STATE: Dict[Any, VectorKernel] = {}
 
 
-def _worker_state(config: Any, use_symmetry: bool) -> Tuple[Any, Any, Any]:
-    """The worker-side model/kernel/canonicalizer for one config (cached)."""
-    key = (config, use_symmetry)
+def _worker_state(key: Any) -> VectorKernel:
+    """The worker-side kernel for the model config ``key`` (cached)."""
     state = _WORKER_STATE.get(key)
     if state is None:
         from repro.model.system_model import TTAStartupModel
-        from repro.modelcheck.symmetry import RotationGroup, _build_rotations
 
-        np = require_numpy()
-        model = TTAStartupModel(config)
+        model = TTAStartupModel(key)
         model.ensure_packed_tables()
-        kernel = VectorKernel(model)
-        canonical = None
-        if use_symmetry:
-            # The parent already proved soundness (RotationGroup.build);
-            # workers just need the same rotation maps.
-            group = RotationGroup(model, _build_rotations(np, model), "")
-            canonical = group.canonicalize
-        state = (model, kernel, canonical)
+        state = VectorKernel(model)
         _WORKER_STATE[key] = state
     return state
 
@@ -80,15 +69,15 @@ def _worker_state(config: Any, use_symmetry: bool) -> Tuple[Any, Any, Any]:
 def _expand_shard(task: Tuple) -> Tuple[Any, Any, Any]:
     """Expand one frontier shard (runs inside a worker process).
 
-    ``task`` is ``(shm_name, total, start, stop, config, use_symmetry)``;
-    the shared block holds ``total`` uint64 words followed by ``total``
-    int64 tails.  Returns the shard's edges in scalar enumeration order,
+    ``task`` is ``(shm_name, total, start, stop, config)``; the shared
+    block holds ``total`` uint64 words followed by ``total`` int64
+    tails.  Returns the shard's edges in scalar enumeration order,
     as ``(succ_words, succ_tails, parent_rows)`` with rows indexing the
     whole frontier.
     """
-    shm_name, total, start, stop, config, use_symmetry = task
+    shm_name, total, start, stop, config = task
     np = require_numpy()
-    _, kernel, canonical = _worker_state(config, use_symmetry)
+    kernel = _worker_state(config)
     block = shared_memory.SharedMemory(name=shm_name)
     try:
         words = np.frombuffer(block.buf, dtype=np.uint64,
@@ -100,8 +89,6 @@ def _expand_shard(task: Tuple) -> Tuple[Any, Any, Any]:
         block.close()
     succ_words, succ_tails, parents = kernel.successor_level(
         words, tails, scalar_order=True)
-    if canonical is not None:
-        succ_words, succ_tails = canonical(succ_words, succ_tails)
     return succ_words, succ_tails, parents + start
 
 
@@ -109,11 +96,11 @@ class FrontierSharder:
     """Pool-backed drop-in for one level's scalar-order expansion.
 
     :meth:`successor_level` has the signature of
-    :meth:`VectorKernel.successor_level` with ``scalar_order=True`` (plus
-    canonicalization under symmetry): the checker's level loop calls it,
-    and it also serves as the ``expander`` of a
-    :class:`~repro.modelcheck.vector.VectorExplorer`.  Call :meth:`close`
-    (or use as a context manager) when the search ends.
+    :meth:`VectorKernel.successor_level` with ``scalar_order=True``: the
+    checker's level loop calls it, and it also serves as the
+    ``expander`` of a :class:`~repro.modelcheck.vector.VectorExplorer`.
+    Call :meth:`close` (or use as a context manager) when the search
+    ends.
 
     ``jobs`` is the requested width; like
     :class:`~repro.modelcheck.parallel.ParallelVerifier` it is capped at
@@ -121,13 +108,11 @@ class FrontierSharder:
     hosts must still exercise the scatter/gather path).
     """
 
-    def __init__(self, model: Any, jobs: int, use_symmetry: bool = False,
-                 min_frontier: int = 4096, force_pool: bool = False) -> None:
-        np = require_numpy()
-        self.np = np
+    def __init__(self, model: Any, jobs: int, min_frontier: int = 4096,
+                 force_pool: bool = False) -> None:
+        self.np = require_numpy()
         self.model = model
         self.config = model.config  # sharding needs a rebuildable model
-        self.use_symmetry = use_symmetry
         self.min_frontier = min_frontier
         self.requested_jobs = jobs
         if force_pool:
@@ -136,15 +121,6 @@ class FrontierSharder:
             self.effective_jobs = max(1, min(jobs, available_cpus()))
         model.ensure_packed_tables()
         self.kernel = model_kernel(model)
-        self._canonical = None
-        if use_symmetry:
-            from repro.modelcheck.symmetry import (
-                RotationGroup,
-                _build_rotations,
-            )
-
-            group = RotationGroup(model, _build_rotations(np, model), "")
-            self._canonical = group.canonicalize
         self._pool: Optional[ProcessPoolExecutor] = None
         #: Why the sharder stopped using the pool (None while healthy).
         self.fallback_reason: Optional[str] = None
@@ -174,9 +150,8 @@ class FrontierSharder:
 
     def successor_level(self, words: Any, tails: Any) -> Tuple[Any, Any, Any]:
         """One level's edges ``(succ_words, succ_tails, parent_rows)`` in
-        scalar enumeration order, canonicalized under symmetry -- sharded
-        when worthwhile, serial otherwise; always the same arrays either
-        way."""
+        scalar enumeration order -- sharded when worthwhile, serial
+        otherwise; always the same arrays either way."""
         if (self.effective_jobs <= 1
                 or self.fallback_reason is not None
                 or len(words) < self.min_frontier):
@@ -189,11 +164,7 @@ class FrontierSharder:
             return self._serial_level(words, tails)
 
     def _serial_level(self, words: Any, tails: Any) -> Tuple[Any, Any, Any]:
-        succ_words, succ_tails, parents = self.kernel.successor_level(
-            words, tails, scalar_order=True)
-        if self._canonical is not None:
-            succ_words, succ_tails = self._canonical(succ_words, succ_tails)
-        return succ_words, succ_tails, parents
+        return self.kernel.successor_level(words, tails, scalar_order=True)
 
     def _sharded_level(self, words: Any, tails: Any) -> Tuple[Any, Any, Any]:
         np = self.np
@@ -216,7 +187,7 @@ class FrontierSharder:
                 stop = start + base + (1 if shard < excess else 0)
                 if stop > start:
                     tasks.append((block.name, total, start, stop,
-                                  self.config, self.use_symmetry))
+                                  self.config))
                 start = stop
             pool = self._ensure_pool()
             envelopes = list(pool.map(

@@ -651,27 +651,19 @@ class VectorExplorer:
     ``count_reachable`` detects that the reachable set exceeds its
     limit.
 
-    ``canonical`` is an optional symmetry hook ``(words, tails) ->
-    (words, tails)`` mapping every state to its orbit representative; it
-    is applied to initial states and to every successor batch, *before*
-    deduplication, so the search explores the quotient space.
-
     ``expander`` substitutes a custom level-expansion callable with the
     signature of :meth:`VectorKernel.successor_level` for the local
     kernel -- the hook behind sharded expansion
-    (:class:`repro.modelcheck.shard.FrontierSharder`).  The expander owns
-    canonicalization of its output; ``canonical`` is then only applied
-    to the initial states.
+    (:class:`repro.modelcheck.shard.FrontierSharder`).
     """
 
-    def __init__(self, model, canonical=None, expander=None) -> None:
+    def __init__(self, model, expander=None) -> None:
         np = require_numpy()
         self.np = np
         self.model = model
         model.ensure_packed_tables()
         kernel = model_kernel(model)
         self.kernel = kernel
-        self.canonical = canonical
         self.expander = expander
         self._seen: Any
         if kernel.fused:
@@ -685,12 +677,10 @@ class VectorExplorer:
 
     def initial_level(self, limit: Optional[int] = None
                       ) -> Tuple["object", "object", bool]:
-        """Commit the canonicalized initial states; returns them
-        sorted-unique plus the overshoot flag."""
+        """Commit the initial states; returns them sorted-unique plus the
+        overshoot flag."""
         words, tails = self.kernel.split_codes(
             self.model.packed_initial_states())
-        if self.canonical is not None:
-            words, tails = self.canonical(words, tails)
         return self._absorb(words, tails, limit)
 
     def step(self, words, tails, limit: Optional[int] = None
@@ -704,9 +694,6 @@ class VectorExplorer:
         else:
             succ_words, succ_tails, _ = self.kernel.successor_level(words,
                                                                     tails)
-            if self.canonical is not None:
-                succ_words, succ_tails = self.canonical(succ_words,
-                                                        succ_tails)
         raw = len(succ_words)
         new_words, new_tails, truncated = self._absorb(
             succ_words, succ_tails, limit)

@@ -203,16 +203,26 @@ class TraceMonitor:
     @staticmethod
     def read_jsonl(source: Union[str, io.TextIOBase,
                                  Iterable[str]]) -> List[Event]:
-        """Parse a JSONL stream back into typed events."""
+        """Parse a JSONL stream back into typed events.
+
+        A line that is not JSON raises :class:`ValueError` naming the
+        source and its 1-based line number (blank lines count).
+        """
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as handle:
                 return TraceMonitor.read_jsonl(handle)
         events = []
-        for line in source:
+        for number, line in enumerate(source, start=1):
             line = line.strip()
             if not line:
                 continue
-            events.append(event_from_dict(json.loads(line)))
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as error:
+                name = getattr(source, "name", "<stream>")
+                raise ValueError(f"{name}:{number}: malformed JSONL record: "
+                                 f"{error}") from error
+            events.append(event_from_dict(record))
         return events
 
     @classmethod

@@ -93,6 +93,19 @@ class TestGenConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             GenConfig.from_json({"nodes": 4, "toplogy": "star"})
 
+    @pytest.mark.parametrize("key,value", [
+        ("nodes", "x"), ("nodes", True), ("nodes", 4.0),
+        ("seed", "x"), ("seed", False), ("modes", True),
+        ("payload_frame_bits", "2076"),
+        ("name", 3), ("topology", None), ("authority", 1),
+        ("node_prefix", ["N"]),
+        ("shuffle_slots", 1), ("shuffle_slots", "yes"),
+        ("slot_duration", "1.5"), ("slot_duration", True),
+    ])
+    def test_field_types_validated(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            GenConfig.from_json({key: value})
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="nodes"):
             GenConfig(nodes=0)

@@ -1,6 +1,7 @@
 """Tests for the event bus (trace monitor)."""
 
 import io
+import json
 
 import pytest
 
@@ -228,3 +229,12 @@ def test_read_jsonl_skips_blank_lines():
     events = TraceMonitor.read_jsonl(lines)
     assert len(events) == 1
     assert events[0].kind == "b"
+
+
+def test_read_jsonl_names_the_line_of_a_malformed_record(tmp_path):
+    good = '{"time": 1.0, "source": "a", "kind": "b", "details": {}}'
+    path = tmp_path / "events.jsonl"
+    path.write_text(f"{good}\n\n{{not json\n{good}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"events\.jsonl:3: ") as caught:
+        TraceMonitor.read_jsonl(str(path))
+    assert isinstance(caught.value.__cause__, json.JSONDecodeError)

@@ -183,11 +183,3 @@ def test_unknown_scenario_rejected():
 def test_build_cluster_plumbs_monitor_capacity():
     cluster = TRACE1_REPLAY.build_cluster(monitor_capacity=64)
     assert cluster.monitor.capacity == 64
-
-
-def test_cross_validate_wrapper():
-    from repro.core.verification import cross_validate
-
-    report = cross_validate("trace1")
-    assert report.scenario == "trace1"
-    assert report.conforms, report.summary()

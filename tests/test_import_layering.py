@@ -29,8 +29,8 @@ SIMULATOR_LAYER = ("repro.ttp.controller", "repro.network.channel",
 UNUSED_BY_A_SWEEP = ("concurrent.futures.process", "repro.core.buffer_analysis",
                      "repro.core.tradeoffs", "repro.sim.process")
 #: Packages whose public names resolve on first access (PEP 562).
-LAZY_PACKAGES = ("repro.core", "repro.faults", "repro.model",
-                 "repro.modelcheck", "repro.sim", "repro.ttp")
+LAZY_PACKAGES = ("repro.analysis", "repro.core", "repro.faults",
+                 "repro.model", "repro.modelcheck", "repro.sim", "repro.ttp")
 
 
 def fresh_interpreter(code: str):
@@ -57,7 +57,8 @@ def test_simulator_entry_points_do_not_load_the_checker(module):
     assert loaded_after_import(module, CHECKER_LAYER) == []
 
 
-@pytest.mark.parametrize("module", ["repro.gen.sweep", "repro.cluster"])
+@pytest.mark.parametrize("module", ["repro.gen.sweep", "repro.cluster",
+                                    "repro.cli"])
 def test_sweep_and_cluster_load_only_what_they_run(module):
     assert loaded_after_import(module, UNUSED_BY_A_SWEEP) == []
 
