@@ -8,7 +8,7 @@ benchmark measures wall-clock for the whole matrix three ways:
   authority after another (the baseline the speedup gate is anchored to);
 * **parallel** -- ``verify_all_authorities`` at 4 requested workers with
   the default (packed) engine.  On a multi-core host the pool overlaps
-  the four checks; on a single-core host the verifier degrades to a
+  the four checks; on a single-core host the runner degrades to a
   serial loop over the packed engine -- either way the wall-clock gate
   below must clear 2x against the seed-serial baseline;
 * **forced pool** -- a real 2-worker pool regardless of core count, to
@@ -27,7 +27,7 @@ from _report import update_bench_json, write_report
 
 from repro.analysis.tables import format_table
 from repro.core.verification import verify_all_authorities
-from repro.modelcheck.parallel import ParallelVerifier, verify_authorities_parallel
+from repro.exec import TaskRunner
 
 #: Required wall-clock speedup of the 4-worker run over the seed path.
 REQUIRED_SPEEDUP = 2.0
@@ -52,9 +52,9 @@ def test_exp_p4_parallel_matrix_speedup(benchmark):
     parallel = verify_all_authorities(jobs=4)
     parallel_seconds = time.perf_counter() - started
 
-    forced = ParallelVerifier(max_workers=2, force_pool=True)
+    forced = TaskRunner(max_workers=2, force_pool=True)
     started = time.perf_counter()
-    forced_results = verify_authorities_parallel(verifier=forced)
+    forced_results = verify_all_authorities(runner=forced)
     forced_seconds = time.perf_counter() - started
 
     # Identical verdicts, state counts, and counterexample lengths on

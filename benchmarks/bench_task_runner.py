@@ -9,7 +9,8 @@ measured and gated here in absolute terms.
 
 Three timings over the same EXP-S2 campaign task list:
 
-* **bare map** -- ``ParallelVerifier.map``, the pre-existing fast path;
+* **bare map** -- ``[_injection_worker(t) for t in tasks]``, the serial
+  loop with no envelope at all;
 * **runner** -- ``TaskRunner.run`` with retries enabled but nothing
   failing (the common case: resilience armed, never needed);
 * **runner + checkpoint** -- the same run streaming every finished cell
@@ -27,8 +28,7 @@ from _report import update_bench_json, write_report
 from repro.analysis.tables import format_table
 from repro.core.authority import CouplerAuthority
 from repro.exec import TaskRunner
-from repro.faults.campaign import DEFAULT_FAULTS
-from repro.modelcheck.parallel import ParallelVerifier, _injection_worker
+from repro.faults.campaign import DEFAULT_FAULTS, _injection_worker
 
 #: Campaign geometry; small rounds keep the benchmark under a minute.
 ROUNDS = 16.0
@@ -52,7 +52,7 @@ def test_exp_p5_task_runner_overhead(benchmark, tmp_path):
 
     started = time.perf_counter()
     bare = benchmark.pedantic(
-        lambda: ParallelVerifier(max_workers=1).map(_injection_worker, tasks),
+        lambda: [_injection_worker(task) for task in tasks],
         rounds=1, iterations=1)
     bare_seconds = time.perf_counter() - started
 
@@ -80,7 +80,7 @@ def test_exp_p5_task_runner_overhead(benchmark, tmp_path):
         f"map -- {ratio:.2f}x (budget {MAX_OVERHEAD_RATIO}x)")
 
     rows = [
-        ("bare ParallelVerifier.map", f"{bare_seconds:.2f}s", "1.00x"),
+        ("bare map (serial loop)", f"{bare_seconds:.2f}s", "1.00x"),
         ("TaskRunner (retries armed)", f"{runner_seconds:.2f}s",
          f"{ratio:.2f}x"),
         ("TaskRunner + JSONL checkpoint", f"{checkpoint_seconds:.2f}s",

@@ -3,7 +3,7 @@
 * :mod:`repro.analysis.examples` -- the paper's worked examples
   (eqs. 5, 6, 8, 9 with the exact printed inputs),
 * :mod:`repro.analysis.figure3` -- the Figure 3 data series,
-* :mod:`repro.analysis.sweep` -- generic parameter sweeps,
+* :mod:`repro.analysis.sweep` -- linear and geometric parameter ranges,
 * :mod:`repro.analysis.tables` -- plain-text table rendering shared by the
   benchmarks and the CLI.
 """
@@ -21,7 +21,6 @@ _EXPORTS = {name: module for module, names in (
     )),
     ("figure3", ("Figure3Point", "figure3_reference_points",
                  "figure3_series")),
-    ("sweep", ("sweep_1d", "sweep_2d")),
     ("tables", ("format_table",)),
 ) for name in names}
 
@@ -35,8 +34,6 @@ __all__ = [
     "figure3_reference_points",
     "figure3_series",
     "format_table",
-    "sweep_1d",
-    "sweep_2d",
     "worked_examples",
 ]
 

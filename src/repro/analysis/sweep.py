@@ -1,70 +1,12 @@
-"""Generic parameter sweeps.
+"""Parameter ranges: linear and geometric (log-axis) sample points.
 
-Small helpers shared by the benchmark harnesses: evaluate a function over
-1-D and 2-D parameter grids, collecting (inputs, output) rows ready for
-table formatting or regression comparison.
+The CLI's ``figure3`` command and the Figure 3 benchmark sample the
+``f_max`` axis with :func:`geometric_range`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep sample."""
-
-    inputs: Tuple[Any, ...]
-    output: Any
-
-
-def _evaluate_grid(function: Callable[..., Any],
-                   grid: List[Tuple[Any, ...]],
-                   jobs: Optional[int]) -> List[SweepRow]:
-    """Row-major evaluation, optionally fanned out over a process pool.
-
-    ``function`` must be picklable (a top-level function or partial) for
-    the pool to engage; unpicklable callables fall back to the serial
-    loop, so ``jobs`` is always safe to pass.
-    """
-    if jobs is not None and jobs != 1:
-        from repro.modelcheck.parallel import ParallelVerifier
-
-        verifier = ParallelVerifier(max_workers=jobs)
-        outputs = verifier.map(_ApplyStar(function), grid)
-        return [SweepRow(inputs=inputs, output=output)
-                for inputs, output in zip(grid, outputs)]
-    return [SweepRow(inputs=inputs, output=function(*inputs))
-            for inputs in grid]
-
-
-@dataclass(frozen=True)
-class _ApplyStar:
-    """Picklable ``function(*inputs)`` adapter for pool workers."""
-
-    function: Callable[..., Any]
-
-    def __call__(self, inputs: Tuple[Any, ...]) -> Any:
-        return self.function(*inputs)
-
-
-def sweep_1d(function: Callable[[Any], Any],
-             values: Iterable[Any],
-             jobs: Optional[int] = None) -> List[SweepRow]:
-    """Evaluate ``function`` over one parameter range."""
-    return _evaluate_grid(function, [(value,) for value in values], jobs)
-
-
-def sweep_2d(function: Callable[[Any, Any], Any],
-             first_values: Iterable[Any],
-             second_values: Iterable[Any],
-             jobs: Optional[int] = None) -> List[SweepRow]:
-    """Evaluate ``function`` over the cartesian product of two ranges."""
-    second_list = list(second_values)
-    grid = [(first, second)
-            for first in first_values for second in second_list]
-    return _evaluate_grid(function, grid, jobs)
+from typing import List
 
 
 def geometric_range(start: float, stop: float, points: int) -> List[float]:

@@ -14,7 +14,7 @@ The public entry points of the model-checking half of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.authority import CouplerAuthority, all_authorities
 from repro.model.config import ModelConfig
@@ -22,6 +22,7 @@ from repro.model.properties import clique_frozen_nodes, no_clique_freeze
 from repro.model.scenarios import scenario_for_authority
 from repro.model.system_model import TTAStartupModel
 from repro.modelcheck.checker import CheckResult, InvariantChecker
+from repro.modelcheck.encode import have_numpy
 from repro.modelcheck.trace import Trace, render_trace
 
 
@@ -94,6 +95,16 @@ def verify_authority(authority: CouplerAuthority,
                          jobs=jobs)
 
 
+def _verify_authority_worker(task: Tuple) -> VerificationResult:
+    """Check one ``(authority, slots, out_of_slot_budget, engine)`` cell of
+    the matrix (a top-level function, so pool workers receive it by
+    reference)."""
+    authority, slots, out_of_slot_budget, engine = task
+    return verify_authority(authority, slots=slots,
+                            out_of_slot_budget=out_of_slot_budget,
+                            engine=engine)
+
+
 def verify_all_authorities(slots: int = 4,
                            out_of_slot_budget: Optional[int] = 1,
                            engine: str = "auto",
@@ -106,47 +117,46 @@ def verify_all_authorities(slots: int = 4,
                            ) -> Dict[CouplerAuthority, VerificationResult]:
     """EXP-V1: the Section 5.2 verification matrix over all four levels.
 
-    The four checks are independent; ``jobs`` fans them out over a
-    process pool (see :mod:`repro.modelcheck.parallel`) with verdicts and
-    counterexamples identical to the serial loop.  With the *vectorized*
-    engine the parallelism turns inward instead: the matrix runs
-    serially and ``jobs`` shards each check's BFS frontier across
-    workers (:mod:`repro.modelcheck.shard`) -- on one configuration a
-    task-level fan-out cannot help, frontier sharding can.
+    The four checks are independent tasks of a
+    :class:`repro.exec.TaskRunner`; ``jobs`` fans them out over a process
+    pool with verdicts and counterexamples identical to the serial loop.
+    ``retries`` re-runs failing checks with deterministic backoff,
+    ``task_timeout`` bounds each check's wall-clock, and
+    ``checkpoint``/``resume`` persist finished checks to JSONL so an
+    interrupted matrix restarts where it stopped.  A pre-built ``runner``
+    (any object with ``map``) takes precedence over ``jobs`` and those
+    knobs.
 
-    The resilience knobs route the matrix through a
-    :class:`repro.exec.TaskRunner`: ``retries`` re-runs failing checks
-    with deterministic backoff, ``task_timeout`` bounds each check's
-    wall-clock, and ``checkpoint``/``resume`` persist finished checks to
-    JSONL so an interrupted matrix restarts where it stopped.  A
-    pre-built ``runner`` (any object with ``map``) takes precedence.
+    With the *vectorized* engine and none of those knobs the parallelism
+    turns inward instead: the matrix runs serially and ``jobs`` shards
+    each check's BFS frontier across workers
+    (:mod:`repro.modelcheck.shard`) -- on one configuration a task-level
+    fan-out cannot help, frontier sharding can.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}; "
                          f"pass jobs=None (or 1) for the serial path")
-    if runner is None and (retries or task_timeout is not None
-                           or checkpoint is not None or resume):
-        from repro.exec import TaskRunner
-
-        runner = TaskRunner(max_workers=jobs if jobs is not None else 1,
-                            retries=retries, task_timeout=task_timeout,
-                            checkpoint=checkpoint, resume=resume)
-    if engine == "vectorized" and runner is None:
+    authorities = all_authorities()
+    resilient = (retries or task_timeout is not None
+                 or checkpoint is not None or resume)
+    if engine == "vectorized" and runner is None and not resilient:
         return {authority: verify_authority(
                     authority, slots=slots,
                     out_of_slot_budget=out_of_slot_budget, engine=engine,
                     jobs=jobs)
-                for authority in all_authorities()}
-    if runner is not None or (jobs is not None and jobs != 1):
-        from repro.modelcheck.parallel import verify_authorities_parallel
+                for authority in authorities}
+    if engine in ("auto", "vectorized"):
+        # The array engine imports numpy on first use: import it once here,
+        # before the pool forks, not once in every worker.
+        have_numpy()
+    from repro.exec import TaskRunner
 
-        return verify_authorities_parallel(
-            slots=slots, out_of_slot_budget=out_of_slot_budget,
-            engine=engine, jobs=jobs, runner=runner)
-    return {authority: verify_authority(authority, slots=slots,
-                                        out_of_slot_budget=out_of_slot_budget,
-                                        engine=engine)
-            for authority in all_authorities()}
+    runner = runner or TaskRunner(max_workers=jobs or 1, retries=retries,
+                                  task_timeout=task_timeout,
+                                  checkpoint=checkpoint, resume=resume)
+    tasks = [(authority, slots, out_of_slot_budget, engine)
+             for authority in authorities]
+    return dict(zip(authorities, runner.map(_verify_authority_worker, tasks)))
 
 
 def expected_verdicts() -> Dict[CouplerAuthority, bool]:

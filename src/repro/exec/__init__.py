@@ -12,7 +12,7 @@ Public surface:
 * :class:`CheckpointStore` / :class:`CheckpointMismatch` -- the resumable
   JSONL store and its validation error;
 * :mod:`repro.exec.pool` -- the task envelope, pool-failure
-  classification and CPU count shared with the model checker's pools.
+  classification and CPU count shared with the checker's frontier sharder.
 """
 
 from repro.exec.checkpoint import (CheckpointEntry, CheckpointMismatch,

@@ -12,6 +12,12 @@ incompatible halves together.  Task result values are arbitrary Python
 objects (dataclasses, traces, ...), so the payload is a pickle wrapped in
 base64 inside the JSON envelope; the human-readable metadata (index,
 attempts, elapsed) stays queryable with plain ``jq``.
+
+A record is complete once its newline is on disk.  A process killed
+mid-write leaves one torn record after the last newline; resuming drops
+it (its task runs again), truncates the file back to the last complete
+line and warns.  A malformed record *before* the last newline cannot come
+from an interrupted append, so it raises :class:`CheckpointMismatch`.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ import hashlib
 import json
 import os
 import pickle
+import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 FORMAT = "repro-exec-checkpoint-v1"
 
@@ -77,16 +84,16 @@ class CheckpointStore:
         appending; call :meth:`close` when the run ends.
         """
         digest = task_digest(tasks)
-        restored: Dict[int, CheckpointEntry] = {}
         if resume and os.path.exists(self.path):
             restored = self._load(tasks, digest)
-            self._handle = open(self.path, "a", encoding="utf-8")
-            return restored
+            if restored is not None:
+                self._handle = open(self.path, "a", encoding="utf-8")
+                return restored
         self._handle = open(self.path, "w", encoding="utf-8")
         header = {"format": FORMAT, "tasks": len(tasks), "digest": digest}
         self._handle.write(json.dumps(header) + "\n")
         self._handle.flush()
-        return restored
+        return {}
 
     def write(self, index: int, attempts: int, elapsed_seconds: float,
               value: Any) -> bool:
@@ -112,12 +119,18 @@ class CheckpointStore:
     # -- reading -------------------------------------------------------------
 
     def _load(self, tasks: Sequence[Any],
-              digest: str) -> Dict[int, CheckpointEntry]:
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        if not lines:
-            return {}
-        header = json.loads(lines[0])
+              digest: str) -> Optional[Dict[int, CheckpointEntry]]:
+        """Restore the finished tasks; ``None`` when the file holds no
+        complete header (it is empty, or was killed writing the header)."""
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        complete = data.rfind(b"\n") + 1
+        records = [(number, line) for number, line
+                   in enumerate(data[:complete].split(b"\n"), 1)
+                   if line.strip()]
+        if not records:
+            return None
+        header = self._record(*records[0])
         if header.get("format") != FORMAT:
             raise CheckpointMismatch(
                 f"{self.path} is not a {FORMAT} file "
@@ -130,8 +143,8 @@ class CheckpointStore:
                 f"resumed ({len(tasks)} task(s), digest {digest[:12]}...); "
                 f"delete the file or drop --resume to start fresh")
         restored: Dict[int, CheckpointEntry] = {}
-        for line in lines[1:]:
-            record = json.loads(line)
+        for number, line in records[1:]:
+            record = self._record(number, line)
             index = record["index"]
             if not 0 <= index < len(tasks):
                 raise CheckpointMismatch(
@@ -141,7 +154,30 @@ class CheckpointStore:
             restored[index] = CheckpointEntry(
                 index=index, attempts=record.get("attempts", 1),
                 elapsed_seconds=record.get("elapsed", 0.0), value=value)
+        if complete < len(data):
+            if data[complete:].strip():
+                warnings.warn(
+                    f"{self.path}: dropped a torn trailing record "
+                    f"({len(data) - complete} byte(s) after the last complete "
+                    f"line); its task runs again", RuntimeWarning, stacklevel=3)
+            # Appending after the torn bytes would glue the next record
+            # onto them.
+            os.truncate(self.path, complete)
         return restored
+
+    def _record(self, number: int, line: bytes) -> Dict[str, Any]:
+        try:
+            record = json.loads(line)
+        except ValueError as error:
+            raise CheckpointMismatch(
+                f"{self.path}:{number}: malformed record before the last "
+                f"line ({error}); an interrupted write only tears the last "
+                f"record, so the file is damaged: delete it or drop --resume "
+                f"to start fresh") from error
+        if not isinstance(record, dict):
+            raise CheckpointMismatch(
+                f"{self.path}:{number}: record is not a JSON object")
+        return record
 
 
 def read_entries(path: str) -> List[Dict[str, Any]]:

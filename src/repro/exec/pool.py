@@ -1,14 +1,14 @@
-"""Process-pool primitives shared by every pool in the package.
+"""Process-pool primitives shared by the package's two pools.
 
-:class:`repro.exec.runner.TaskRunner`,
-:class:`repro.modelcheck.parallel.ParallelVerifier` and
-:class:`repro.modelcheck.shard.FrontierSharder` all submit task bodies
-wrapped in :func:`run_task_enveloped`, tell pool failures from task
-failures with ``_POOL_FAILURES``, and size their pools with
-:func:`available_cpus`.  They live here, beside the runner, so that the
-simulator commands, which fan out through :class:`TaskRunner`, never
-import the model checker.  ``_POOL_FAILURES`` resolves on first access,
-so a serial run never loads ``concurrent.futures`` or ``multiprocessing``.
+:class:`repro.exec.runner.TaskRunner` (every task-level fan-out) and
+:class:`repro.modelcheck.shard.FrontierSharder` (frontier shards inside
+one check) both submit task bodies wrapped in :func:`run_task_enveloped`,
+tell pool failures from task failures with ``_POOL_FAILURES``, and size
+their pools with :func:`available_cpus`.  They live here, beside the
+runner, so that the simulator commands, which fan out through
+:class:`TaskRunner`, never import the model checker.  ``_POOL_FAILURES``
+resolves on first access, so a serial run never loads
+``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Resilient task execution for campaigns, matrices, and sweeps.
 
-:class:`repro.modelcheck.parallel.ParallelVerifier` is the fast path: an
-order-preserving map over a process pool whose only degradation mode is
-"run the same list serially".  Long fault-injection campaigns and
-verification sweeps need more than that -- the harness that *measures*
-fault tolerance must itself degrade gracefully.  :class:`TaskRunner`
-wraps every task in a structured :class:`TaskResult` envelope and adds:
+:class:`TaskRunner` is the package's one task-level pool: the EXP-V1
+verification matrix, the EXP-S2 fault-injection campaign and the
+generated sweeps all map their independent tasks through it.  At its core
+it is an order-preserving map over a process pool that falls back to the
+identical serial loop (one worker, one task, unpicklable work, a pool
+that cannot be built).  The harness that *measures* fault tolerance must
+itself degrade gracefully, so :class:`TaskRunner` wraps every task in a
+structured :class:`TaskResult` envelope and adds:
 
 * **failure classification** -- an in-task exception, a per-task timeout,
   a worker crash (``BrokenProcessPool``), and a submission-time failure
@@ -154,11 +156,12 @@ class RunReport:
 class TaskRunner:
     """Retrying, resumable, order-preserving map over a process pool.
 
-    Drop-in capable wherever a
-    :class:`repro.modelcheck.parallel.ParallelVerifier` is accepted: it
-    exposes the same ``map``/``effective_workers``/``pool_engaged``
-    surface, plus :meth:`run` for callers that want the per-task
-    :class:`TaskResult` envelopes instead of raising on first failure.
+    :meth:`map` returns the values in task order and raises
+    :class:`TaskExecutionError` when a task permanently failed;
+    :meth:`run` returns the per-task :class:`TaskResult` envelopes
+    instead.  ``max_workers`` is the requested width, capped at the
+    runnable CPUs unless ``force_pool`` is set (tests force a real pool
+    on single-core hosts).
     """
 
     max_workers: Optional[int] = None
@@ -196,7 +199,7 @@ class TaskRunner:
                 f"task_timeout must be > 0, got {self.task_timeout}")
         self._crash_error = ""
 
-    # -- worker geometry (mirrors ParallelVerifier) ---------------------------
+    # -- worker geometry ------------------------------------------------------
 
     @property
     def requested_workers(self) -> int:

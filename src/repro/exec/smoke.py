@@ -56,7 +56,7 @@ def smoke_worker(task: Tuple) -> object:
     marker, mode, index, sabotage_index, injection_task = task
     if index == sabotage_index:
         _sabotage_once(marker, mode)
-    from repro.modelcheck.parallel import _injection_worker
+    from repro.faults.campaign import _injection_worker
 
     return _injection_worker(injection_task)
 

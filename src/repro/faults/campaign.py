@@ -158,6 +158,14 @@ def run_injection(fault: FaultDescriptor, topology: str,
         states={name: state.value for name, state in cluster.states().items()})
 
 
+def _injection_worker(task: Tuple) -> InjectionOutcome:
+    """Run one ``(fault, topology, authority, rounds, seed)`` campaign cell
+    (a top-level function, so pool workers receive it by reference)."""
+    fault, topology, authority, rounds, seed = task
+    return run_injection(fault, topology, authority=authority,
+                         rounds=rounds, seed=seed)
+
+
 @dataclass
 class BlockingAsymmetryResult:
     """EXP-S4: the paper's Section 1 motivating example, measured.
@@ -480,37 +488,25 @@ def run_campaign(faults: Optional[List[FaultDescriptor]] = None,
     are independent; ``jobs`` fans them out over a process pool with
     outcomes (and their order) identical to the serial nested loop.
 
-    The resilience knobs route the campaign through a
-    :class:`repro.exec.TaskRunner`: ``retries`` re-runs failing cells with
-    deterministic backoff, ``task_timeout`` bounds each cell's wall-clock,
-    and ``checkpoint``/``resume`` persist finished cells to JSONL so an
+    Every campaign runs through a :class:`repro.exec.TaskRunner`:
+    ``retries`` re-runs failing cells with deterministic backoff,
+    ``task_timeout`` bounds each cell's wall-clock, and
+    ``checkpoint``/``resume`` persist finished cells to JSONL so an
     interrupted campaign restarts from where it stopped.  A pre-built
     ``runner`` (any object with a ``map(function, tasks)`` method) takes
-    precedence over the individual knobs.
+    precedence over ``jobs`` and the individual knobs.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}; "
                          f"pass jobs=None (or 1) for the serial path")
+    # Imported on call, so importing this module loads no task runner.
+    from repro.exec import TaskRunner
+
     faults = faults if faults is not None else list(DEFAULT_FAULTS)
     topologies = topologies if topologies is not None else ["bus", "star"]
     tasks = [(fault, topology, authority, rounds, seed)
              for fault in faults for topology in topologies]
-    if runner is None and (retries or task_timeout is not None
-                           or checkpoint is not None or resume):
-        from repro.exec import TaskRunner
-
-        runner = TaskRunner(max_workers=jobs if jobs is not None else 1,
-                            retries=retries, task_timeout=task_timeout,
-                            checkpoint=checkpoint, resume=resume)
-    if runner is not None:
-        from repro.modelcheck.parallel import _injection_worker
-
-        return CampaignResult(outcomes=runner.map(_injection_worker, tasks))
-    if jobs is not None and jobs != 1:
-        from repro.modelcheck.parallel import run_injections_parallel
-
-        return CampaignResult(outcomes=run_injections_parallel(tasks, jobs=jobs))
-    return CampaignResult(outcomes=[
-        run_injection(fault, topology, authority=authority,
-                      rounds=rounds, seed=seed)
-        for fault, topology, authority, rounds, seed in tasks])
+    runner = runner or TaskRunner(max_workers=jobs or 1, retries=retries,
+                                  task_timeout=task_timeout,
+                                  checkpoint=checkpoint, resume=resume)
+    return CampaignResult(outcomes=runner.map(_injection_worker, tasks))

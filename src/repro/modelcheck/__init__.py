@@ -14,8 +14,8 @@ violation found is at minimum depth).
   fast path of the checker's hot loop),
 * :mod:`repro.modelcheck.checker` -- BFS reachability and invariant
   checking with counterexample extraction (tuple and packed engines),
-* :mod:`repro.modelcheck.parallel` -- process-pool fan-out of independent
-  checks, walks, campaigns, and sweeps,
+* :mod:`repro.modelcheck.shard` -- frontier sharding inside one
+  vectorized check,
 * :mod:`repro.modelcheck.trace` -- counterexample rendering.
 """
 
@@ -30,8 +30,6 @@ _EXPORTS = {name: module for module, names in (
     ("encode", ("PackedSystemAdapter", "StateCodec",
                 "compile_packed_invariant")),
     ("model", ("Transition", "TransitionSystem")),
-    ("parallel", ("ParallelVerifier", "monte_carlo_parallel",
-                  "verify_authorities_parallel")),
     ("state", ("StateSpace", "StateView", "Variable")),
     ("trace", ("Trace", "TraceStep", "render_trace")),
 ) for name in names}
@@ -41,7 +39,6 @@ __all__ = [
     "DeadlockSearchResult",
     "InvariantChecker",
     "PackedSystemAdapter",
-    "ParallelVerifier",
     "StateCodec",
     "StateSpace",
     "StateView",
@@ -52,9 +49,7 @@ __all__ = [
     "Variable",
     "check_invariant",
     "compile_packed_invariant",
-    "monte_carlo_parallel",
     "render_trace",
-    "verify_authorities_parallel",
 ]
 
 

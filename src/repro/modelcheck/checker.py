@@ -246,7 +246,7 @@ class InvariantChecker:
     ``jobs`` (vectorized engine only) shards each large BFS level across
     a worker pool (:class:`repro.modelcheck.shard.FrontierSharder`) --
     parallelism *within one check*, orthogonal to the task-level fan-out
-    of :mod:`repro.modelcheck.parallel`.  Verdicts, counts, and traces
+    of :class:`repro.exec.TaskRunner`.  Verdicts, counts, and traces
     are identical to the single-process search.
     """
 

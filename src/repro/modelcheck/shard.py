@@ -1,8 +1,8 @@
 """Intra-configuration parallelism: sharded frontier expansion.
 
-:mod:`repro.modelcheck.parallel` fans *independent tasks* (one per
-authority level) over a pool; this module parallelizes *inside one
-check*.  The vectorized engine's BFS is level-synchronous, and one
+:class:`repro.exec.runner.TaskRunner` fans *independent tasks* over a
+pool; this module parallelizes *inside one check*, on a pool of its own.
+The vectorized engine's BFS is level-synchronous, and one
 level's successor computation is embarrassingly parallel across frontier
 rows -- so each level is split into contiguous shards, one per worker:
 
@@ -103,7 +103,7 @@ class FrontierSharder:
     ends.
 
     ``jobs`` is the requested width; like
-    :class:`~repro.modelcheck.parallel.ParallelVerifier` it is capped at
+    :class:`~repro.exec.runner.TaskRunner` it is capped at
     the host CPU count unless ``force_pool`` is set (tests on single-core
     hosts must still exercise the scatter/gather path).
     """

@@ -1,24 +1,8 @@
-"""Tests for the sweep helpers."""
+"""Tests for the parameter-range helpers."""
 
 import pytest
 
-from repro.analysis.sweep import geometric_range, linear_range, sweep_1d, sweep_2d
-
-
-def test_sweep_1d():
-    rows = sweep_1d(lambda value: value * 2, [1, 2, 3])
-    assert [(row.inputs, row.output) for row in rows] == [
-        ((1,), 2), ((2,), 4), ((3,), 6)]
-
-
-def test_sweep_2d_cartesian():
-    rows = sweep_2d(lambda a, b: a + b, [1, 2], [10, 20])
-    assert [row.output for row in rows] == [11, 21, 12, 22]
-
-
-def test_sweep_2d_consumes_iterators_correctly():
-    rows = sweep_2d(lambda a, b: (a, b), iter([1, 2]), iter([3, 4]))
-    assert len(rows) == 4
+from repro.analysis.sweep import geometric_range, linear_range
 
 
 def test_linear_range_endpoints():

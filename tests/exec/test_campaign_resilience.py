@@ -16,8 +16,8 @@ import pytest
 
 from repro.core.authority import CouplerAuthority
 from repro.exec import TaskRunner
-from repro.faults.campaign import DEFAULT_FAULTS, CampaignResult, run_campaign
-from repro.modelcheck.parallel import _injection_worker
+from repro.faults.campaign import (DEFAULT_FAULTS, CampaignResult,
+                                   _injection_worker, run_campaign)
 from repro.obs.monitors import RunnerHealthMonitor
 from repro.sim.monitor import TraceMonitor
 

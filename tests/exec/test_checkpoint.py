@@ -97,3 +97,52 @@ def test_runner_without_resume_overwrites(tmp_path):
     entries = read_entries(path)
     assert entries[0]["tasks"] == 1
     assert len(entries) == 2
+
+
+def _cut(path, byte_count):
+    with open(path, "rb+") as handle:
+        handle.truncate(len(handle.read()) - byte_count)
+
+
+def test_resume_drops_a_torn_trailing_record(tmp_path):
+    path = str(tmp_path / "run.jsonl")
+    tasks = [1, 2, 3, 4]
+    uninterrupted = TaskRunner(max_workers=1).map(_double, tasks)
+    TaskRunner(max_workers=1, checkpoint=path).run(_double, tasks)
+    _cut(path, 20)
+
+    resumed = TaskRunner(max_workers=1, checkpoint=path, resume=True)
+    with pytest.warns(RuntimeWarning, match="torn trailing record"):
+        report = resumed.run(_double, tasks)
+    assert report.values() == uninterrupted
+    assert report.restored_count == 3
+    assert not report.results[3].restored
+    # The torn bytes are gone: the rewritten record starts on its own line.
+    entries = read_entries(path)
+    assert [entry["index"] for entry in entries[1:]] == [0, 1, 2, 3]
+    again = TaskRunner(max_workers=1, checkpoint=path, resume=True)
+    assert again.run(_double, tasks).restored_count == 4
+
+
+def test_resume_after_a_torn_header_starts_fresh(tmp_path):
+    path = str(tmp_path / "run.jsonl")
+    with open(path, "w") as handle:
+        handle.write('{"format": "repro-exec-chec')
+    report = TaskRunner(max_workers=1, checkpoint=path,
+                        resume=True).run(_double, [1, 2])
+    assert report.values() == [2, 4]
+    assert report.restored_count == 0
+    assert read_entries(path)[0]["tasks"] == 2
+
+
+def test_torn_record_in_the_middle_rejected(tmp_path):
+    path = str(tmp_path / "run.jsonl")
+    tasks = [1, 2, 3, 4]
+    TaskRunner(max_workers=1, checkpoint=path).run(_double, tasks)
+    lines = open(path).read().splitlines(keepends=True)
+    lines[2] = lines[2][:-20] + "\n"
+    with open(path, "w") as handle:
+        handle.writelines(lines)
+    with pytest.raises(CheckpointMismatch, match=":3: malformed record"):
+        TaskRunner(max_workers=1, checkpoint=path, resume=True).run(_double,
+                                                                    tasks)

@@ -5,7 +5,6 @@ import os
 import pytest
 
 from repro.exec import TaskRunner, pool
-from repro.modelcheck.parallel import ParallelVerifier
 
 
 def test_available_cpus_follows_the_affinity_mask(monkeypatch):
@@ -26,4 +25,3 @@ def test_pools_are_capped_at_the_runnable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 16)
     assert TaskRunner(max_workers=4).effective_workers == 1
-    assert ParallelVerifier(max_workers=4).effective_workers == 1

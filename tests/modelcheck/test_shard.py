@@ -126,7 +126,7 @@ def test_pool_failure_degrades_to_serial_with_reason():
 def test_task_exceptions_reraise_with_worker_traceback():
     """A real task-body error is not swallowed by the fallback: it comes
     back through the envelope and re-raises in the parent."""
-    from repro.modelcheck.parallel import run_task_enveloped, unwrap_envelope
+    from repro.exec.pool import run_task_enveloped, unwrap_envelope
     from repro.modelcheck.shard import _expand_shard
 
     envelope = run_task_enveloped(

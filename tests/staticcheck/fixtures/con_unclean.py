@@ -6,7 +6,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.modelcheck.parallel import run_task_enveloped
+from repro.exec.pool import run_task_enveloped
 
 #: Module-global mutable cache a worker-reachable helper writes (CON003).
 CACHE = {}

@@ -78,6 +78,16 @@ def test_events_command_cluster_does_not_load_the_checker():
     assert loaded == []
 
 
+def test_pooled_campaign_does_not_load_the_checker():
+    loaded = fresh_interpreter(
+        "import json, sys\n"
+        "from repro.faults.campaign import run_campaign\n"
+        "run_campaign(rounds=4, jobs=2)\n"
+        "print(json.dumps(sorted(name for name in sys.modules\n"
+        "                        if name.startswith('repro.modelcheck'))))\n")
+    assert loaded == []
+
+
 def test_serial_task_runner_runs_without_a_pool():
     ran = fresh_interpreter(
         "import json, sys\n"
