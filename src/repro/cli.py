@@ -57,8 +57,8 @@ def _resilience_kwargs(args: argparse.Namespace) -> dict:
 
 def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retries", type=int, default=0,
-                        help="re-run a failing task up to N times with "
-                             "deterministic backoff (default: 0)")
+                        help="re-run a failing task up to N times "
+                             "(default: 0)")
     parser.add_argument("--task-timeout", type=_positive_float, default=None,
                         dest="task_timeout", metavar="SECONDS",
                         help="per-task wall-clock budget; a task past it "

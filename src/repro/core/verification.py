@@ -120,12 +120,11 @@ def verify_all_authorities(slots: int = 4,
     The four checks are independent tasks of a
     :class:`repro.exec.TaskRunner`; ``jobs`` fans them out over a process
     pool with verdicts and counterexamples identical to the serial loop.
-    ``retries`` re-runs failing checks with deterministic backoff,
-    ``task_timeout`` bounds each check's wall-clock, and
-    ``checkpoint``/``resume`` persist finished checks to JSONL so an
-    interrupted matrix restarts where it stopped.  A pre-built ``runner``
-    (any object with ``map``) takes precedence over ``jobs`` and those
-    knobs.
+    ``retries`` re-runs failing checks, ``task_timeout`` bounds each
+    check's wall-clock, and ``checkpoint``/``resume`` persist finished
+    checks to JSONL so an interrupted matrix restarts where it stopped.
+    A pre-built ``runner`` (any object with ``map``) takes precedence
+    over ``jobs`` and those knobs.
 
     With the *vectorized* engine and none of those knobs the parallelism
     turns inward instead: the matrix runs serially and ``jobs`` shards

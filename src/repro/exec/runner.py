@@ -14,14 +14,12 @@ structured :class:`TaskResult` envelope and adds:
   (unpicklable work, spawn errors) are four different things and are
   handled differently: the first three are retryable per task, the last
   falls back to in-process serial execution of the remaining tasks;
-* **bounded deterministic retries** -- each failing task is re-run up to
-  ``retries`` times with exponential backoff (``backoff_base * 2**(n-1)``
-  seconds, capped at ``backoff_cap``; no jitter, so schedules are
-  reproducible);
+* **bounded retries** -- each failing task is re-run up to ``retries``
+  times;
 * **crash recovery** -- when the pool breaks mid-flight, results already
   collected are kept and *only the unfinished tasks* are re-submitted to
-  a fresh pool (at most ``pool_rebuilds`` times), instead of re-running
-  the whole list;
+  a fresh pool (at most :data:`POOL_REBUILDS` times), instead of
+  re-running the whole list;
 * **checkpointing** -- finished tasks stream to a JSONL file
   (:mod:`repro.exec.checkpoint`) as they complete, and ``resume=True``
   restores them so an interrupted campaign picks up where it stopped;
@@ -32,9 +30,8 @@ structured :class:`TaskResult` envelope and adds:
   health.
 
 Determinism: results are returned in task order regardless of scheduling,
-retries re-run the identical task (tasks carry their own seeds), and the
-backoff schedule is a pure function of the failure count -- a transient
-failure changes *when* a result arrives, never *what* it is.
+and retries re-run the identical task (tasks carry their own seeds) -- a
+transient failure changes *when* a result arrives, never *what* it is.
 """
 
 from __future__ import annotations
@@ -61,13 +58,16 @@ TASK_WORKER_CRASH = "worker-crash"
 #: Event source for every runner-emitted event.
 RUNNER_SOURCE = "runner"
 
+#: How many times a broken pool is rebuilt before the tasks lost in the
+#: crash are marked permanently failed.
+POOL_REBUILDS = 3
+
 
 def _abandon_pool(pool: ProcessPoolExecutor) -> None:
     """Tear down a pool whose workers may be hung, dead, or unreachable.
 
     ``shutdown(wait=False)`` alone is not enough here: a worker stuck in
-    a timed-out task (or blocked on a call queue whose feeder died with a
-    pickling error) never exits, and the half-dismantled pool's threads
+    a timed-out task never exits, and the half-dismantled pool's threads
     and processes then deadlock the *next* pool's ``fork`` -- the child
     inherits locks no thread will ever release.  Kill the workers
     outright and join the management thread so teardown has fully
@@ -172,12 +172,6 @@ class TaskRunner:
     #: disables the limit.  Enforced only on the pool path (a single
     #: in-process task cannot be interrupted portably).
     task_timeout: Optional[float] = None
-    #: First retry waits ``backoff_base`` seconds, doubling per failure.
-    backoff_base: float = 0.0
-    backoff_cap: float = 30.0
-    #: How many times a broken pool is rebuilt before the tasks lost in
-    #: the crash are marked permanently failed.
-    pool_rebuilds: int = 3
     #: JSONL checkpoint path; finished tasks stream here as they complete.
     checkpoint: Optional[str] = None
     #: Restore finished tasks from ``checkpoint`` before running.
@@ -257,7 +251,7 @@ class TaskRunner:
                 self._run_serial(function, task_list, pending, results,
                                  attempts, failures, store, epoch)
             elif pending:
-                rebuilds_used = self._run_pooled(
+                rebuilds_used = self._run_pool(
                     function, task_list, results, attempts, failures,
                     store, epoch)
         finally:
@@ -280,17 +274,6 @@ class TaskRunner:
 
     def _elapsed(self, epoch: float) -> float:
         return time.perf_counter() - epoch
-
-    def _backoff_delay(self, failure_count: int) -> float:
-        if self.backoff_base <= 0:
-            return 0.0
-        return min(self.backoff_base * (2 ** (failure_count - 1)),
-                   self.backoff_cap)
-
-    def _sleep_backoff(self, failure_count: int) -> None:
-        delay = self._backoff_delay(failure_count)
-        if delay > 0:
-            time.sleep(delay)
 
     # -- bookkeeping shared by both paths -------------------------------------
 
@@ -344,12 +327,10 @@ class TaskRunner:
                 try:
                     value = function(task_list[index])
                 except Exception as exc:
-                    may_retry = self._register_failure(
+                    self._register_failure(
                         index, TASK_EXCEPTION, str(exc), type(exc).__name__,
                         None, time.perf_counter() - started, results,
                         attempts, failures, epoch)
-                    if may_retry:
-                        self._sleep_backoff(failures[index])
                 else:
                     self._finish_ok(index, value, attempts[index],
                                     time.perf_counter() - started,
@@ -357,15 +338,31 @@ class TaskRunner:
 
     # -- pool path ------------------------------------------------------------
 
-    def _run_pooled(self, function: Callable[[Any], Any],
-                    task_list: List[Any], results: Dict[int, TaskResult],
-                    attempts: Dict[int, int], failures: Dict[int, int],
-                    store: Optional[CheckpointStore], epoch: float) -> int:
+    def _run_pool(self, function: Callable[[Any], Any],
+                  task_list: List[Any], results: Dict[int, TaskResult],
+                  attempts: Dict[int, int], failures: Dict[int, int],
+                  store: Optional[CheckpointStore], epoch: float) -> int:
         """Generational pool loop; returns the number of pool rebuilds."""
         # Imported here, not at module level: a serial run never loads
         # concurrent.futures.process and, with it, multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing.reduction import ForkingPickler
 
+        # Pickle the work once up front, the way the pool's feeder thread
+        # would: an unpicklable item found only after submission fails its
+        # future while that thread still holds the rest of the queue, and
+        # tearing the pool down under it kills the thread mid-call.
+        pending = [index for index in range(len(task_list))
+                   if index not in results]
+        try:
+            ForkingPickler.dumps(function)
+            for index in pending:
+                ForkingPickler.dumps(task_list[index])
+        except Exception as failure:
+            self.fallback_reason = f"{type(failure).__name__}: {failure}"
+            self._run_serial(function, task_list, pending, results,
+                             attempts, failures, store, epoch)
+            return 0
         rebuilds = 0
         while True:
             pending = [index for index in range(len(task_list))
@@ -393,7 +390,7 @@ class TaskRunner:
                 rebuilds += 1
                 lost = [index for index in range(len(task_list))
                         if index not in results]
-                if rebuilds > self.pool_rebuilds:
+                if rebuilds > POOL_REBUILDS:
                     for index in lost:
                         self._emit(TaskFailed(
                             time=self._elapsed(epoch), source=RUNNER_SOURCE,
@@ -410,14 +407,6 @@ class TaskRunner:
                         time=self._elapsed(epoch), source=RUNNER_SOURCE,
                         index=index, attempt=attempts[index],
                         reason=TASK_WORKER_CRASH, error=self._crash_error))
-                self._sleep_backoff(rebuilds)
-                continue
-            # Exceptions/timeouts this generation were already registered;
-            # back off once per wave before re-submitting retryable tasks.
-            retrying = [index for index in pending
-                        if index not in results and failures[index] > 0]
-            if retrying:
-                self._sleep_backoff(max(failures[index] for index in retrying))
 
     def _pool_generation(self, pool: ProcessPoolExecutor,
                          function: Callable[[Any], Any],
@@ -478,9 +467,9 @@ class TaskRunner:
                             self._crash_error = text
                             crashed = True
                         else:
-                            # Submission-time failure surfaced through the
-                            # future (unpicklable function/task/result):
-                            # retrying in a pool cannot help, fall back to
+                            # An unpicklable result (the work itself was
+                            # pickled before the pool was built): retrying
+                            # in a pool cannot help, fall back to
                             # in-process serial for the unfinished tasks.
                             attempts[index] -= 1
                             self.fallback_reason = text

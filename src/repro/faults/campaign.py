@@ -489,9 +489,8 @@ def run_campaign(faults: Optional[List[FaultDescriptor]] = None,
     outcomes (and their order) identical to the serial nested loop.
 
     Every campaign runs through a :class:`repro.exec.TaskRunner`:
-    ``retries`` re-runs failing cells with deterministic backoff,
-    ``task_timeout`` bounds each cell's wall-clock, and
-    ``checkpoint``/``resume`` persist finished cells to JSONL so an
+    ``retries`` re-runs failing cells, ``task_timeout`` bounds each cell's
+    wall-clock, and ``checkpoint``/``resume`` persist finished cells to JSONL so an
     interrupted campaign restarts from where it stopped.  A pre-built
     ``runner`` (any object with a ``map(function, tasks)`` method) takes
     precedence over ``jobs`` and the individual knobs.

@@ -13,9 +13,9 @@ conventions; this package turns them into machine-checked rules:
 * **EVT** (:mod:`repro.staticcheck.rules_evt`) -- event-taxonomy checker:
   every emit site names a dataclass kind declared in ``obs/events.py``
   with matching detail fields; monitors consume declared kinds only.
-* **SIM** (:mod:`repro.staticcheck.rules_sim`) -- engine-process checker:
-  functions registered as simulator processes are generators and never
-  block the event loop.
+* **SIM** (:mod:`repro.staticcheck.rules_sim`) -- engine-bypass checker:
+  protocol and network code schedules only through the simulator, with
+  no private heaps, wall clocks, or per-slot rescheduling loops.
 * **MDL** (:mod:`repro.staticcheck.rules_mdl`) -- transition-system
   linter: per coupler authority, dead fault transitions, never-fired
   guards, never-written state variables, and unreachable enum values,

@@ -50,24 +50,6 @@ HOT_PATH_DIRS = ("sim", "modelcheck", "ttp")
 SET_METHODS = frozenset({"union", "intersection", "difference",
                          "symmetric_difference"})
 
-#: Call targets that block on the wall clock or the OS -- shared with the
-#: SIM pack's no-blocking-calls rule.
-BLOCKING_CALLS = frozenset({
-    "time.sleep",
-    "input",
-    "os.system",
-    "os.wait",
-    "subprocess.run",
-    "subprocess.call",
-    "subprocess.check_call",
-    "subprocess.check_output",
-    "subprocess.Popen",
-    "socket.create_connection",
-    "urllib.request.urlopen",
-    "requests.get",
-    "requests.post",
-})
-
 
 class WallClockRule(AstRule):
     """DET001: reading the wall clock makes runs unreproducible."""

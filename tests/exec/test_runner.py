@@ -13,13 +13,15 @@ import pytest
 
 from repro.exec import (TASK_EXCEPTION, TASK_OK, TASK_TIMEOUT,
                         TASK_WORKER_CRASH, TaskExecutionError, TaskRunner)
+from repro.exec import runner as runner_module
 from repro.obs.monitors import RunnerHealthMonitor
 from repro.sim.monitor import TraceMonitor
 
-# Several tests deliberately kill or poison pool workers; the pool's call
-# queue feeder thread can die with a BrokenPipeError mid-teardown, which
-# is part of the failure being simulated, not a defect under test.
-pytestmark = pytest.mark.filterwarnings(
+# The crash and timeout tests kill pool workers on purpose; the pool's
+# call queue feeder thread can die with a BrokenPipeError mid-teardown,
+# which is part of the failure being simulated, not a defect under test.
+# Every other test here runs under the project-wide error filter.
+worker_teardown_noise = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnhandledThreadExceptionWarning")
 
 
@@ -158,17 +160,11 @@ def test_map_raises_task_execution_error_on_failure():
         runner.map(_always_fails, [1, 2])
 
 
-def test_backoff_schedule_is_deterministic_and_capped():
-    runner = TaskRunner(backoff_base=0.1, backoff_cap=0.5)
-    delays = [runner._backoff_delay(n) for n in range(1, 6)]
-    assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
-    assert TaskRunner()._backoff_delay(3) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # Timeouts
 # ---------------------------------------------------------------------------
 
+@worker_teardown_noise
 def test_timeout_marks_task_and_keeps_others(tmp_path):
     marker = str(tmp_path / "never-claimed")
     runner = TaskRunner(max_workers=2, force_pool=True, task_timeout=0.4)
@@ -178,6 +174,7 @@ def test_timeout_marks_task_and_keeps_others(tmp_path):
     assert report.results[1].error_type == "TimeoutError"
 
 
+@worker_teardown_noise
 def test_timeout_retry_succeeds(tmp_path):
     marker = str(tmp_path / "slow-marker")
     runner, _, health = _watched_runner(max_workers=2, force_pool=True,
@@ -192,6 +189,7 @@ def test_timeout_retry_succeeds(tmp_path):
 # Worker crashes
 # ---------------------------------------------------------------------------
 
+@worker_teardown_noise
 def test_worker_crash_reruns_only_unfinished(tmp_path):
     marker = str(tmp_path / "kill-marker")
     tasks = [(marker, value, 4) for value in range(8)]
@@ -210,11 +208,13 @@ def test_worker_crash_reruns_only_unfinished(tmp_path):
     assert len(health.retried_tasks()) < len(tasks)
 
 
-def test_crash_budget_exhaustion_fails_remaining(tmp_path):
+@worker_teardown_noise
+def test_crash_budget_exhaustion_fails_remaining(tmp_path, monkeypatch):
     marker_dir = tmp_path / "kills"
     marker_dir.mkdir()
 
-    runner = TaskRunner(max_workers=2, force_pool=True, pool_rebuilds=1)
+    monkeypatch.setattr(runner_module, "POOL_REBUILDS", 1)
+    runner = TaskRunner(max_workers=2, force_pool=True)
     # Every generation crashes: value 0 kills on a fresh marker each run.
     report = runner.run(_kill_forever, [(str(marker_dir), 0), (str(marker_dir), 1)])
     statuses = {result.status for result in report.results}

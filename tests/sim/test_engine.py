@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 
 def test_initial_time_is_zero():
@@ -144,7 +144,7 @@ def test_zero_delay_event_runs_after_current():
     order = []
 
     def outer():
-        sim.call_soon(lambda: order.append("soon"))
+        sim.schedule(0.0, lambda: order.append("soon"))
         order.append("outer")
 
     sim.schedule(1.0, outer)
@@ -152,78 +152,8 @@ def test_zero_delay_event_runs_after_current():
     assert order == ["outer", "soon"]
 
 
-def test_stop_halts_the_loop():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
-    sim.schedule(2.0, lambda: fired.append(2))
-    sim.run()
-    assert fired == [1]
-    assert sim.pending_count() == 1
-
-
-def test_peek_skips_cancelled():
-    sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    event.cancel()
-    assert sim.peek() == 2.0
-
-
-def test_peek_empty_queue_is_none():
-    assert Simulator().peek() is None
-
-
-def test_step_returns_false_when_empty():
-    assert Simulator().step() is False
-
-
-def test_step_executes_exactly_one_event():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: fired.append(1))
-    sim.schedule(2.0, lambda: fired.append(2))
-    assert sim.step() is True
-    assert fired == [1]
-
-
-def test_max_events_limit():
-    sim = Simulator()
-    fired = []
-    for index in range(10):
-        sim.schedule(float(index + 1), lambda i=index: fired.append(i))
-    sim.run(max_events=3)
-    assert fired == [0, 1, 2]
-
-
-def test_max_events_with_until_keeps_clock_at_last_event():
-    # Regression: run(until=..., max_events=...) used to fast-forward the
-    # clock to `until` even when queued events <= until remained, so a
-    # resumed run would fire them with the clock already *past* their
-    # timestamps -- time went backwards.
-    sim = Simulator()
-    fired = []
-    for index in range(6):
-        sim.schedule(float(index + 1), lambda i=index: fired.append(i))
-    sim.run(until=10.0, max_events=3)
-    assert fired == [0, 1, 2]
-    assert sim.now == 3.0  # not fast-forwarded past the pending events
-
-    # Resuming keeps time monotonic: every remaining event fires at its
-    # own timestamp, never behind the clock.
-    observed = []
-    sim.schedule(7.0 - sim.now, lambda: observed.append(sim.now))
-    assert sim.step() is True
-    assert sim.now == 4.0
-    sim.run(until=10.0)
-    assert fired == [0, 1, 2, 3, 4, 5]
-    assert observed == [7.0]
-    assert sim.now == 10.0
-
-
 def test_until_past_queue_still_fast_forwards():
-    # The complementary half of the regression fix: when nothing remains
-    # at or before `until`, the clock still advances all the way.
+    # Events past `until` stay queued; the clock still advances all the way.
     sim = Simulator()
     sim.schedule(2.0, lambda: None)
     sim.schedule(30.0, lambda: None)
@@ -231,20 +161,17 @@ def test_until_past_queue_still_fast_forwards():
     assert sim.now == 10.0
 
 
-def test_stop_with_until_does_not_fast_forward():
+def test_run_until_leaves_later_events_for_the_next_run():
     sim = Simulator()
-    sim.schedule(1.0, sim.stop)
-    sim.run(until=50.0)
-    assert sim.now == 1.0
-
-
-def test_pending_count_excludes_cancelled():
-    sim = Simulator()
-    keep = sim.schedule(1.0, lambda: None)
-    drop = sim.schedule(2.0, lambda: None)
-    drop.cancel()
-    assert sim.pending_count() == 1
-    assert not keep.cancelled
+    fired = []
+    for time in (8.0, 1.0, 6.0, 4.0):
+        sim.schedule(time, lambda: fired.append(sim.now))
+    assert sim.run(until=5.0) == 5.0
+    assert fired == [1.0, 4.0]
+    assert sim.now == 5.0
+    sim.run()
+    assert fired == [1.0, 4.0, 6.0, 8.0]
+    assert sim.now == 8.0
 
 
 def test_reentrant_run_rejected():
@@ -260,12 +187,6 @@ def test_reentrant_run_rejected():
     sim.schedule(1.0, reenter)
     sim.run()
     assert len(errors) == 1
-
-
-def test_event_ordering_operator():
-    early = Event(1.0, 0, 0, lambda: None)
-    late = Event(2.0, 0, 1, lambda: None)
-    assert early < late
 
 
 # -- cancelled-event compaction ----------------------------------------------
@@ -287,7 +208,6 @@ def test_churned_schedule_compacts_dead_events():
     # The backing queue dropped the dead entries eagerly rather than
     # waiting for pops to stumble over them.
     assert len(sim._queue) < len(events)
-    assert sim._queue.pending_count() == 100
     sim.run()
     assert fired == [i for i in range(400) if i % 4 == 0]
 
@@ -298,22 +218,25 @@ def test_compaction_keeps_survivors_in_order():
     fired = []
     events = [sim.schedule(float(i * 7), (lambda i=i: fired.append(i)))
               for i in range(300)]
+    # Two thirds cancelled: past the threshold, so the heap is rebuilt.
     for i, event in enumerate(events):
-        if i % 2:
+        if i % 3:
             event.cancel()
-    assert sim._queue.pending_count() == 150
+    assert len(sim._queue) < len(events)
     sim.run()
-    assert fired == [i for i in range(300) if i % 2 == 0]
-    assert sim.now == (300 - 2) * 7.0
+    assert fired == [i for i in range(300) if i % 3 == 0]
+    assert sim.now == (300 - 3) * 7.0
 
 
 def test_explicit_compact_resets_dead_counter():
     sim = Simulator()
-    keep = sim.schedule(5.0, lambda: None)
+    fired = []
+    sim.schedule(5.0, lambda: fired.append("keep"))
     for _ in range(10):
-        sim.schedule(3.0, lambda: None).cancel()
+        sim.schedule(3.0, lambda: fired.append("dropped")).cancel()
     assert sim._queue._dead == 10
     sim._queue.compact()
     assert sim._queue._dead == 0
-    assert sim._queue.pending_count() == 1
-    assert sim._queue.peek()[3] is keep
+    assert len(sim._queue) == 1
+    sim.run()
+    assert fired == ["keep"]

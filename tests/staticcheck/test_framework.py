@@ -114,8 +114,7 @@ class TestRuleSelection:
     def test_default_selects_all_ast_rules(self):
         ids = {rule.rule for rule in select_rules(None)}
         assert ids == {"DET001", "DET002", "DET003", "DET004", "DET005",
-                       "DET006", "EVT001", "EVT002", "EVT003", "SIM001",
-                       "SIM002", "SIM003",
+                       "DET006", "EVT001", "EVT002", "EVT003", "SIM003",
                        "CON001", "CON002", "CON003", "CON004",
                        "WID001", "WID002", "WID003",
                        "ORD001", "ORD002"}

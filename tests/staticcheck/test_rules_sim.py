@@ -1,61 +1,14 @@
-"""SIM pack: process-registration and blocking-call rules."""
+"""SIM pack: the engine-bypass rule."""
 
 from collections import Counter
 from pathlib import Path
 
 from repro.staticcheck.framework import ModuleUnit, run_ast_rules
-from repro.staticcheck.rules_sim import (
-    NoBlockingCallsRule,
-    NoEngineBypassRule,
-    ProcessIsGeneratorRule,
-)
+from repro.staticcheck.rules_sim import NoEngineBypassRule
 
 
 def _counts(rules, unit):
     return Counter(f.rule for f in run_ast_rules(rules, [unit]))
-
-
-class TestProcessRegistration:
-    def test_non_generator_processes_are_flagged(self, load_unit):
-        unit = load_unit("sim_unclean.py")
-        assert _counts([ProcessIsGeneratorRule()], unit)["SIM001"] == 2
-
-    def test_generator_registration_is_clean(self):
-        unit = ModuleUnit(
-            Path("/x/sim/demo.py"), "sim/demo.py",
-            "def worker(node):\n"
-            "    yield Timeout(1.0)\n"
-            "sim.process(worker(node))\n")
-        assert run_ast_rules([ProcessIsGeneratorRule()], [unit]) == []
-
-    def test_externally_defined_factories_are_skipped(self):
-        unit = ModuleUnit(
-            Path("/x/sim/demo.py"), "sim/demo.py",
-            "from elsewhere import worker\n"
-            "sim.process(worker(node))\n")
-        assert run_ast_rules([ProcessIsGeneratorRule()], [unit]) == []
-
-    def test_multiprocessing_style_process_is_out_of_scope(self):
-        unit = ModuleUnit(
-            Path("/x/tools/par.py"), "tools/par.py",
-            "def job():\n"
-            "    return 1\n"
-            "multiprocessing.Process(target=job)\n")
-        assert run_ast_rules([ProcessIsGeneratorRule()], [unit]) == []
-
-
-class TestBlockingCalls:
-    def test_blocking_calls_in_generators_are_flagged(self, load_unit):
-        unit = load_unit("sim_unclean.py")
-        assert _counts([NoBlockingCallsRule()], unit)["SIM002"] == 2
-
-    def test_blocking_call_outside_a_generator_is_out_of_scope(self):
-        unit = ModuleUnit(
-            Path("/x/tools/bench.py"), "tools/bench.py",
-            "import time\n"
-            "def pace():\n"
-            "    time.sleep(0.1)\n")
-        assert run_ast_rules([NoBlockingCallsRule()], [unit]) == []
 
 
 class TestEngineBypass:

@@ -24,7 +24,7 @@ REPO_ROOT = HERE.parents[1]
 
 #: Every AST rule id the fixture packages must demonstrate.
 AST_RULE_IDS = {"DET001", "DET002", "DET003", "DET004", "DET005",
-                "EVT001", "EVT002", "EVT003", "SIM001", "SIM002",
+                "EVT001", "EVT002", "EVT003", "SIM003",
                 "CON001", "CON002", "CON003", "CON004",
                 "WID001", "WID002", "WID003", "ORD001", "ORD002"}
 

@@ -3,7 +3,7 @@
 The simulator commands (sweep, campaign, the cluster, the task runner, the
 CLI, the conformance replays) must not import the model checker or numpy,
 and the checker must not import the simulator.  A sweep or a cluster also
-loads no process pool, no buffer analysis and no generator processes.
+loads no process pool and no buffer analysis.
 Every check runs in a fresh interpreter, because this test process has
 long since imported everything.
 """
@@ -27,7 +27,7 @@ SIMULATOR_LAYER = ("repro.ttp.controller", "repro.network.channel",
                    "repro.sim.engine")
 #: What a generated sweep or a single cluster never runs.
 UNUSED_BY_A_SWEEP = ("concurrent.futures.process", "repro.core.buffer_analysis",
-                     "repro.core.tradeoffs", "repro.sim.process")
+                     "repro.core.tradeoffs")
 #: Packages whose public names resolve on first access (PEP 562).
 LAZY_PACKAGES = ("repro.analysis", "repro.core", "repro.faults",
                  "repro.model", "repro.modelcheck", "repro.sim", "repro.ttp")
@@ -123,6 +123,13 @@ def test_lazy_exports_resolve():
 def test_unknown_attribute_raises_attribute_error(package):
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(importlib.import_module(package), "no_such_name")
+
+
+@pytest.mark.parametrize("name", ["Process", "Signal", "Timeout", "Interrupt",
+                                  "ProcessDied"])
+def test_simulator_exports_no_generator_processes(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(importlib.import_module("repro.sim"), name)
 
 
 def test_numpy_loads_on_first_vectorized_use():
