@@ -28,8 +28,8 @@ ENGINE_CHOICES = ("auto", "packed", "vectorized")
 ENGINE_HELP = ("BFS engine (default: auto = the exact array engine when "
                "numpy imports and the model's node blocks fit uint64 "
                "words, else packed; packed = scalar integer-state search; "
-               "vectorized = the array engine with --jobs frontier "
-               "sharding)")
+               "vectorized = the array engine, counting the whole "
+               "violating BFS level)")
 
 
 def _positive_int(text: str) -> int:
@@ -504,9 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--slots", type=int, default=4)
     verify.add_argument("--jobs", type=_positive_int, default=None,
                         help="fan the four checks out over N worker "
-                             "processes; with --engine vectorized, shard "
-                             "each check's BFS frontier across N workers "
-                             "instead (default: serial)")
+                             "processes (default: serial)")
     verify.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
                         help=ENGINE_HELP)
     _add_resilience_flags(verify)

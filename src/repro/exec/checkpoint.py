@@ -17,7 +17,13 @@ A record is complete once its newline is on disk.  A process killed
 mid-write leaves one torn record after the last newline; resuming drops
 it (its task runs again), truncates the file back to the last complete
 line and warns.  A malformed record *before* the last newline cannot come
-from an interrupted append, so it raises :class:`CheckpointMismatch`.
+from an interrupted append, so it raises :class:`CheckpointMismatch`
+naming ``path:line`` -- bad JSON, a non-integer index, a payload that
+does not decode.
+
+Resuming unpickles every payload in the file, and unpickling runs
+whatever code the pickle names: only ``--resume`` a checkpoint this
+program wrote, never one from a source you do not trust.
 """
 
 from __future__ import annotations
@@ -144,16 +150,9 @@ class CheckpointStore:
                 f"delete the file or drop --resume to start fresh")
         restored: Dict[int, CheckpointEntry] = {}
         for number, line in records[1:]:
-            record = self._record(number, line)
-            index = record["index"]
-            if not 0 <= index < len(tasks):
-                raise CheckpointMismatch(
-                    f"{self.path} holds index {index}, outside the "
-                    f"{len(tasks)}-task campaign being resumed")
-            value = pickle.loads(base64.b64decode(record["payload"]))
-            restored[index] = CheckpointEntry(
-                index=index, attempts=record.get("attempts", 1),
-                elapsed_seconds=record.get("elapsed", 0.0), value=value)
+            entry = self._entry(number, self._record(number, line),
+                                len(tasks))
+            restored[entry.index] = entry
         if complete < len(data):
             if data[complete:].strip():
                 warnings.warn(
@@ -178,6 +177,46 @@ class CheckpointStore:
             raise CheckpointMismatch(
                 f"{self.path}:{number}: record is not a JSON object")
         return record
+
+    def _entry(self, number: int, record: Dict[str, Any],
+               task_count: int) -> CheckpointEntry:
+        """Validate one task record and unpickle its payload."""
+        where = f"{self.path}:{number}"
+        index = record.get("index")
+        if not _is_int(index):
+            raise CheckpointMismatch(
+                f"{where}: index must be an integer, got {index!r}")
+        if not 0 <= index < task_count:
+            raise CheckpointMismatch(
+                f"{where}: index {index} is outside the {task_count}-task "
+                f"campaign being resumed")
+        attempts = record.get("attempts", 1)
+        if not _is_int(attempts) or attempts < 1:
+            raise CheckpointMismatch(
+                f"{where}: attempts must be a positive integer, "
+                f"got {attempts!r}")
+        elapsed = record.get("elapsed", 0.0)
+        if not (_is_int(elapsed) or isinstance(elapsed, float)):
+            raise CheckpointMismatch(
+                f"{where}: elapsed must be a number, got {elapsed!r}")
+        payload = record.get("payload")
+        if not isinstance(payload, str):
+            raise CheckpointMismatch(
+                f"{where}: payload must be a base64 string, got "
+                f"{type(payload).__name__}")
+        try:
+            value = pickle.loads(base64.b64decode(payload, validate=True))
+        except Exception as error:  # damaged pickles raise almost any type
+            raise CheckpointMismatch(
+                f"{where}: payload does not decode "
+                f"({type(error).__name__}: {error})") from error
+        return CheckpointEntry(index=index, attempts=attempts,
+                               elapsed_seconds=elapsed, value=value)
+
+
+def _is_int(value: Any) -> bool:
+    """An integer JSON value (``true``/``false`` load as bools, not ints)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def read_entries(path: str) -> List[Dict[str, Any]]:

@@ -1,13 +1,11 @@
-"""Process-pool primitives shared by the package's two pools.
+"""Process-pool primitives behind :class:`repro.exec.runner.TaskRunner`.
 
-:class:`repro.exec.runner.TaskRunner` (every task-level fan-out) and
-:class:`repro.modelcheck.shard.FrontierSharder` (frontier shards inside
-one check) both submit task bodies wrapped in :func:`run_task_enveloped`,
-tell pool failures from task failures with ``_POOL_FAILURES``, and size
-their pools with :func:`available_cpus`.  They live here, beside the
-runner, so that the simulator commands, which fan out through
-:class:`TaskRunner`, never import the model checker.  ``_POOL_FAILURES``
-resolves on first access, so a serial run never loads
+The runner, the package's one process pool, submits task bodies wrapped
+in :func:`run_task_enveloped`, tells pool failures from task failures
+with ``_POOL_FAILURES``, and sizes its pool with :func:`available_cpus`.
+They live in their own module so that the simulator commands, which fan
+out through :class:`TaskRunner`, never import the model checker.
+``_POOL_FAILURES`` resolves on first access, so a serial run never loads
 ``concurrent.futures`` or ``multiprocessing``.
 """
 
@@ -18,15 +16,6 @@ import pickle
 import traceback
 from pickle import PicklingError
 from typing import Any, Callable, Optional, Tuple
-
-
-class RemoteTraceback(Exception):
-    """Carries a worker-side traceback as the ``__cause__`` of a re-raised
-    task exception, so the parent-side stack trace shows where the task
-    actually failed inside the worker process."""
-
-    def __str__(self) -> str:
-        return "\n\n--- worker-side traceback ---\n" + self.args[0]
 
 
 def run_task_enveloped(function: Callable[[Any], Any],
@@ -52,17 +41,6 @@ def run_task_enveloped(function: Callable[[Any], Any],
             exc = RuntimeError(f"unpicklable task exception "
                                f"{type(exc).__name__}: {exc}")
         return ("error", exc, formatted)
-
-
-def unwrap_envelope(envelope: Tuple[str, Any, Optional[str]]) -> Any:
-    """Value of an ``("ok", ...)`` envelope; re-raises an ``("error", ...)``
-    one with the worker-side traceback attached as ``__cause__``."""
-    status, value, formatted = envelope
-    if status == "ok":
-        return value
-    if formatted is not None:
-        raise value from RemoteTraceback(formatted)
-    raise value
 
 
 def available_cpus() -> int:

@@ -14,8 +14,6 @@ violation found is at minimum depth).
   fast path of the checker's hot loop),
 * :mod:`repro.modelcheck.checker` -- BFS reachability and invariant
   checking with counterexample extraction (tuple and packed engines),
-* :mod:`repro.modelcheck.shard` -- frontier sharding inside one
-  vectorized check,
 * :mod:`repro.modelcheck.trace` -- counterexample rendering.
 """
 

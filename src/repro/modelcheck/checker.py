@@ -29,11 +29,9 @@ Three engines share the same search semantics:
   reaches each new state, the per-parent-deduplicated transition count,
   and where ``max_states`` cuts the level.  Under ``engine="auto"`` it
   returns the packed engine's result on every field.  Under
-  ``engine="vectorized"`` it adds frontier sharding
-  (:mod:`repro.modelcheck.shard`) and differs in one count: on a
-  violating level ``states_explored`` includes the whole level (up to
-  ``max_states``), not just the states discovered before the violating
-  one.
+  ``engine="vectorized"`` it differs in one count: on a violating level
+  ``states_explored`` includes the whole level (up to ``max_states``),
+  not just the states discovered before the violating one.
 """
 
 from __future__ import annotations
@@ -237,17 +235,10 @@ class InvariantChecker:
     * ``"tuple"`` -- force the classic tuple search (a library option:
       :func:`find_trace_to`, :func:`find_deadlocks` and the EXP-P1
       baseline use it);
-    * ``"vectorized"`` -- the array engine with frontier sharding
-      available; on a violating level it counts the whole level in
-      ``states_explored``.  Without numpy or ``packed_geometry`` it
-      *warns and falls back* to the packed engine (the result's
-      ``engine`` field records what actually ran).
-
-    ``jobs`` (vectorized engine only) shards each large BFS level across
-    a worker pool (:class:`repro.modelcheck.shard.FrontierSharder`) --
-    parallelism *within one check*, orthogonal to the task-level fan-out
-    of :class:`repro.exec.TaskRunner`.  Verdicts, counts, and traces
-    are identical to the single-process search.
+    * ``"vectorized"`` -- the array engine; on a violating level it
+      counts the whole level in ``states_explored``.  Without numpy or
+      ``packed_geometry`` it *warns and falls back* to the packed engine
+      (the result's ``engine`` field records what actually ran).
     """
 
     def __init__(self, system: TransitionSystem,
@@ -255,19 +246,15 @@ class InvariantChecker:
                  max_depth: Optional[int] = None,
                  progress: Optional[Callable[[int, int], None]] = None,
                  progress_interval: int = 50_000,
-                 engine: str = "auto",
-                 jobs: Optional[int] = None) -> None:
+                 engine: str = "auto") -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; pick one of {ENGINES}")
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.system = system
         self.max_states = max_states
         self.max_depth = max_depth
         self.progress = progress
         self.progress_interval = progress_interval
         self.engine = engine
-        self.jobs = jobs
 
     # -- engine selection ---------------------------------------------------------
 
@@ -470,9 +457,9 @@ class InvariantChecker:
         """Level-synchronous BFS over NumPy arrays of split packed codes.
 
         Each level's edges come in the packed engine's enumeration order:
-        from one :meth:`VectorKernel.successor_level` call (or the
-        sharder) for levels of at least :data:`BATCH_MIN_LEVEL` states,
-        from ``packed_successors`` per state below that.  A
+        from one :meth:`VectorKernel.successor_level` call for levels of
+        at least :data:`BATCH_MIN_LEVEL` states, from ``packed_successors``
+        per state below that.  A
         :class:`~repro.modelcheck.vector.LevelDiscovery` resolves them
         against the visited set; the new states stay in discovery order
         with an int32 first-parent row each, so ``max_states`` keeps the
@@ -496,11 +483,6 @@ class InvariantChecker:
         kernel = model_kernel(system)
         np = kernel.np
         seen = FusedSeenSet(np) if kernel.fused else SplitSeenSet(np)
-        sharder = None
-        if vectorized and self.jobs is not None and self.jobs > 1:
-            from repro.modelcheck.shard import FrontierSharder
-
-            sharder = FrontierSharder(system, jobs=self.jobs)
         max_states = self.max_states
         max_depth = self.max_depth
         progress = self.progress
@@ -516,8 +498,6 @@ class InvariantChecker:
                 succ_words, succ_tails = kernel.split_codes(
                     [code for codes in targets for code in codes])
                 return succ_words, succ_tails, parents
-            if sharder is not None:
-                return sharder.successor_level(words, tails)
             return kernel.successor_level(words, tails, scalar_order=True)
 
         #: Per depth: the admitted states and their first-parent rows.
@@ -559,47 +539,44 @@ class InvariantChecker:
                                truncated=truncated,
                                engine="vectorized")
 
-        try:
-            words, tails = kernel.split_codes(system.packed_initial_states())
-            level = LevelDiscovery(kernel, seen, words, tails,
-                                   np.zeros(len(words), dtype=np.int64))
-            depth = 0
-            while True:
-                admitted = len(level)
-                # Like the packed loop, max_states never cuts the
-                # initial states.
-                if depth and max_states is not None:
-                    admitted = min(admitted, max(0, max_states - len(seen)))
-                words = level.words[:admitted]
-                tails = level.tails[:admitted]
-                hits = np.flatnonzero(violations(words, tails))
-                if len(hits):
-                    rank = int(hits[0])
-                    admit(rank + 1, depth)
-                    if depth:
-                        transitions += level.transitions_through(rank)
-                    max_depth_seen = depth
-                    levels.append((words, tails, level.parents))
-                    return make_result(rank, len(seen) + (
-                        admitted if vectorized else rank + 1))
-                admit(admitted, depth)
+        words, tails = kernel.split_codes(system.packed_initial_states())
+        level = LevelDiscovery(kernel, seen, words, tails,
+                               np.zeros(len(words), dtype=np.int64))
+        depth = 0
+        while True:
+            admitted = len(level)
+            # Like the packed loop, max_states never cuts the
+            # initial states.
+            if depth and max_states is not None:
+                admitted = min(admitted, max(0, max_states - len(seen)))
+            words = level.words[:admitted]
+            tails = level.tails[:admitted]
+            hits = np.flatnonzero(violations(words, tails))
+            if len(hits):
+                rank = int(hits[0])
+                admit(rank + 1, depth)
                 if depth:
-                    transitions += level.transitions
-                truncated |= admitted < len(level)
-                if not admitted:
-                    break
-                level.commit(seen, admitted)
-                levels.append((words, tails, level.parents))
+                    transitions += level.transitions_through(rank)
                 max_depth_seen = depth
-                if max_depth is not None and depth >= max_depth:
-                    truncated = True
-                    break
-                level = LevelDiscovery(kernel, seen, *expand(words, tails))
-                depth += 1
-            return make_result()
-        finally:
-            if sharder is not None:
-                sharder.close()
+                levels.append((words, tails, level.parents))
+                return make_result(rank, len(seen) + (
+                    admitted if vectorized else rank + 1))
+            admit(admitted, depth)
+            if depth:
+                transitions += level.transitions
+            truncated |= admitted < len(level)
+            if not admitted:
+                break
+            level.commit(seen, admitted)
+            levels.append((words, tails, level.parents))
+            max_depth_seen = depth
+            if max_depth is not None and depth >= max_depth:
+                truncated = True
+                break
+            level = LevelDiscovery(kernel, seen, *expand(words, tails))
+            depth += 1
+        return make_result()
+
 
 @dataclass
 class DeadlockSearchResult:

@@ -650,21 +650,15 @@ class VectorExplorer:
     are kept and the overshoot flag comes back ``True`` -- this is how
     ``count_reachable`` detects that the reachable set exceeds its
     limit.
-
-    ``expander`` substitutes a custom level-expansion callable with the
-    signature of :meth:`VectorKernel.successor_level` for the local
-    kernel -- the hook behind sharded expansion
-    (:class:`repro.modelcheck.shard.FrontierSharder`).
     """
 
-    def __init__(self, model, expander=None) -> None:
+    def __init__(self, model) -> None:
         np = require_numpy()
         self.np = np
         self.model = model
         model.ensure_packed_tables()
         kernel = model_kernel(model)
         self.kernel = kernel
-        self.expander = expander
         self._seen: Any
         if kernel.fused:
             self._seen = FusedSeenSet(np)
@@ -689,11 +683,7 @@ class VectorExplorer:
         successors, commit the rest.  Returns the new states (sorted-
         unique), the raw transition count enumerated, and the overshoot
         flag."""
-        if self.expander is not None:
-            succ_words, succ_tails, _ = self.expander(words, tails)
-        else:
-            succ_words, succ_tails, _ = self.kernel.successor_level(words,
-                                                                    tails)
+        succ_words, succ_tails, _ = self.kernel.successor_level(words, tails)
         raw = len(succ_words)
         new_words, new_tails, truncated = self._absorb(
             succ_words, succ_tails, limit)

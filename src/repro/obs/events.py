@@ -601,13 +601,37 @@ def make_event(time: float, source: str, kind: str,
     return cls(time=time, source=source, **details)
 
 
-def event_from_dict(payload: Dict[str, Any]) -> Event:
-    """Rebuild an event from :meth:`Event.to_dict` output (JSONL import)."""
+def event_from_dict(payload: Any) -> Event:
+    """Rebuild an event from :meth:`Event.to_dict` output (JSONL import).
+
+    Raises :class:`ValueError` for a payload no export produces: not an
+    object, a missing or non-numeric ``time``, a non-string ``source`` or
+    ``kind``, or ``details`` that are not an object or that repeat one of
+    those three fields.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"event record must be a JSON object, "
+                         f"got {type(payload).__name__}: {payload!r}")
     missing = {"time", "source", "kind"} - set(payload)
     if missing:
         raise ValueError(f"event payload missing {sorted(missing)}: {payload!r}")
-    return make_event(payload["time"], payload["source"], payload["kind"],
-                      **dict(payload.get("details") or {}))
+    time = payload["time"]
+    if isinstance(time, bool) or not isinstance(time, (int, float)):
+        raise ValueError(f"event time must be a number, got {time!r}")
+    for name in ("source", "kind"):
+        if not isinstance(payload[name], str):
+            raise ValueError(f"event {name} must be a string, "
+                             f"got {payload[name]!r}")
+    details = payload.get("details")
+    if details is None:
+        details = {}
+    if not isinstance(details, dict):
+        raise ValueError(f"event details must be a JSON object, "
+                         f"got {details!r}")
+    clashing = {"time", "source", "kind"} & set(details)
+    if clashing:
+        raise ValueError(f"event details repeat {sorted(clashing)}")
+    return make_event(time, payload["source"], payload["kind"], **details)
 
 
 def taxonomy_rows() -> List[tuple]:

@@ -205,8 +205,11 @@ class TraceMonitor:
                                  Iterable[str]]) -> List[Event]:
         """Parse a JSONL stream back into typed events.
 
-        A line that is not JSON raises :class:`ValueError` naming the
-        source and its 1-based line number (blank lines count).
+        A line that is not JSON, or not an event record (see
+        :func:`~repro.obs.events.event_from_dict`), raises
+        :class:`ValueError` naming the source and its 1-based line number
+        (blank lines count).  Unknown kinds load as
+        :class:`~repro.obs.events.GenericEvent`.
         """
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as handle:
@@ -216,13 +219,16 @@ class TraceMonitor:
             line = line.strip()
             if not line:
                 continue
+            name = getattr(source, "name", "<stream>")
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as error:
-                name = getattr(source, "name", "<stream>")
                 raise ValueError(f"{name}:{number}: malformed JSONL record: "
                                  f"{error}") from error
-            events.append(event_from_dict(record))
+            try:
+                events.append(event_from_dict(record))
+            except ValueError as error:
+                raise ValueError(f"{name}:{number}: {error}") from error
         return events
 
     @classmethod

@@ -15,8 +15,8 @@ answers two questions the interprocedural packs need:
   (CON003) or "every helper a monitor's ``on_event`` dispatches through"
   (ORD002).
 
-Function keys are ``"<module>:<qualname>"`` (``repro.modelcheck.shard:
-FrontierSharder._ensure_pool``); modules are derived from repo-relative
+Function keys are ``"<module>:<qualname>"`` (``repro.exec.runner:
+TaskRunner.map``); modules are derived from repo-relative
 paths (``src/`` stripped, ``__init__`` collapsed to the package).
 """
 

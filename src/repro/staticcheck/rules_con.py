@@ -1,10 +1,10 @@
 """CON -- concurrency-hazard rules over pools and shared memory.
 
-PRs 4-6 introduced the repo's three process-boundary idioms: the
-``run_task_enveloped`` result envelope, publish-once ``shared_memory``
-frontiers, and per-process worker caches.  Each has a failure mode a
-per-file syntactic linter cannot see; these rules use the CFG, the
-dataflow tag lattice, and the repo call graph to see them:
+Three process-boundary idioms each have a failure mode a per-file
+syntactic linter cannot see: the ``run_task_enveloped`` result envelope,
+publish-once ``shared_memory`` arrays, and per-process worker caches.
+These rules use the CFG, the dataflow tag lattice, and the repo call
+graph to see them:
 
 ======== ==============================================================
 CON001   a ``shared_memory``-backed array view is mutated *after* the
@@ -128,7 +128,7 @@ class _PoolEnv:
                     return AbstractValue(frozenset({TAG_VIEW}))
             return BOTTOM
         # Calls resolving to a function annotated -> ProcessPoolExecutor
-        # (shard.FrontierSharder._ensure_pool) produce a pool.
+        # (a lazy ``_ensure_pool`` helper, say) produce a pool.
         graph = self.context.callgraph
         target = graph.resolve_callable(self.unit, call.func, self.info)
         if target is not None:

@@ -1,8 +1,12 @@
 """Tests for the JSONL checkpoint store and TaskRunner resume."""
 
+import base64
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec import (CheckpointMismatch, CheckpointStore, TaskRunner,
                         read_entries, task_digest)
@@ -146,3 +150,99 @@ def test_torn_record_in_the_middle_rejected(tmp_path):
     with pytest.raises(CheckpointMismatch, match=":3: malformed record"):
         TaskRunner(max_workers=1, checkpoint=path, resume=True).run(_double,
                                                                     tasks)
+
+
+def _write_checkpoint(path, records, tasks=(1, 2, 3)):
+    """A checkpoint for ``tasks`` whose task records are ``records``
+    (dicts, written one JSON object per line after a valid header)."""
+    header = {"format": "repro-exec-checkpoint-v1", "tasks": len(tasks),
+              "digest": task_digest(list(tasks))}
+    with open(path, "w") as handle:
+        for record in [header, *records]:
+            handle.write(json.dumps(record) + "\n")
+
+
+def _good_record(index=0, value="ok"):
+    return {"index": index, "attempts": 1, "elapsed": 0.25,
+            "payload": base64.b64encode(pickle.dumps(value)).decode("ascii")}
+
+
+MALFORMED_RECORDS = {
+    "missing-payload": {"index": 0, "attempts": 1, "elapsed": 0.0},
+    "missing-index": {key: value for key, value in _good_record().items()
+                      if key != "index"},
+    "string-index": {**_good_record(), "index": "0"},
+    "bool-index": {**_good_record(), "index": True},
+    "float-index": {**_good_record(), "index": 0.0},
+    "index-out-of-range": _good_record(index=3),
+    "non-string-payload": {**_good_record(), "payload": 5},
+    "undecodable-base64": {**_good_record(), "payload": "!!!not base64"},
+    "truncated-pickle": {**_good_record(), "payload": base64.b64encode(
+        pickle.dumps("value")[:-3]).decode("ascii")},
+    "corrupt-pickle": {**_good_record(), "payload": base64.b64encode(
+        b"\x80\x04not a pickle").decode("ascii")},
+    "bool-attempts": {**_good_record(), "attempts": False},
+    "string-elapsed": {**_good_record(), "elapsed": "0.5"},
+}
+
+
+@pytest.mark.parametrize("record", MALFORMED_RECORDS.values(),
+                         ids=MALFORMED_RECORDS.keys())
+@pytest.mark.parametrize("last", [True, False], ids=["last", "middle"])
+def test_malformed_record_rejected_with_its_line(tmp_path, record, last):
+    path = str(tmp_path / "ck.jsonl")
+    records = [_good_record(1), record] if last else [record,
+                                                     _good_record(1)]
+    _write_checkpoint(path, records)
+    line = 3 if last else 2
+    with pytest.raises(CheckpointMismatch, match=f"ck.jsonl:{line}: "):
+        CheckpointStore(path).open_for_run([1, 2, 3], resume=True)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5)
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _mutated_records(draw):
+    """A valid task record with one field replaced, added or deleted."""
+    record = _good_record(draw(st.integers(0, 2)),
+                          draw(st.sampled_from([None, 7, "x", [1, 2]])))
+    key = draw(st.sampled_from(sorted(record) + ["extra"]))
+    action = draw(st.sampled_from(["replace", "delete", "corrupt-payload"]))
+    if action == "delete":
+        record.pop(key, None)
+    elif action == "replace":
+        record[key] = draw(_JSON_VALUES)
+    else:
+        raw = bytearray(base64.b64decode(record["payload"]))
+        position = draw(st.integers(0, len(raw) - 1))
+        raw[position] = draw(st.integers(0, 255))
+        record["payload"] = base64.b64encode(
+            bytes(raw[:draw(st.integers(0, len(raw)))])).decode("ascii")
+    return record
+
+
+@given(records=st.lists(_mutated_records(), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_mutated_records_load_or_raise_mismatch(tmp_path_factory, records):
+    """Whatever a record's fields hold, resuming either restores valid
+    entries or raises :class:`CheckpointMismatch` -- never a bare
+    ``KeyError``/``TypeError``/``UnpicklingError``."""
+    path = str(tmp_path_factory.mktemp("ck") / "ck.jsonl")
+    _write_checkpoint(path, records)
+    store = CheckpointStore(path)
+    try:
+        restored = store.open_for_run([1, 2, 3], resume=True)
+    except CheckpointMismatch:
+        return
+    finally:
+        store.close()
+    for index, entry in restored.items():
+        assert type(index) is int and 0 <= index < 3
+        assert type(entry.attempts) is int and entry.attempts >= 1
+        assert isinstance(entry.elapsed_seconds, (int, float))

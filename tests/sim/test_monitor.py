@@ -238,3 +238,36 @@ def test_read_jsonl_names_the_line_of_a_malformed_record(tmp_path):
     with pytest.raises(ValueError, match=r"events\.jsonl:3: ") as caught:
         TraceMonitor.read_jsonl(str(path))
     assert isinstance(caught.value.__cause__, json.JSONDecodeError)
+
+
+@pytest.mark.parametrize("record", [
+    "42",
+    "null",
+    "[1, 2]",
+    '{"source": "a", "kind": "b", "details": {}}',
+    '{"time": 1.0, "kind": "b"}',
+    '{"time": "abc", "source": "a", "kind": "b", "details": {}}',
+    '{"time": true, "source": "a", "kind": "b", "details": {}}',
+    '{"time": 1.0, "source": 7, "kind": "b", "details": {}}',
+    '{"time": 1.0, "source": "a", "kind": ["b"], "details": {}}',
+    '{"time": 1.0, "source": "a", "kind": "b", "details": 5}',
+    '{"time": 1.0, "source": "a", "kind": "b", "details": [1]}',
+    '{"time": 1.0, "source": "a", "kind": "b", "details": {"time": 2}}',
+], ids=["number", "null", "array", "missing-time", "missing-source",
+        "string-time", "bool-time", "number-source", "array-kind",
+        "number-details", "array-details", "details-repeat-time"])
+def test_read_jsonl_names_the_line_of_a_bad_record(tmp_path, record):
+    good = '{"time": 1.0, "source": "a", "kind": "b", "details": {}}'
+    path = tmp_path / "events.jsonl"
+    path.write_text(f"{good}\n\n{record}\n{good}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"events\.jsonl:3: "):
+        TraceMonitor.read_jsonl(str(path))
+
+
+def test_read_jsonl_keeps_unknown_kinds_and_null_details():
+    events = TraceMonitor.read_jsonl([
+        '{"time": 1, "source": "a", "kind": "made_up", "details": {"x": 1}}',
+        '{"time": 2.5, "source": "a", "kind": "made_up", "details": null}',
+    ])
+    assert [(event.time, event.kind, event.details) for event in events] == [
+        (1, "made_up", {"x": 1}), (2.5, "made_up", {})]

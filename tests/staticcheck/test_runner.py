@@ -58,22 +58,20 @@ class TestRepositoryGate:
         assert report.exit_code == 0
         # The accepted debt is model hygiene plus a small, enumerated set
         # of sanctioned AST findings (each justified in DESIGN.md):
-        # the shared ChannelScheduler heap (SIM003), the per-process
-        # shard worker cache (CON003), a width sink whose bound the
-        # checker cannot see (WID001), and telemetry-only event
-        # kinds no monitor dispatches on (ORD002).
+        # the shared ChannelScheduler heap (SIM003), a width sink whose
+        # bound the checker cannot see (WID001), and telemetry-only
+        # event kinds no monitor dispatches on (ORD002).
         ast_debt = [f for f in report.baselined_findings
                     if f.rule[:3] != "MDL"]
         by_rule = {}
         for finding in ast_debt:
             by_rule.setdefault(finding.rule, []).append(finding.path)
         assert by_rule["SIM003"] == ["src/repro/network/channel.py"]
-        assert by_rule["CON003"] == ["src/repro/modelcheck/shard.py"]
         assert by_rule["WID001"] == ["src/repro/modelcheck/vector.py"]
         ord_debt = [f for f in ast_debt if f.rule == "ORD002"]
         assert len(ord_debt) == 19
         assert all(f.item.startswith("kind:") for f in ord_debt)
-        assert set(by_rule) == {"SIM003", "CON003", "WID001", "ORD002"}
+        assert set(by_rule) == {"SIM003", "WID001", "ORD002"}
         assert report.stale_baseline == []
 
     def test_selectors_restrict_the_run(self):
