@@ -2,17 +2,18 @@
 
 Exhaustively explores a transition system and reports the structural
 numbers a model-checking paper quotes: reachable states, transitions,
-diameter (maximum BFS depth), branching factors, and deadlocks.  Used by
-the performance experiments (EXP-P1/P2) and the ``repro statespace`` CLI.
+diameter (maximum BFS depth), branching factors, and deadlocks.  Behind
+the ``repro statespace`` CLI.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.modelcheck.checker import _level_bfs, _tuple_bfs, runs_level_loop
 from repro.modelcheck.model import TransitionSystem
 
 
@@ -57,45 +58,30 @@ class StateSpaceStats:
 
 def explore(system: TransitionSystem,
             max_states: Optional[int] = None) -> StateSpaceStats:
-    """BFS over the reachable states, collecting structural statistics."""
+    """BFS over the reachable states, collecting structural statistics.
+
+    Runs on the checker's level loop wherever ``engine="auto"`` does
+    (:func:`~repro.modelcheck.checker.runs_level_loop`), else on the
+    tuple engine's BFS.  The two walks keep the same ``max_states``
+    prefix and, on a model whose ``successors`` yields each target once
+    per state (as :class:`~repro.model.system_model.TTAStartupModel`
+    does), report the same statistics.
+    """
     started = time.perf_counter()
-    seen: Dict[tuple, int] = {}
-    frontier = deque()
-    transitions = 0
-    max_branching = 0
-    deadlocks = 0
-    histogram: Dict[int, int] = {}
-    truncated = False
-
-    for state in system.initial_states():
-        if state not in seen:
-            seen[state] = 0
-            frontier.append(state)
-            histogram[0] = histogram.get(0, 0) + 1
-
-    while frontier:
-        state = frontier.popleft()
-        depth = seen[state]
-        branching = 0
-        for transition in system.successors(state):
-            branching += 1
-            transitions += 1
-            target = transition.target
-            if target in seen:
-                continue
-            if max_states is not None and len(seen) >= max_states:
-                truncated = True
-                continue
-            seen[target] = depth + 1
-            histogram[depth + 1] = histogram.get(depth + 1, 0) + 1
-            frontier.append(target)
-        max_branching = max(max_branching, branching)
-        if branching == 0:
-            deadlocks += 1
-
-    diameter = max(histogram) if histogram else 0
-    return StateSpaceStats(states=len(seen), transitions=transitions,
-                           diameter=diameter, max_branching=max_branching,
+    if runs_level_loop(system):
+        search = _level_bfs(system, branching=True, max_states=max_states)
+        states, deadlocks = search.committed, search.deadlocks
+        histogram = {depth: len(words)
+                     for depth, (words, _, _) in enumerate(search.levels)}
+    else:
+        search = _tuple_bfs(system, collect_deadlocks=True,
+                            max_states=max_states)
+        states, deadlocks = len(search.parent), len(search.deadlocked)
+        histogram = dict(Counter(search.depth_of.values()))
+    return StateSpaceStats(states=states, transitions=search.transitions,
+                           diameter=search.max_depth_seen,
+                           max_branching=search.max_branching,
                            deadlock_states=deadlocks,
                            elapsed_seconds=time.perf_counter() - started,
-                           depth_histogram=histogram, truncated=truncated)
+                           depth_histogram=histogram,
+                           truncated=search.truncated)

@@ -39,6 +39,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _slot_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"the model needs at least 2 slots, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
@@ -501,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     verify = subparsers.add_parser("verify", help="EXP-V1 verification matrix")
-    verify.add_argument("--slots", type=int, default=4)
+    verify.add_argument("--slots", type=_slot_count, default=4)
     verify.add_argument("--jobs", type=_positive_int, default=None,
                         help="fan the four checks out over N worker "
                              "processes (default: serial)")
@@ -557,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
         "statespace", help="structural statistics of the formal model")
     statespace.add_argument("--authority", default="full_shifting",
                             choices=[level.value for level in CouplerAuthority])
-    statespace.add_argument("--slots", type=int, default=4)
-    statespace.add_argument("--max-states", type=int, default=None,
+    statespace.add_argument("--slots", type=_slot_count, default=4)
+    statespace.add_argument("--max-states", type=_positive_int, default=None,
                             dest="max_states")
     statespace.set_defaults(func=_cmd_statespace)
 

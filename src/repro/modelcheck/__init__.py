@@ -13,7 +13,10 @@ violation found is at minimum depth).
 * :mod:`repro.modelcheck.encode` -- packed integer state encoding (the
   fast path of the checker's hot loop),
 * :mod:`repro.modelcheck.checker` -- BFS reachability and invariant
-  checking with counterexample extraction (tuple and packed engines),
+  checking with counterexample extraction: the tuple and packed
+  engines, and the array engine's level loop over
+  :mod:`repro.modelcheck.vector`, which also yields the state-space
+  statistics of :mod:`repro.analysis.statespace`,
 * :mod:`repro.modelcheck.trace` -- counterexample rendering.
 """
 

@@ -32,6 +32,10 @@ Three engines share the same search semantics:
   ``engine="vectorized"`` it differs in one count: on a violating level
   ``states_explored`` includes the whole level (up to ``max_states``),
   not just the states discovered before the violating one.
+
+The array engine's level loop (:func:`_level_bfs`) has a second caller:
+:func:`repro.analysis.statespace.explore` runs it without an invariant
+and with per-parent branching counts for ``repro statespace``.
 """
 
 from __future__ import annotations
@@ -134,6 +138,7 @@ class _SearchState:
     transitions: int = 0
     max_depth_seen: int = 0
     states_added: int = 0
+    max_branching: int = 0
     deadlocked: List[tuple] = field(default_factory=list)
 
 
@@ -144,12 +149,14 @@ def _tuple_bfs(system: TransitionSystem,
                max_depth: Optional[int] = None,
                progress: Optional[Callable[[int, int], None]] = None,
                progress_interval: int = 50_000) -> _SearchState:
-    """The one BFS core behind invariant checking and deadlock scanning.
+    """The one BFS core behind the tuple engine, deadlock scanning, and
+    state-space statistics where the level loop cannot run.
 
     Stops early (``violating`` set) as soon as ``invariant`` fails on a
     newly discovered state; collects successor-free states when
-    ``collect_deadlocks`` is set; flags ``truncated`` whenever a limit
-    prevented the search from being exhaustive.
+    ``collect_deadlocks`` is set; records the largest per-state
+    transition count; flags ``truncated`` whenever a limit prevented the
+    search from being exhaustive.
     """
     space = system.space
     search = _SearchState()
@@ -199,6 +206,8 @@ def _tuple_bfs(system: TransitionSystem,
                 continue
             if not add(target, (state, transition.label), depth + 1):
                 return search
+        if successor_count > search.max_branching:
+            search.max_branching = successor_count
         if collect_deadlocks and successor_count == 0:
             search.deadlocked.append(state)
     return search
@@ -274,16 +283,9 @@ class InvariantChecker:
         """The system to search with the array engine, or None when it
         cannot run and the search falls back to packed (with a warning
         when ``"vectorized"`` was asked for)."""
-        has_geometry = hasattr(self.system, "packed_geometry")
         if self.engine == "auto":
-            if has_geometry and have_numpy():
-                from repro.modelcheck.vector import represents
-
-                block_radix, node_count, _ = self.system.packed_geometry()
-                if represents(block_radix, node_count):
-                    return self.system
-            return None
-        if not has_geometry:
+            return self.system if runs_level_loop(self.system) else None
+        if not hasattr(self.system, "packed_geometry"):
             warnings.warn(
                 "vectorized engine needs a native batch path "
                 "(packed_geometry); falling back to the packed engine",
@@ -454,128 +456,175 @@ class InvariantChecker:
     # -- array engine -------------------------------------------------------------
 
     def _check_levels(self, system: Any, invariant: Invariant) -> CheckResult:
-        """Level-synchronous BFS over NumPy arrays of split packed codes.
-
-        Each level's edges come in the packed engine's enumeration order:
-        from one :meth:`VectorKernel.successor_level` call for levels of
-        at least :data:`BATCH_MIN_LEVEL` states, from ``packed_successors``
-        per state below that.  A
-        :class:`~repro.modelcheck.vector.LevelDiscovery` resolves them
-        against the visited set; the new states stay in discovery order
-        with an int32 first-parent row each, so ``max_states`` keeps the
-        same prefix the packed loop keeps, the invariant's first hit is
-        the packed loop's violating state, and the counterexample is read
-        back through the stored parent rows.
-        """
-        from repro.modelcheck.vector import (
-            FusedSeenSet,
-            LevelDiscovery,
-            SplitSeenSet,
-            compile_batch_invariant,
-            model_kernel,
-        )
-
+        """The level loop (:func:`_level_bfs`) with ``invariant``; the
+        counterexample is read back through the stored parent rows."""
         started = time.perf_counter()
-        vectorized = self.engine == "vectorized"
+        search = _level_bfs(system, invariant, max_states=self.max_states,
+                            max_depth=self.max_depth, progress=self.progress,
+                            progress_interval=self.progress_interval)
+        states = search.committed
+        trace = None
+        if search.violating is not None:
+            _, _, tail_scale = system.packed_geometry()
+            codes = []
+            row = search.violating
+            for words, tails, parents in reversed(search.levels):
+                codes.append(int(words[row]) + int(tails[row]) * tail_scale)
+                row = int(parents[row])
+            codes.reverse()
+            trace = self._trace_from_code_chain(system, codes)
+            # The packed loop stops at the violating state; "vectorized"
+            # counts its whole (admitted) level.
+            states += (len(search.levels[-1][0]) if self.engine == "vectorized"
+                       else search.violating + 1)
+        return CheckResult(holds=search.violating is None,
+                           states_explored=states,
+                           transitions_explored=search.transitions,
+                           depth_reached=search.max_depth_seen,
+                           elapsed_seconds=time.perf_counter() - started,
+                           counterexample=trace,
+                           truncated=search.truncated,
+                           engine="vectorized")
+
+
+def runs_level_loop(system: Any) -> bool:
+    """Whether the level loop can search ``system``: numpy imports and the
+    system declares the word layout the vector kernel reads
+    (``packed_geometry``) with node blocks that fit ``uint64`` words
+    (:func:`repro.modelcheck.vector.represents`)."""
+    if not (hasattr(system, "packed_geometry") and have_numpy()):
+        return False
+    from repro.modelcheck.vector import represents
+
+    block_radix, node_count, _ = system.packed_geometry()
+    return represents(block_radix, node_count)
+
+
+@dataclass
+class _LevelSearch:
+    """Outcome of one run of the level loop (array engine)."""
+
+    #: Per depth: the admitted states and their first-parent rows.
+    levels: List[Tuple[Any, Any, Any]] = field(default_factory=list)
+    #: States committed to the visited set (a violating level is not).
+    committed: int = 0
+    transitions: int = 0
+    max_depth_seen: int = 0
+    truncated: bool = False
+    #: Discovery rank, in the last level, of the first violating state.
+    violating: Optional[int] = None
+    #: Per-parent statistics, gathered only when asked for.
+    max_branching: int = 0
+    deadlocks: int = 0
+
+
+def _level_bfs(system: Any, invariant: Optional[Invariant] = None,
+               branching: bool = False,
+               max_states: Optional[int] = None,
+               max_depth: Optional[int] = None,
+               progress: Optional[Callable[[int, int], None]] = None,
+               progress_interval: int = 50_000) -> _LevelSearch:
+    """Level-synchronous BFS over NumPy arrays of split packed codes.
+
+    The one loop behind the array engine and
+    :func:`repro.analysis.statespace.explore`.  Each level's edges come
+    in the packed engine's enumeration order: from one
+    :meth:`VectorKernel.successor_level` call for levels of at least
+    :data:`BATCH_MIN_LEVEL` states, from ``packed_successors`` per state
+    below that.  A :class:`~repro.modelcheck.vector.LevelDiscovery`
+    resolves them against the visited set; the new states stay in
+    discovery order with an int32 first-parent row each, so
+    ``max_states`` keeps the same prefix the packed loop keeps and the
+    invariant's first hit is the packed loop's violating state.  Without
+    an ``invariant`` no violation mask is built; ``branching`` also
+    records the largest per-parent transition count and the expanded
+    states without transitions.
+    """
+    from repro.modelcheck.vector import (
+        FusedSeenSet,
+        LevelDiscovery,
+        SplitSeenSet,
+        compile_batch_invariant,
+        model_kernel,
+    )
+
+    violations = None
+    if invariant is not None:
         _, _, tail_scale = system.packed_geometry()
         violations = compile_batch_invariant(invariant, system.codec,
                                              tail_scale)
-        kernel = model_kernel(system)
-        np = kernel.np
-        seen = FusedSeenSet(np) if kernel.fused else SplitSeenSet(np)
-        max_states = self.max_states
-        max_depth = self.max_depth
-        progress = self.progress
-        progress_interval = self.progress_interval
+    kernel = model_kernel(system)
+    np = kernel.np
+    seen = FusedSeenSet(np) if kernel.fused else SplitSeenSet(np)
+    search = _LevelSearch()
+    states_added = 0
 
-        def expand(words: Any, tails: Any) -> Tuple[Any, Any, Any]:
-            """One level's ``(succ_words, succ_tails, parent_rows)``."""
-            if len(words) < BATCH_MIN_LEVEL:
-                targets = [system.packed_successors(code)
-                           for code in kernel.join_codes(words, tails)]
-                parents = np.repeat(np.arange(len(targets)),
-                                    [len(codes) for codes in targets])
-                succ_words, succ_tails = kernel.split_codes(
-                    [code for codes in targets for code in codes])
-                return succ_words, succ_tails, parents
-            return kernel.successor_level(words, tails, scalar_order=True)
+    def expand(words: Any, tails: Any) -> Tuple[Any, Any, Any]:
+        """One level's ``(succ_words, succ_tails, parent_rows)``."""
+        if len(words) < BATCH_MIN_LEVEL:
+            targets = [system.packed_successors(code)
+                       for code in kernel.join_codes(words, tails)]
+            parents = np.repeat(np.arange(len(targets)),
+                                [len(codes) for codes in targets])
+            succ_words, succ_tails = kernel.split_codes(
+                [code for codes in targets for code in codes])
+            return succ_words, succ_tails, parents
+        return kernel.successor_level(words, tails)
 
-        #: Per depth: the admitted states and their first-parent rows.
-        levels: List[Tuple[Any, Any, Any]] = []
-        transitions = 0
-        states_added = 0
-        truncated = False
-        max_depth_seen = 0
+    def admit(count: int, depth: int) -> None:
+        """Count ``count`` more states, firing progress at every interval
+        boundary crossed, as the packed loop does."""
+        nonlocal states_added
+        if progress is not None:
+            for crossed in range(states_added // progress_interval + 1,
+                                 (states_added + count)
+                                 // progress_interval + 1):
+                progress(crossed * progress_interval, depth)
+        states_added += count
 
-        def admit(count: int, depth: int) -> None:
-            """Count ``count`` more states, firing progress at every
-            interval boundary crossed, as the packed loop does."""
-            nonlocal states_added
-            if progress is not None:
-                for crossed in range(states_added // progress_interval + 1,
-                                     (states_added + count)
-                                     // progress_interval + 1):
-                    progress(crossed * progress_interval, depth)
-            states_added += count
-
-        def make_result(violating: Optional[int] = None,
-                        explored: Optional[int] = None) -> CheckResult:
-            trace = None
-            if violating is not None:
-                codes = []
-                row = violating
-                for words, tails, parents in reversed(levels):
-                    codes.append(int(words[row]) + int(tails[row]) * tail_scale)
-                    row = int(parents[row])
-                codes.reverse()
-                trace = self._trace_from_code_chain(system, codes)
-            return CheckResult(holds=violating is None,
-                               states_explored=(len(seen) if explored is None
-                                                else explored),
-                               transitions_explored=transitions,
-                               depth_reached=max_depth_seen,
-                               elapsed_seconds=time.perf_counter() - started,
-                               counterexample=trace,
-                               truncated=truncated,
-                               engine="vectorized")
-
-        words, tails = kernel.split_codes(system.packed_initial_states())
-        level = LevelDiscovery(kernel, seen, words, tails,
-                               np.zeros(len(words), dtype=np.int64))
-        depth = 0
-        while True:
-            admitted = len(level)
-            # Like the packed loop, max_states never cuts the
-            # initial states.
-            if depth and max_states is not None:
-                admitted = min(admitted, max(0, max_states - len(seen)))
-            words = level.words[:admitted]
-            tails = level.tails[:admitted]
+    words, tails = kernel.split_codes(system.packed_initial_states())
+    level = LevelDiscovery(kernel, seen, words, tails,
+                           np.zeros(len(words), dtype=np.int64))
+    depth = 0
+    while True:
+        admitted = len(level)
+        # Like the packed loop, max_states never cuts the initial states.
+        if depth and max_states is not None:
+            admitted = min(admitted, max(0, max_states - len(seen)))
+        words = level.words[:admitted]
+        tails = level.tails[:admitted]
+        if violations is not None:
             hits = np.flatnonzero(violations(words, tails))
             if len(hits):
                 rank = int(hits[0])
                 admit(rank + 1, depth)
                 if depth:
-                    transitions += level.transitions_through(rank)
-                max_depth_seen = depth
-                levels.append((words, tails, level.parents))
-                return make_result(rank, len(seen) + (
-                    admitted if vectorized else rank + 1))
-            admit(admitted, depth)
-            if depth:
-                transitions += level.transitions
-            truncated |= admitted < len(level)
-            if not admitted:
+                    search.transitions += level.transitions_through(rank)
+                search.max_depth_seen = depth
+                search.levels.append((words, tails, level.parents))
+                search.violating = rank
                 break
-            level.commit(seen, admitted)
-            levels.append((words, tails, level.parents))
-            max_depth_seen = depth
-            if max_depth is not None and depth >= max_depth:
-                truncated = True
-                break
-            level = LevelDiscovery(kernel, seen, *expand(words, tails))
-            depth += 1
-        return make_result()
+        admit(admitted, depth)
+        if depth:
+            search.transitions += level.transitions
+        search.truncated |= admitted < len(level)
+        if not admitted:
+            break
+        level.commit(seen, admitted)
+        search.levels.append((words, tails, level.parents))
+        search.max_depth_seen = depth
+        if max_depth is not None and depth >= max_depth:
+            search.truncated = True
+            break
+        level = LevelDiscovery(kernel, seen, *expand(words, tails))
+        if branching:
+            per_parent = level.branching(admitted)
+            search.max_branching = max(search.max_branching,
+                                       int(per_parent.max()))
+            search.deadlocks += admitted - int(np.count_nonzero(per_parent))
+        depth += 1
+    search.committed = len(seen)
+    return search
 
 
 @dataclass

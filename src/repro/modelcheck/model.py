@@ -65,73 +65,3 @@ class ExplicitTransitionSystem:
         for target, label in self._transitions.get(state, []):
             yield Transition(target=target, label=label)
 
-
-def count_reachable(system: TransitionSystem,
-                    max_states: int = 1_000_000,
-                    engine: str = "tuple") -> int:
-    """Size of the reachable state space (diagnostics/benchmarks).
-
-    Raises :class:`RuntimeError` as soon as a state *beyond* the limit
-    would be enqueued (checked before insertion, like the checker's
-    bounded search -- the limit can never be silently overshot).  The
-    ``"vectorized"`` engine counts whole frontier batches at once but
-    keeps the limit check exact: a batch that *would* push the visited
-    set past ``max_states`` raises before being committed, even when
-    the overshoot happens mid-batch.
-    """
-    from collections import deque
-
-    if engine == "vectorized":
-        return _count_reachable_vectorized(system, max_states)
-    if engine != "tuple":
-        raise ValueError(f"unknown engine {engine!r}; "
-                         f"pick one of ('tuple', 'vectorized')")
-
-    seen = set()
-    frontier = deque()
-
-    def add(state: tuple) -> None:
-        if len(seen) >= max_states:
-            raise RuntimeError(f"more than {max_states} reachable states")
-        seen.add(state)
-        frontier.append(state)
-
-    for state in system.initial_states():
-        if state not in seen:
-            add(state)
-    while frontier:
-        state = frontier.popleft()
-        for transition in system.successors(state):
-            if transition.target not in seen:
-                add(transition.target)
-    return len(seen)
-
-
-def _count_reachable_vectorized(system: TransitionSystem,
-                                max_states: int) -> int:
-    """Batched reachable-set count with an exact limit check.
-
-    The explorer is asked to commit at most ``max_states`` states total
-    (the per-level ``limit``); an overshoot flag on any level means the
-    true count exceeds the limit and raises the same ``RuntimeError`` as
-    the tuple path -- no silent truncation, no overshoot.
-    """
-    from repro.modelcheck.vector import VectorExplorer
-
-    if not hasattr(system, "packed_geometry"):
-        raise ValueError(
-            "vectorized counting needs a system with a native batch path "
-            "(packed_geometry)")
-    explorer = VectorExplorer(system)
-
-    def guard(over: bool) -> None:
-        if over:
-            raise RuntimeError(f"more than {max_states} reachable states")
-
-    words, tails, over = explorer.initial_level(limit=max_states)
-    guard(over)
-    while len(words):
-        remaining = max_states - explorer.seen_count
-        words, tails, _, over = explorer.step(words, tails, limit=remaining)
-        guard(over)
-    return explorer.seen_count

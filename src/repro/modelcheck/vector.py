@@ -49,7 +49,7 @@ Per-level kernel
    index (last node fastest, like the scalar product) selects one option
    per node and the successor word is the dot product of option codes
    with the node scales;
-6. **scalar order** -- on request the rows are scattered into
+6. **scalar order** -- the rows are scattered into
    :meth:`TTAStartupModel.packed_successors` enumeration order (parent,
    fault context, then node options with the last node fastest); the
    rows are not deduplicated (:class:`LevelDiscovery` drops the
@@ -63,8 +63,13 @@ the visited set with one stable sort by target code: the first edge of
 each target's run discovers it, same-parent neighbours in a run are
 per-parent repeats.  New states stay in discovery order with their
 first parent's row, which is all the checker's exact level loop
-(:meth:`InvariantChecker._check_levels`) needs to reproduce the scalar
-packed engine's counts, truncation and counterexample.
+(:func:`repro.modelcheck.checker._level_bfs`) needs to reproduce the
+scalar packed engine's counts, truncation and counterexample.  Only
+when asked (:meth:`LevelDiscovery.branching`, for ``repro statespace``)
+are the non-repeat edges counted by parent row with one ``np.bincount``:
+each expanded state's transition count, whose maximum is the branching
+factor and whose zeros are deadlocks.  Invariant checks never ask, so
+``repro verify`` does no extra work.
 
 All sorts are plain ``np.lexsort``/``np.sort`` over integer keys -- the
 result order is fully determined by the key values, never by memory
@@ -73,7 +78,7 @@ layout or hash seeds.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.modelcheck.encode import StateCodec, require_numpy
 
@@ -174,11 +179,6 @@ class VectorKernel:
         :attr:`fused`); code order equals ``(tail, word)`` lexicographic
         order, so fused sorts agree with split lexsorts."""
         return words + tails.astype(self.np.uint64) * self._tail_scale_u64
-
-    def unfuse(self, codes) -> Tuple["object", "object"]:
-        """Fused uint64 codes -> ``(words, tails)`` split arrays."""
-        tails, words = self.np.divmod(codes, self._tail_scale_u64)
-        return words, tails.astype(self.np.int64)
 
     def local_planes(self, words) -> "object":
         """Per-node local codes: ``(n, node_count)`` int64 digit planes."""
@@ -290,7 +290,7 @@ class VectorKernel:
 
     # -- the per-level kernel ------------------------------------------------------
 
-    def successor_level(self, words, tails, scalar_order: bool = False):
+    def successor_level(self, words, tails):
         """Raw successors of a whole frontier, one array op at a time.
 
         Returns ``(succ_words, succ_tails, parent_index)`` where
@@ -300,10 +300,9 @@ class VectorKernel:
         occurrence is a distinct transition).  :class:`LevelDiscovery`
         drops the repeats the scalar path's per-state dedup never makes.
 
-        By default deterministic rows come first, then multi-option rows;
-        ``scalar_order`` scatters them into the enumeration order of
-        :meth:`TTAStartupModel.packed_successors` instead (an O(n)
-        permutation the explorer, which sorts anyway, skips).
+        Edges come in the enumeration order of
+        :meth:`TTAStartupModel.packed_successors`: parent-major, and per
+        parent in scalar order.
         """
         np = self.np
         n = len(words)
@@ -407,17 +406,17 @@ class VectorKernel:
 
         succ_words = np.concatenate([single_words.take(single), multi_words])
         rows = np.concatenate([single, out_row])
-        if scalar_order:
-            # Row r's successors start at the exclusive prefix sum of the
-            # per-row counts; a multi-option output sits at its rank.
-            row_first = np.zeros(len(row_successors), dtype=np.int64)
-            row_first[1:] = np.cumsum(row_successors)[:-1]
-            position = row_first.take(rows)
-            position[len(single):] += within_row
-            order = np.empty_like(position)
-            order[position] = np.arange(len(position))
-            succ_words = succ_words.take(order)
-            rows = rows.take(order)
+        # Scatter into scalar order: row r's successors start at the
+        # exclusive prefix sum of the per-row counts; a multi-option
+        # output sits at its rank.
+        row_first = np.zeros(len(row_successors), dtype=np.int64)
+        row_first[1:] = np.cumsum(row_successors)[:-1]
+        position = row_first.take(rows)
+        position[len(single):] += within_row
+        order = np.empty_like(position)
+        order[position] = np.arange(len(position))
+        succ_words = succ_words.take(order)
+        rows = rows.take(order)
         return succ_words, row_next_tail.take(rows), row_state.take(rows)
 
 
@@ -438,7 +437,7 @@ class LevelDiscovery:
     The edges ``(succ_words, succ_tails, parents)`` must come in the
     scalar engine's enumeration order: parent-major, and per parent in
     :meth:`TTAStartupModel.packed_successors` order (what
-    :meth:`VectorKernel.successor_level` returns with ``scalar_order``).
+    :meth:`VectorKernel.successor_level` returns).
     Ties of a stable sort keep edge order, so within one target's run of
     edges
 
@@ -479,6 +478,7 @@ class LevelDiscovery:
         repeat[1:] &= sorted_parents[1:] == sorted_parents[:-1]
         self._order = order
         self._repeat = repeat
+        self._sorted_parents = sorted_parents
         #: Edges of the level that are not per-parent repeats.
         self.transitions = edges - int(np.count_nonzero(repeat))
         #: Index of each new state's first edge, in discovery order.
@@ -500,6 +500,12 @@ class LevelDiscovery:
         repeat = np.zeros(len(self._order), dtype=bool)
         repeat[self._order] = self._repeat
         return stop - int(np.count_nonzero(repeat[:stop]))
+
+    def branching(self, parent_count: int):
+        """Transitions per parent row (``parent_count`` rows): the level's
+        non-repeat edges counted by parent, so a row with no edges is 0."""
+        return self._kernel.np.bincount(
+            self._sorted_parents[~self._repeat], minlength=parent_count)
 
     def commit(self, seen: Any, count: int) -> None:
         """Add the first ``count`` new states (discovery order) to the
@@ -560,10 +566,6 @@ class FusedSeenSet:
         self._codes = np.insert(self._codes,
                                 np.searchsorted(self._codes, codes), codes)
 
-    def codes(self):
-        """All member codes, ascending."""
-        return self._codes
-
 
 class SplitSeenSet:
     """Visited-state set over the split representation.
@@ -622,113 +624,6 @@ class SplitSeenSet:
                 self._buckets[tail] = np.insert(
                     bucket, np.searchsorted(bucket, segment), segment)
             self.count += len(segment)
-
-    def tail_values(self) -> List[int]:
-        """All tail values present, ascending (deterministic iteration)."""
-        return sorted(self._buckets)
-
-    def bucket(self, tail: int):
-        """The sorted word array of one tail bucket."""
-        return self._buckets[tail]
-
-
-class VectorExplorer:
-    """Level-synchronous BFS driver state over the vector kernel.
-
-    The unordered reachable-set sweep behind ``count_reachable`` and the
-    EXP-P6 benchmark.  The caller owns the loop and drives two
-    operations: :meth:`initial_level` seeds the search, :meth:`step`
-    advances it one BFS level.  Both return the *newly discovered*
-    states as sorted-unique ``(words, tails)`` pairs in ``(tail, word)``
-    order (equal to ascending packed-code order), already committed to
-    the visited set.  Internally membership runs over fused uint64 codes
-    whenever the codec fits 63 bits (one sorted array, one binary
-    search) and over per-tail word buckets otherwise.
-
-    ``limit`` caps how many new states may be committed: when a batch
-    would overshoot, exactly the first ``limit`` states (in code order)
-    are kept and the overshoot flag comes back ``True`` -- this is how
-    ``count_reachable`` detects that the reachable set exceeds its
-    limit.
-    """
-
-    def __init__(self, model) -> None:
-        np = require_numpy()
-        self.np = np
-        self.model = model
-        model.ensure_packed_tables()
-        kernel = model_kernel(model)
-        self.kernel = kernel
-        self._seen: Any
-        if kernel.fused:
-            self._seen = FusedSeenSet(np)
-        else:
-            self._seen = SplitSeenSet(np)
-
-    @property
-    def seen_count(self) -> int:
-        return len(self._seen)
-
-    def initial_level(self, limit: Optional[int] = None
-                      ) -> Tuple["object", "object", bool]:
-        """Commit the initial states; returns them sorted-unique plus the
-        overshoot flag."""
-        words, tails = self.kernel.split_codes(
-            self.model.packed_initial_states())
-        return self._absorb(words, tails, limit)
-
-    def step(self, words, tails, limit: Optional[int] = None
-             ) -> Tuple["object", "object", int, bool]:
-        """One BFS level: expand the given frontier, drop already-visited
-        successors, commit the rest.  Returns the new states (sorted-
-        unique), the raw transition count enumerated, and the overshoot
-        flag."""
-        succ_words, succ_tails, _ = self.kernel.successor_level(words, tails)
-        raw = len(succ_words)
-        new_words, new_tails, truncated = self._absorb(
-            succ_words, succ_tails, limit)
-        return new_words, new_tails, raw, truncated
-
-    def _absorb(self, words, tails, limit: Optional[int]
-                ) -> Tuple["object", "object", bool]:
-        """Dedup a raw batch against itself and the visited set, truncate
-        to ``limit``, commit, and return the committed states."""
-        np = self.np
-        if self.kernel.fused:
-            fused = self.kernel.fuse(words, tails)
-            fused.sort()
-            if len(fused):
-                keep = np.empty(len(fused), dtype=bool)
-                keep[0] = True
-                np.not_equal(fused[1:], fused[:-1], out=keep[1:])
-                fused = fused[keep]
-            fused = fused[self._seen.filter_new(fused)]
-            truncated = limit is not None and len(fused) > limit
-            if truncated:
-                fused = fused[:limit]
-            self._seen.insert(fused)
-            new_words, new_tails = self.kernel.unfuse(fused)
-            return new_words, new_tails, truncated
-        words, tails = sort_unique_split(np, words, tails)
-        mask = self._seen.filter_new(words, tails)
-        words, tails = words[mask], tails[mask]
-        truncated = limit is not None and len(words) > limit
-        if truncated:
-            words, tails = words[:limit], tails[:limit]
-        self._seen.insert(words, tails)
-        return words, tails, truncated
-
-    def seen_codes(self) -> List[int]:
-        """All visited states as Python-int packed codes, ascending
-        (boundary use: differential tests, reachable-set dumps)."""
-        if self.kernel.fused:
-            return [int(code) for code in self._seen.codes().tolist()]
-        codes: List[int] = []
-        scale = self.kernel.tail_scale
-        for tail in self._seen.tail_values():
-            codes.extend(int(word) + tail * scale
-                         for word in self._seen.bucket(tail).tolist())
-        return sorted(codes)
 
 
 def compile_batch_invariant(invariant: Callable, codec: StateCodec,

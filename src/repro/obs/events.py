@@ -57,6 +57,8 @@ Unknown kinds (hand-built records, forward-compatible imports) fall back to
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
@@ -606,8 +608,9 @@ def event_from_dict(payload: Any) -> Event:
 
     Raises :class:`ValueError` for a payload no export produces: not an
     object, a missing or non-numeric ``time``, a non-string ``source`` or
-    ``kind``, or ``details`` that are not an object or that repeat one of
-    those three fields.
+    ``kind``, ``details`` that are not an object or that repeat one of
+    those three fields, or a typed event's detail whose value does not
+    match the field's declared type.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"event record must be a JSON object, "
@@ -631,7 +634,49 @@ def event_from_dict(payload: Any) -> Event:
     clashing = {"time", "source", "kind"} & set(details)
     if clashing:
         raise ValueError(f"event details repeat {sorted(clashing)}")
-    return make_event(time, payload["source"], payload["kind"], **details)
+    event = make_event(time, payload["source"], payload["kind"], **details)
+    if not isinstance(event, GenericEvent):
+        hints = _detail_hints(type(event))
+        for name, value in details.items():
+            if not _conforms(value, hints[name]):
+                raise ValueError(
+                    f"{event.kind} event detail {name!r} must be "
+                    f"{_hint_text(hints[name])}, got {value!r}")
+    return event
+
+
+@functools.lru_cache(maxsize=None)
+def _detail_hints(cls: Type[Event]) -> Dict[str, Any]:
+    """Declared type of each of ``cls``'s fields."""
+    return typing.get_type_hints(cls)
+
+
+def _conforms(value: Any, hint: Any) -> bool:
+    """Whether a JSON-decoded ``value`` fits the declared type ``hint``.
+
+    ``bool`` is not accepted as ``int``; an ``int`` is accepted as
+    ``float`` (JSON does not keep ``1.0`` apart from ``1``).
+    """
+    origin = typing.get_origin(hint)
+    if origin is typing.Union:
+        return any(_conforms(value, arg) for arg in typing.get_args(hint))
+    if origin is list:
+        (item,) = typing.get_args(hint)
+        return (isinstance(value, list)
+                and all(_conforms(entry, item) for entry in value))
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _hint_text(hint: Any) -> str:
+    if isinstance(hint, type):
+        return hint.__name__
+    return str(hint).replace("typing.", "")
 
 
 def taxonomy_rows() -> List[tuple]:

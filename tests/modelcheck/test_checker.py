@@ -1,9 +1,7 @@
 """Tests for BFS invariant checking and shortest counterexamples."""
 
-import pytest
-
 from repro.modelcheck.checker import InvariantChecker, check_invariant
-from repro.modelcheck.model import ExplicitTransitionSystem, count_reachable
+from repro.modelcheck.model import ExplicitTransitionSystem
 from repro.modelcheck.state import StateSpace, Variable
 
 
@@ -122,14 +120,3 @@ def test_summary_text():
     text = result.summary()
     assert "VIOLATED" in text
     assert "counterexample length: 2" in text
-
-
-def test_count_reachable():
-    system, _ = counter_system(limit=10)
-    assert count_reachable(system) == 11
-
-
-def test_count_reachable_limit():
-    system, _ = counter_system(limit=100)
-    with pytest.raises(RuntimeError):
-        count_reachable(system, max_states=10)

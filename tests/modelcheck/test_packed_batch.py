@@ -85,17 +85,16 @@ def test_conformance_reports_match_scalar_trace(name):
 
 def test_batch_path_runs_on_large_levels(monkeypatch):
     """The array engine really expands levels through the kernel -- only
-    levels of at least BATCH_MIN_LEVEL states, in scalar order -- and
-    still calls the scalar path for the small ones."""
+    levels of at least BATCH_MIN_LEVEL states -- and still calls the
+    scalar path for the small ones."""
     sizes = []
     scalar_calls = []
     batch = VectorKernel.successor_level
     scalar = TTAStartupModel.packed_successors
 
-    def counting_batch(self, words, tails, scalar_order=False):
-        assert scalar_order
+    def counting_batch(self, words, tails):
         sizes.append(len(words))
-        return batch(self, words, tails, scalar_order=scalar_order)
+        return batch(self, words, tails)
 
     def counting_scalar(self, code):
         scalar_calls.append(code)

@@ -1,20 +1,18 @@
 """Regression tests for the bounded-search fixes.
 
-Three historical bugs, each pinned here:
+Two historical bugs, each pinned here, plus the ``max_states`` boundary
+of the state-space statistics:
 
 * ``find_deadlocks`` silently dropped states past ``max_states`` -- a
   bounded scan could report "no deadlocks" about a space it never saw;
-* ``count_reachable`` checked its limit only *after* exceeding it, so
-  ``max_states=N`` could return ``N + 1``;
 * the checker's progress hook fired on ``len(parent) % interval``, which
   skips beats whenever several states are added between checks.
 """
 
-import pytest
-
+from repro.analysis.statespace import explore
 from repro.modelcheck.checker import (DeadlockSearchResult, InvariantChecker,
                                       find_deadlocks)
-from repro.modelcheck.model import ExplicitTransitionSystem, count_reachable
+from repro.modelcheck.model import ExplicitTransitionSystem
 from repro.modelcheck.state import StateSpace, Variable
 
 
@@ -73,29 +71,23 @@ def test_bounded_scan_finds_deadlocks_inside_the_bound():
 
 
 # ---------------------------------------------------------------------------
-# count_reachable boundary
+# State-space statistics boundary
 # ---------------------------------------------------------------------------
 
-def test_count_reachable_exact_limit_is_allowed():
+def test_explore_exact_limit_is_not_truncation():
     """Exactly ``max_states`` reachable states is within budget."""
     system, _ = chain_system(length=9)  # 10 states: 0..9 plus loop at 9
-    assert count_reachable(system, max_states=10) == 10
+    stats = explore(system, max_states=10)
+    assert stats.states == 10
+    assert not stats.truncated
 
 
-def test_count_reachable_never_overshoots():
-    """One state over the limit raises instead of returning limit + 1."""
+def test_explore_never_overshoots():
+    """One state over the limit stops at the limit and says so."""
     system, _ = chain_system(length=10)  # 11 reachable states
-    with pytest.raises(RuntimeError, match="more than 10"):
-        count_reachable(system, max_states=10)
-
-
-def test_count_reachable_limit_applies_to_initial_states():
-    sp = StateSpace([Variable("n")])
-    system = ExplicitTransitionSystem(sp, [(value,) for value in range(5)],
-                                      {(value,): [] for value in range(5)})
-    with pytest.raises(RuntimeError):
-        count_reachable(system, max_states=3)
-    assert count_reachable(system, max_states=5) == 5
+    stats = explore(system, max_states=10)
+    assert stats.states == 10
+    assert stats.truncated
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Tests for the vectorized frontier engine's building blocks: batched
 codec round-trips (hypothesis: whole-array results equal the scalar
-codec element by element), the VectorKernel/VectorExplorer successor
-pipeline, the sorted-array visited sets, batch invariant compilation,
-the exact vectorized reachable-count limit, and the no-numpy fallback
-gate."""
+codec element by element), the VectorKernel successor pipeline and
+LevelDiscovery, the sorted-array visited sets, batch invariant
+compilation, and the no-numpy fallback gate."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +12,12 @@ from repro.core.authority import CouplerAuthority
 from repro.model.scenarios import scenario_for_authority
 from repro.model.system_model import TTAStartupModel
 from repro.modelcheck import encode
+from repro.modelcheck.checker import BATCH_MIN_LEVEL, _level_bfs
 from repro.modelcheck.encode import NUMPY_HINT, StateCodec, have_numpy, require_numpy
-from repro.modelcheck.model import count_reachable
 from repro.modelcheck.state import StateSpace, Variable
 from repro.modelcheck.vector import (FusedSeenSet, LevelDiscovery, SplitSeenSet,
-                                     VectorExplorer, VectorKernel,
-                                     compile_batch_invariant, represents,
-                                     sort_unique_split)
+                                     VectorKernel, compile_batch_invariant,
+                                     represents, sort_unique_split)
 
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
@@ -32,19 +30,21 @@ def small_space():
     ])
 
 
-def reachable_tuple_bfs(system):
-    """Reference reachable set via the scalar tuple engine."""
+def reachable_tuple_bfs(system, depth=None):
+    """Reference BFS levels via the scalar tuple successors: one sorted
+    list of states per depth, at most ``depth`` levels below the initial
+    states (every level when ``None``)."""
     seen = set(system.initial_states())
-    frontier = sorted(seen)
-    while frontier:
+    levels = [sorted(seen)]
+    while levels[-1] and (depth is None or len(levels) <= depth):
         successors = set()
-        for state in frontier:
+        for state in levels[-1]:
             for transition in system.successors(state):
                 if transition.target not in seen:
                     successors.add(transition.target)
         seen |= successors
-        frontier = sorted(successors)
-    return seen
+        levels.append(sorted(successors))
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_fits_uint64_decides_code_dtype():
 
 
 # ---------------------------------------------------------------------------
-# Kernel / explorer parity with the scalar model
+# Kernel parity with the scalar model
 # ---------------------------------------------------------------------------
 
 def test_kernel_successor_level_matches_scalar_successors():
@@ -157,7 +157,7 @@ def test_kernel_successors_batch_deduplicates_per_parent():
         code = codec.pack(state)
         discovery = LevelDiscovery(
             kernel, seen_set(kernel, *empty), *kernel.successor_level(
-                *kernel.split_codes([code]), scalar_order=True))
+                *kernel.split_codes([code])))
         batched = kernel.join_codes(discovery.words, discovery.tails)
         assert len(set(batched)) == len(batched)
         assert sorted(batched) == sorted(
@@ -168,54 +168,66 @@ def test_kernel_successors_batch_deduplicates_per_parent():
         assert set(discovery.parents.tolist()) <= {0}
 
 
+def level_codes(system, search):
+    """The packed codes of a level-loop run, level by level in discovery
+    order."""
+    kernel = VectorKernel(system)
+    return [code for words, tails, _ in search.levels
+            for code in kernel.join_codes(words, tails)]
+
+
 @pytest.mark.parametrize("authority", [CouplerAuthority.PASSIVE,
                                        CouplerAuthority.FULL_SHIFTING],
                          ids=["passive", "full_shifting"])
-def test_explorer_reaches_exactly_the_scalar_reachable_set(authority):
+def test_level_loop_reaches_exactly_the_scalar_reachable_set(authority):
     system = TTAStartupModel(scenario_for_authority(authority))
-    explorer = VectorExplorer(system)
-    words, tails, truncated = explorer.initial_level(limit=None)
-    assert not truncated
-    while len(words):
-        words, tails, _, truncated = explorer.step(words, tails, limit=None)
-        assert not truncated
+    search = _level_bfs(system)
+    reached = level_codes(system, search)
     expected = {system.codec.pack(state)
-                for state in reachable_tuple_bfs(system)}
-    assert set(explorer.seen_codes()) == expected
-    assert explorer.seen_count == len(expected)
+                for level in reachable_tuple_bfs(system) for state in level}
+    assert len(reached) == search.committed == len(expected)
+    assert set(reached) == expected
+    assert not search.truncated
 
 
-def test_explorer_limit_truncates_at_exact_prefix():
+def packed_discovery_order(system, limit):
+    """The first ``limit`` states the scalar packed loop discovers."""
+    order = list(dict.fromkeys(system.packed_initial_states()))
+    seen = set(order)
+    position = 0
+    while position < len(order) and len(order) < limit:
+        for target in system.packed_successors(order[position]):
+            if target not in seen and len(order) < limit:
+                seen.add(target)
+                order.append(target)
+        position += 1
+    return order
+
+
+def test_level_loop_limit_keeps_the_scalar_prefix():
+    """``max_states`` cuts a batched level mid-way and keeps exactly the
+    states the scalar packed loop discovers first, in its order."""
     system = TTAStartupModel(scenario_for_authority(CouplerAuthority.PASSIVE))
-    explorer = VectorExplorer(system)
-    words, tails, truncated = explorer.initial_level(limit=None)
-    assert not truncated
-    level_size = explorer.seen_count
-    limit = level_size + 3  # force a mid-batch overshoot on level 1
-    words, tails, _, truncated = explorer.step(words, tails,
-                                               limit=limit - level_size)
-    assert truncated
-    assert explorer.seen_count == limit
-    # The committed prefix is the 3 smallest new codes, in code order.
-    committed = explorer.seen_codes()
-    assert committed == sorted(committed)
+    search = _level_bfs(system, max_states=1000)
+    reached = level_codes(system, search)
+    assert search.truncated
+    assert search.committed == 1000
+    assert reached == packed_discovery_order(system, 1000)
+    assert max(len(words) for words, _, _ in search.levels) >= BATCH_MIN_LEVEL
 
 
 def reachable_frontier(authority, depth):
     """The BFS level ``depth`` steps below the initial states."""
     system = TTAStartupModel(scenario_for_authority(authority))
-    explorer = VectorExplorer(system)
-    words, tails, _ = explorer.initial_level(limit=None)
-    for _ in range(depth):
-        words, tails, _, _ = explorer.step(words, tails, limit=None)
-    return system, explorer.kernel.join_codes(words, tails)
+    return system, [system.codec.pack(state)
+                    for state in reachable_tuple_bfs(system, depth)[depth]]
 
 
 def successors_by_parent(kernel, codes):
     """The scalar-order successors of ``codes`` as {parent code: [target
     codes]}, each parent's repeated targets dropped."""
     succ_words, succ_tails, parent = kernel.successor_level(
-        *kernel.split_codes(codes), scalar_order=True)
+        *kernel.split_codes(codes))
     by_parent = {code: [] for code in codes}
     for row, target in zip(parent.tolist(),
                            kernel.join_codes(succ_words, succ_tails)):
@@ -267,25 +279,29 @@ def order_pool(name):
         authority, slots, budget = ORDER_CONFIGS[name]
         system = TTAStartupModel(scenario_for_authority(
             authority, slots=slots, out_of_slot_budget=budget))
-        explorer = VectorExplorer(system)
-        words, tails, _ = explorer.initial_level(limit=None)
-        for _ in range(10):
-            words, tails, _, _ = explorer.step(words, tails, limit=None)
-        _ORDER_POOLS[name] = (system, explorer.seen_codes())
+        _ORDER_POOLS[name] = (system, sorted(
+            system.codec.pack(state)
+            for level in reachable_tuple_bfs(system, 10) for state in level))
     return _ORDER_POOLS[name]
 
 
-def test_order_pools_have_multi_option_rows():
+def test_order_pools_have_multi_option_rows(monkeypatch):
     """The slots=4 pool really exercises the mixed-radix decode: some
-    frontier row has more successors than fault contexts."""
+    node of some frontier row has several next local codes under one
+    channel pair, so that row has more successors than fault contexts."""
     system, codes = order_pool("full_shifting-4")
+    widths = []
+    options_of = system.node_option_codes
+
+    def recording(*key):
+        options = options_of(*key)
+        widths.append(len(options))
+        return options
+
+    monkeypatch.setattr(system, "node_option_codes", recording)
     kernel = VectorKernel(system)
-    words, tails = kernel.split_codes(codes)
-    default = kernel.join_codes(*kernel.successor_level(words, tails)[:2])
-    ordered = kernel.join_codes(*kernel.successor_level(
-        words, tails, scalar_order=True)[:2])
-    assert sorted(default) == sorted(ordered)
-    assert default != ordered
+    kernel.successor_level(*kernel.split_codes(codes))
+    assert max(widths) > 1
 
 
 @given(st.sampled_from(sorted(ORDER_CONFIGS)), st.randoms(use_true_random=False),
@@ -315,8 +331,7 @@ def test_level_discovery_matches_scalar_order(name, rng, size):
     kernel = VectorKernel(system)
     words, tails = kernel.split_codes(codes)
     discovery = LevelDiscovery(kernel, seen_set(kernel, words, tails),
-                               *kernel.successor_level(words, tails,
-                                                       scalar_order=True))
+                               *kernel.successor_level(words, tails))
     known = set(codes)
     transitions = 0
     new_states, first_parents = [], []
@@ -375,7 +390,9 @@ def test_fused_seen_set_filters_and_merges_sorted():
     mask = seen.filter_new(probe)
     assert probe[mask].tolist() == [1, 10, 21]
     seen.insert(probe[mask])
-    assert seen.codes().tolist() == [1, 5, 9, 10, 20, 21]
+    assert len(seen) == 6
+    probe = np.asarray([1, 2, 5, 9, 10, 20, 21, 22], dtype=np.uint64)
+    assert probe[seen.filter_new(probe)].tolist() == [2, 22]
 
 
 def test_split_seen_set_buckets_by_tail():
@@ -390,8 +407,9 @@ def test_split_seen_set_buckets_by_tail():
     mixed_tails = np.asarray([1, 1, 1], dtype=np.int64)
     assert seen.filter_new(mixed_words, mixed_tails).tolist() == [
         False, True, False]
-    assert seen.tail_values() == [0, 1]
-    assert seen.bucket(1).tolist() == [3, 7]
+    # Word 7 is a member under tail 1 only.
+    assert seen.filter_new(np.asarray([7], dtype=np.uint64),
+                           np.asarray([0], dtype=np.int64)).tolist() == [True]
 
 
 def test_sort_unique_split_orders_by_tail_then_word():
@@ -417,7 +435,8 @@ def test_compile_batch_invariant_matches_scalar_on_model():
     _, _, tail_scale = system.packed_geometry()
     violations = compile_batch_invariant(invariant, system.codec, tail_scale)
     codes = sorted({system.codec.pack(state)
-                    for state in reachable_tuple_bfs(system)})
+                    for level in reachable_tuple_bfs(system)
+                    for state in level})
     words, tails = kernel.split_codes(codes)
     mask = violations(words, tails)
     for index, code in enumerate(codes):
@@ -442,41 +461,6 @@ def test_compile_batch_invariant_scalar_fallback_for_opaque_predicates():
     mask = violations(words, tails)
     assert mask.shape == (len(codes),)
     assert not mask.any()
-
-
-# ---------------------------------------------------------------------------
-# Vectorized reachable count: exact limit semantics
-# ---------------------------------------------------------------------------
-
-def test_count_reachable_engines_agree():
-    system = TTAStartupModel(scenario_for_authority(CouplerAuthority.PASSIVE))
-    expected = count_reachable(system, engine="tuple")
-    assert count_reachable(system, engine="vectorized") == expected
-
-
-def test_count_reachable_vectorized_limit_is_exact():
-    system = TTAStartupModel(scenario_for_authority(CouplerAuthority.PASSIVE))
-    total = count_reachable(system, engine="vectorized")
-    assert count_reachable(system, max_states=total,
-                           engine="vectorized") == total
-    with pytest.raises(RuntimeError, match=f"more than {total - 1}"):
-        count_reachable(system, max_states=total - 1, engine="vectorized")
-
-
-def test_count_reachable_rejects_unknown_engine():
-    system = TTAStartupModel(scenario_for_authority(CouplerAuthority.PASSIVE))
-    with pytest.raises(ValueError, match="engine"):
-        count_reachable(system, engine="warp")
-
-
-def test_count_reachable_vectorized_needs_native_batch_path():
-    from repro.modelcheck.model import ExplicitTransitionSystem
-
-    space = StateSpace([Variable("n", domain=(0, 1))])
-    system = ExplicitTransitionSystem(space, [(0,)], {(0,): [((1,), {})],
-                                                      (1,): []})
-    with pytest.raises(ValueError, match="batch"):
-        count_reachable(system, engine="vectorized")
 
 
 # ---------------------------------------------------------------------------

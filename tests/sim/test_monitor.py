@@ -253,15 +253,51 @@ def test_read_jsonl_names_the_line_of_a_malformed_record(tmp_path):
     '{"time": 1.0, "source": "a", "kind": "b", "details": 5}',
     '{"time": 1.0, "source": "a", "kind": "b", "details": [1]}',
     '{"time": 1.0, "source": "a", "kind": "b", "details": {"time": 2}}',
+    '{"time": 1.0, "source": "a", "kind": "integrated", '
+    '"details": {"slot": "abc", "via": "cold_start"}}',
+    '{"time": 1.0, "source": "a", "kind": "integrated", '
+    '"details": {"slot": 2, "via": 7}}',
+    '{"time": 1.0, "source": "a", "kind": "integrated", '
+    '"details": {"slot": true}}',
+    '{"time": 1.0, "source": "a", "kind": "activated", '
+    '"details": {"round_start": "0.5"}}',
+    '{"time": 1.0, "source": "a", "kind": "freeze", '
+    '"details": {"was_integrated": 1}}',
+    '{"time": 1.0, "source": "a", "kind": "slot_failed", '
+    '"details": {"frame_time": 1.5}}',
+    '{"time": 1.0, "source": "a", "kind": "slot_failed", '
+    '"details": {"frame_members": [1, "x"]}}',
+    '{"time": 1.0, "source": "a", "kind": "slot_failed", '
+    '"details": {"my_members": 3}}',
 ], ids=["number", "null", "array", "missing-time", "missing-source",
         "string-time", "bool-time", "number-source", "array-kind",
-        "number-details", "array-details", "details-repeat-time"])
+        "number-details", "array-details", "details-repeat-time",
+        "string-int-detail", "number-str-detail", "bool-int-detail",
+        "string-float-detail", "int-bool-detail",
+        "float-optional-int-detail", "mixed-list-detail",
+        "int-list-detail"])
 def test_read_jsonl_names_the_line_of_a_bad_record(tmp_path, record):
     good = '{"time": 1.0, "source": "a", "kind": "b", "details": {}}'
     path = tmp_path / "events.jsonl"
     path.write_text(f"{good}\n\n{record}\n{good}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"events\.jsonl:3: "):
         TraceMonitor.read_jsonl(str(path))
+
+
+def test_read_jsonl_accepts_declared_detail_types():
+    """JSON cannot keep 1.0 apart from 1, so an int loads as a float
+    field; ``None`` and int lists load as their Optional fields."""
+    events = TraceMonitor.read_jsonl([
+        '{"time": 1, "source": "a", "kind": "activated", '
+        '"details": {"round_start": 3}}',
+        '{"time": 2, "source": "a", "kind": "slot_failed", "details": '
+        '{"frame_time": null, "frame_members": [0, 2], "my_members": []}}',
+    ])
+    assert [type(event).__name__ for event in events] == [
+        "Activated", "SlotFailed"]
+    assert events[0].round_start == 3
+    assert events[1].frame_members == [0, 2]
+    assert events[1].frame_time is None
 
 
 def test_read_jsonl_keeps_unknown_kinds_and_null_details():

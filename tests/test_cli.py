@@ -130,6 +130,24 @@ def test_statespace_max_states(capsys):
     assert "truncated" in out
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_statespace_rejects_non_positive_max_states(capsys, value):
+    with pytest.raises(SystemExit) as exited:
+        main(["statespace", "--max-states", value])
+    assert exited.value.code == 2
+    assert "--max-states: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "statespace"])
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_slots_below_two_is_a_usage_error(capsys, command, value):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--slots", value])
+    assert exited.value.code == 2
+    assert "--slots: the model needs at least 2 slots" in (
+        capsys.readouterr().err)
+
+
 def test_blocking_command(capsys):
     code, out = run_cli(capsys, "blocking")
     assert code == 0
