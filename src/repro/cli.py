@@ -640,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--output", default=None,
                       help="also write the formatted report to this file "
                            "(stdout keeps the text summary)")
-    lint.add_argument("--slots", type=_positive_int, default=3,
+    lint.add_argument("--slots", type=_slot_count, default=3,
                       help="model size for the MDL transition-system rules "
                            "(default: 3)")
     lint.add_argument("--no-models", action="store_true", dest="no_models",

@@ -4,8 +4,10 @@ This subpackage is a self-contained discrete-event simulation (DES) kernel
 used by the TTP/C protocol simulation and the fault-injection experiments.
 It plays the role SimPy would play in the paper's setting (no external
 dependency is used), with one scheduling primitive: timed callbacks on a
-single heap, no generator processes.  TTP/C is time-triggered, so every
-protocol action already happens at a time the MEDL fixes.
+single heap, no generator processes.  An event that has fired can be
+re-armed rather than replaced, which is how a periodic tick runs without
+allocating.  TTP/C is time-triggered, so every protocol action already
+happens at a time the MEDL fixes.
 
 * :mod:`repro.sim.engine` -- the event queue and simulation clock,
 * :mod:`repro.sim.clock` -- per-component drifting clocks (ppm offsets),

@@ -6,12 +6,18 @@ are broken first by an integer priority (lower runs first) and then by
 insertion order, which makes every run fully deterministic.
 
 The queue (:class:`HeapQueue`) stores plain ``(time, priority, seq,
-event)`` tuples so every comparison happens at C level.  A time-triggered
-TDMA cluster keeps only O(N) events live (a benign 64-node startup peaks
-at 127 queued entries), so the heap's O(log n) push and pop stay cheap;
-EXP-P7 and EXP-P8 record the measured rates.  The queue compacts itself
-when more than half of its entries are cancelled (long cancel-heavy runs
-stop growing memory).
+event)`` tuples so every comparison happens at C level, and
+:meth:`Simulator.run` pops it directly.  A time-triggered TDMA cluster
+keeps only O(N) events live (a benign 64-node startup peaks at 127
+queued entries), so the heap's O(log n) push and pop stay cheap; EXP-P7
+and EXP-P8 record the measured rates.  The queue compacts itself when
+more than half of its entries are cancelled (long cancel-heavy runs stop
+growing memory).
+
+A periodic callback need not allocate an event per period:
+:meth:`Simulator.rearm` pushes an event that has fired back onto the
+queue, so a TTP/C controller's slot tick reuses one event instead of
+creating one per node-slot.
 
 Scheduled callbacks are the only way simulated time passes: TTP/C is
 time-triggered, so every controller, coupler and guardian action is a
@@ -41,7 +47,9 @@ class Event:
     Events are created through :meth:`Simulator.schedule` and can be
     cancelled until they have fired.  A cancelled event stays in the queue
     but is skipped when popped (the queue compacts itself when cancelled
-    entries pile up).
+    entries pile up).  An event that has fired can be queued again with
+    :meth:`Simulator.rearm`, which makes it pending again under a fresh
+    ``seq``.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "cancelled", "fired",
@@ -56,7 +64,8 @@ class Event:
         self.cancelled = False
         self.fired = False
         #: Owning queue while enqueued (dead-entry accounting for
-        #: compaction); cleared when the event fires.
+        #: compaction); cleared when the event fires, set again by a
+        #: re-arm.
         self._queue = None
 
     def cancel(self) -> None:
@@ -88,26 +97,6 @@ class HeapQueue:
 
     def push(self, entry: Entry) -> None:
         heappush(self._heap, entry)
-
-    def pop_next(self, until: Optional[float] = None) -> Optional[Entry]:
-        """Fused peek-check-consume for the run loop.
-
-        Removes and returns the next pending entry, or ``None`` when the
-        queue is drained or the next entry lies past ``until`` (which is
-        then left in place).
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3].cancelled:
-                heappop(heap)
-                self._dead -= 1
-                continue
-            if until is not None and entry[0] > until:
-                return None
-            heappop(heap)
-            return entry
-        return None
 
     def note_cancel(self) -> None:
         self._dead += 1
@@ -180,6 +169,29 @@ class Simulator:
         seq = next(self._seq)
         self._queue.push((time, priority, seq, Event(time, priority, seq, callback)))
 
+    def rearm(self, event: Event, time: float) -> Event:
+        """Queue ``event``, which has fired, again at absolute time ``time``.
+
+        The event keeps its callback and priority and takes a fresh
+        ``seq`` drawn exactly where :meth:`schedule_at` would draw one, so
+        ties order as if a new event had been scheduled here.  It is
+        pending again: not fired, not cancelled.  Returns ``event``.
+        """
+        if not event.fired:
+            raise SimulationError(f"cannot re-arm {event!r}: it has not fired")
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time!r}, which is before now={self.now!r}")
+        queue = self._queue
+        seq = next(self._seq)
+        event.time = time
+        event.seq = seq
+        event.fired = False
+        event.cancelled = False
+        event._queue = queue
+        queue.push((time, event.priority, seq, event))
+        return event
+
     def run(self, until: Optional[float] = None,
             pause_gc: bool = False) -> float:
         """Run events in time order until the queue drains or the next
@@ -201,7 +213,7 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
-        pop_next = self._queue.pop_next
+        queue = self._queue
         resume_gc = False
         if pause_gc:
             import gc
@@ -211,10 +223,20 @@ class Simulator:
                 gc.disable()
         try:
             while True:
-                entry = pop_next(until)
-                if entry is None:
+                # Re-read every time round: a callback's cancel may have
+                # compacted the queue, which rebinds its heap.
+                heap = queue._heap
+                if not heap:
                     break
+                entry = heap[0]
                 event = entry[3]
+                if event.cancelled:
+                    heappop(heap)
+                    queue._dead -= 1
+                    continue
+                if until is not None and entry[0] > until:
+                    break
+                heappop(heap)
                 self.now = entry[0]
                 event.fired = True
                 event._queue = None

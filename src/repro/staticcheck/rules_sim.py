@@ -2,14 +2,16 @@
 
 The discrete-event engine (:mod:`repro.sim.engine`) has one scheduling
 primitive: timed callbacks on one heap, queued through
-``Simulator.schedule`` / ``schedule_at`` / ``post``.  Protocol and
-network code that keeps a private event heap, reads a wall clock, or
-reschedules one event per slot in a loop works around that primitive.
+``Simulator.schedule`` / ``schedule_at`` / ``post`` and queued again
+through ``Simulator.rearm``.  Protocol and network code that keeps a
+private event heap, reads a wall clock, or reschedules one event per
+slot in a loop works around that primitive.
 
 ======== ==============================================================
 SIM003   protocol and network modules (``ttp/``, ``network/``) must not
          bypass the engine: no direct ``heapq`` / ``time`` imports, no
-         ad-hoc per-slot rescheduling loops around ``sim.schedule``
+         ad-hoc per-slot rescheduling loops around ``sim.schedule`` /
+         ``schedule_at`` / ``post`` / ``rearm``
 ======== ==============================================================
 """
 
@@ -28,7 +30,8 @@ _BYPASS_IMPORTS = frozenset({"heapq", "time"})
 
 #: Simulator scheduling entry points whose use inside a loop marks an
 #: ad-hoc per-slot rescheduling pattern.
-_SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "post"})
+_SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "post",
+                               "rearm"})
 
 
 class NoEngineBypassRule(AstRule):
@@ -39,8 +42,9 @@ class NoEngineBypassRule(AstRule):
     network modules hold *no* private event heaps, never consult wall
     clocks, and install compiled dispatch tables instead of scheduling
     one event per slot.  This rule keeps it that way: direct ``heapq`` /
-    ``time`` imports and ``sim.schedule`` calls inside ``for`` / ``while``
-    loops are flagged.  The one legitimate heap -- the shared
+    ``time`` imports and ``sim.schedule`` / ``schedule_at`` / ``post`` /
+    ``rearm`` calls inside ``for`` / ``while`` loops are flagged.  The one
+    legitimate heap -- the shared
     :class:`~repro.network.channel.ChannelScheduler` -- is baselined.
     """
 

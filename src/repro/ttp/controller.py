@@ -536,13 +536,28 @@ class TTPController:
         self._mode_dispatch = schedule.dispatch()
         self._own_descriptor = schedule.slot(self.own_slot)
 
-    def _schedule_tick(self, local_delay: Optional[float] = None) -> None:
-        delay = (self.config.slot_duration if local_delay is None else local_delay)
-        delay += self._sync_adjustment
+    def _schedule_tick(self, fired: Optional[Event] = None) -> None:
+        """Arm the next tick one (sync-adjusted) local slot from now.
+
+        ``fired`` is the tick event that is running, which is re-armed
+        (after cancelling a tick created while it ran, as
+        :meth:`_schedule_tick_ref` would); without one (power-on) a new
+        tick event is created.
+        """
+        delay = self.config.slot_duration + self._sync_adjustment
         self._sync_adjustment = 0.0
-        self._schedule_tick_ref(max(delay, 1e-9) / self.clock.rate)
+        ref_delay = max(delay, 1e-9) / self.clock.rate
+        if fired is None:
+            self._schedule_tick_ref(ref_delay)
+            return
+        stale = self._tick_event
+        if stale is not None:
+            stale.cancel()
+        sim = self.sim
+        self._tick_event = sim.rearm(fired, sim.now + ref_delay)
 
     def _schedule_tick_ref(self, ref_delay: float) -> None:
+        """Create the tick event, replacing one that is still pending."""
         if self._tick_event is not None:
             self._tick_event.cancel()
         self._tick_event = self.sim.schedule(ref_delay, self._tick)
@@ -555,6 +570,8 @@ class TTPController:
     # -- main tick ---------------------------------------------------------------------------
 
     def _tick(self) -> None:
+        # The event running this tick: the successor tick re-arms it.
+        fired = self._tick_event
         self._tick_event = None
         self.tick_count += 1
         mailbox = self._mailbox
@@ -572,14 +589,14 @@ class TTPController:
                 self._enter_listen()
             if self._faulty:
                 self._maybe_inject_fault_traffic()
-            self._schedule_tick()
+            self._schedule_tick(fired)
             return
         if state is _LISTEN:
             self._listen_tick(self._fold_mailbox(mailbox))
             if self._faulty:
                 self._maybe_inject_fault_traffic()
             if self.state is not _FREEZE:
-                self._schedule_tick()
+                self._schedule_tick(fired)
             return
 
         # cold_start / active / passive: slot-synchronous operation.
@@ -605,9 +622,8 @@ class TTPController:
         if self._faulty:
             self._maybe_inject_fault_traffic()
         if self.state is not _FREEZE:
-            # Inlined _schedule_tick: this tick's own event has fired and
-            # nothing on the slot-synchronous path re-arms it, so there is
-            # (almost) never anything to cancel.
+            # Inlined _schedule_tick(fired): nothing on the slot-synchronous
+            # path creates a tick, so there is (almost) never a stale one.
             delay = self.config.slot_duration + self._sync_adjustment
             self._sync_adjustment = 0.0
             if delay < 1e-9:
@@ -615,8 +631,7 @@ class TTPController:
             stale = self._tick_event
             if stale is not None:
                 stale.cancel()
-            self._tick_event = sim.schedule_at(
-                sim.now + delay / self.clock.rate, self._tick)
+            self._tick_event = sim.rearm(fired, sim.now + delay / self.clock.rate)
 
     # -- listen ---------------------------------------------------------------------------------
 

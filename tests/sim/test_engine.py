@@ -240,3 +240,136 @@ def test_explicit_compact_resets_dead_counter():
     assert len(sim._queue) == 1
     sim.run()
     assert fired == ["keep"]
+
+
+def test_compaction_inside_a_callback_keeps_the_run_going():
+    """A cancel that compacts the queue mid-run rebinds its heap; the run
+    loop must pop from the new heap, not the stale one."""
+    sim = Simulator()
+    fired = []
+    events = [sim.schedule(10.0 + i, (lambda i=i: fired.append(i)))
+              for i in range(200)]
+
+    def cancel_most():
+        for i, event in enumerate(events):
+            if i % 5:
+                event.cancel()
+
+    sim.schedule(1.0, cancel_most)
+    sim.run()
+    assert sim._queue._dead == 0
+    assert fired == [i for i in range(200) if i % 5 == 0]
+    assert sim.fired_count == 1 + 40
+
+
+# -- re-arming fired events ----------------------------------------------------
+
+
+def test_rearmed_event_fires_again_at_its_new_time():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(1.0, lambda: fired.append(sim.now))
+    sim.run()
+    assert sim.rearm(event, 4.0) is event
+    assert (event.fired, event.cancelled, event.time) == (False, False, 4.0)
+    sim.run()
+    assert fired == [1.0, 4.0]
+    assert event.fired
+    assert sim.fired_count == 2
+
+
+def test_rearm_orders_ties_like_a_fresh_schedule():
+    """A re-armed event takes its seq at the re-arm: it runs after an
+    equal-priority event scheduled at the same time before the re-arm,
+    and before one scheduled after it."""
+    sim = Simulator()
+    order = []
+    event = sim.schedule(1.0, lambda: order.append("rearmed"))
+    sim.run()
+    sim.schedule_at(5.0, lambda: order.append("before"))
+    sim.rearm(event, 5.0)
+    sim.schedule_at(5.0, lambda: order.append("after"))
+    sim.run()
+    assert order == ["rearmed", "before", "rearmed", "after"]
+
+
+def test_rearm_from_its_own_callback_makes_a_periodic_event():
+    sim = Simulator()
+    times = []
+    holder = []
+
+    def tick():
+        times.append(sim.now)
+        if len(times) < 4:
+            sim.rearm(holder[0], sim.now + 2.5)
+
+    holder.append(sim.schedule(1.0, tick))
+    sim.run()
+    assert times == [1.0, 3.5, 6.0, 8.5]
+    assert sim.fired_count == 4
+
+
+def test_rearm_of_a_pending_event_rejected():
+    sim = Simulator()
+    event = sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError, match="has not fired"):
+        sim.rearm(event, 2.0)
+    event.cancel()
+    with pytest.raises(SimulationError, match="has not fired"):
+        sim.rearm(event, 2.0)
+
+
+def test_rearm_into_the_past_rejected():
+    sim = Simulator()
+    event = sim.schedule(5.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError, match="before now"):
+        sim.rearm(event, 4.0)
+    assert event.fired
+
+
+def test_cancelled_rearmed_event_is_skipped_and_compacted():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(1.0, lambda: fired.append(sim.now))
+    sim.run()
+    sim.schedule(3.0, lambda: fired.append("keep"))
+    sim.rearm(event, 2.0)
+    event.cancel()
+    assert sim._queue._dead == 1
+    sim._queue.compact()
+    assert sim._queue._dead == 0
+    assert len(sim._queue) == 1
+    sim.run()
+    assert fired == [1.0, "keep"]
+    assert not event.fired
+
+
+def test_cancelled_rearmed_event_is_skipped_when_popped():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(1.0, lambda: fired.append(sim.now))
+    sim.run()
+    sim.rearm(event, 2.0)
+    event.cancel()
+    sim.run()
+    assert fired == [1.0]
+    assert sim._queue._dead == 0
+    assert len(sim._queue) == 0
+
+
+def test_failing_callback_leaves_fired_count_exact():
+    def boom():
+        raise RuntimeError("callback failure")
+
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, boom)
+    sim.schedule(3.0, lambda: None)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.fired_count == 2
+    assert not sim._running
+    assert sim.now == 2.0
+    sim.run()
+    assert sim.fired_count == 3

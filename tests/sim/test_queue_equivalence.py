@@ -1,11 +1,12 @@
 """Property test: the event queue fires in exact (time, priority, seq) order.
 
 Hypothesis drives the simulator through random interleavings of
-schedule / post / cancel operations -- including same-time same-priority
-ties, zero delays, far-future delays, and operations injected from inside
-a running callback -- and the fire log must equal an oracle: the plain
-sorted list of the scripted ``(time, priority, seq)`` entries minus the
-cancelled ones.
+schedule / post / cancel / re-arm operations -- including same-time
+same-priority ties, zero delays, far-future delays, and operations
+injected from inside a running callback -- and the fire log must equal an
+oracle: the plain sorted list of the scripted ``(time, priority, seq)``
+entries minus the cancelled ones, where a re-arm is one more entry with
+the re-armed event's label and priority.
 """
 
 import itertools
@@ -15,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.engine import Simulator
 
 #: One scripted operation: (kind, delay, priority).  ``kind`` is
-#: "schedule" (cancellable handle), "post" (pooled fast path), or
-#: "cancel" (cancel the oldest still-pending handle, if any).
+#: "schedule" (cancellable handle), "post" (no handle), "cancel" (cancel
+#: the oldest still-pending handle, if any), or "rearm" (re-arm the oldest
+#: fired, not yet re-armed handle ``delay`` from now, if any; its own
+#: priority is kept).
 OPS = st.lists(
     st.tuples(
-        st.sampled_from(["schedule", "schedule", "post", "cancel"]),
+        st.sampled_from(["schedule", "schedule", "post", "cancel", "rearm"]),
         st.one_of(
             st.just(0.0),
             st.floats(min_value=0.0, max_value=50.0),
@@ -39,6 +42,7 @@ def replay(script) -> list:
     sim = Simulator()
     log = []
     handles = []
+    armable = []
     counter = [0]
 
     def apply_ops(ops):
@@ -49,6 +53,12 @@ def replay(script) -> list:
                     if not handle.cancelled and not handle.fired:
                         handle.cancel()
                         break
+            elif kind == "rearm":
+                for handle in armable:
+                    if handle.fired:
+                        armable.remove(handle)
+                        sim.rearm(handle, sim.now + delay)
+                        break
             else:
                 label = counter[0]
                 counter[0] += 1
@@ -56,7 +66,9 @@ def replay(script) -> list:
                 if kind == "post":
                     sim.post(delay, callback, priority)
                 else:
-                    handles.append(sim.schedule(delay, callback, priority))
+                    handle = sim.schedule(delay, callback, priority)
+                    handles.append(handle)
+                    armable.append(handle)
 
     half = len(script) // 2
     apply_ops(script[:half])
@@ -71,22 +83,36 @@ def oracle(script) -> list:
     """The (label, time) fire log ``replay`` must produce, computed without
     a queue: sort the scripted entries and drop the cancelled ones."""
     entries = []  # [time, priority, seq, label, cancelled]
-    handles = []
+    handles = []  # [entry]: a handle names its latest entry
+    armable = []
     seq = itertools.count()
+    labels = itertools.count()
 
     def apply_ops(ops, now, fired):
         for kind, delay, priority in ops:
             if kind == "cancel":
                 while handles:
-                    entry = handles.pop(0)
+                    entry = handles.pop(0)[0]
                     if not fired(entry):
                         entry[4] = True
                         break
+            elif kind == "rearm":
+                for handle in armable:
+                    entry = handle[0]
+                    if not entry[4] and fired(entry):
+                        armable.remove(handle)
+                        handle[0] = [now + delay, entry[1], next(seq),
+                                     entry[3], False]
+                        entries.append(handle[0])
+                        break
             else:
-                entry = [now + delay, priority, next(seq), len(entries), False]
+                entry = [now + delay, priority, next(seq), next(labels),
+                         False]
                 entries.append(entry)
                 if kind == "schedule":
-                    handles.append(entry)
+                    handle = [entry]
+                    handles.append(handle)
+                    armable.append(handle)
 
     half = len(script) // 2
     apply_ops(script[:half], 0.0, lambda entry: False)

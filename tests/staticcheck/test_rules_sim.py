@@ -21,6 +21,12 @@ class TestEngineBypass:
         assert "'time'" in messages
         assert "inside a loop" in messages
 
+    def test_rearm_in_a_loop_is_flagged(self, load_unit):
+        unit = load_unit("ttp/rearm_loop.py")
+        findings = run_ast_rules([NoEngineBypassRule()], [unit])
+        assert [(f.rule, f.line) for f in findings] == [("SIM003", 20)]
+        assert "self.sim.rearm() inside a loop" in findings[0].message
+
     def test_rule_is_scoped_to_protocol_and_network_dirs(self):
         unit = ModuleUnit(
             Path("/x/sim/engine.py"), "sim/engine.py",

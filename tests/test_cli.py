@@ -138,7 +138,7 @@ def test_statespace_rejects_non_positive_max_states(capsys, value):
     assert "--max-states: must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["verify", "statespace"])
+@pytest.mark.parametrize("command", ["verify", "statespace", "lint"])
 @pytest.mark.parametrize("value", ["1", "0"])
 def test_slots_below_two_is_a_usage_error(capsys, command, value):
     with pytest.raises(SystemExit) as exited:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.core.authority import CouplerAuthority
+from repro.gen.config import GenConfig
+from repro.gen.materialize import materialize
 from repro.network.star_coupler import CouplerFault
 from repro.ttp.constants import ControllerStateName
 from repro.ttp.controller import ControllerConfig, FreezeReason, NodeFaultBehavior
@@ -168,3 +170,29 @@ def test_babbling_node_contained_by_central_guardian():
 def test_cluster_spec_rejects_unknown_topology():
     with pytest.raises(ValueError):
         Cluster(ClusterSpec(topology="ring"))
+
+
+def test_each_controller_keeps_one_tick_event():
+    """A tick re-arms its own event: once every node runs slot-synchronously
+    no tick allocates, and the fired-event count is unchanged by it."""
+    cluster = Cluster(materialize(GenConfig(nodes=16, seed=0)))
+    cluster.power_on()
+    cluster.run(rounds=10)
+    ticks = {name: controller._tick_event
+             for name, controller in cluster.controllers.items()}
+    assert all(event is not None for event in ticks.values())
+    cluster.run(rounds=30)
+    assert all(controller._tick_event is ticks[name]
+               for name, controller in cluster.controllers.items())
+    assert cluster.sim.fired_count == 10825
+    assert len(cluster.integrated_nodes()) == 16
+
+
+def test_a_freezing_tick_rearms_nothing():
+    spec = ClusterSpec(topology="star", authority=CouplerAuthority.FULL_SHIFTING,
+                       coupler_faults=[CouplerFault.OUT_OF_SLOT, CouplerFault.NONE])
+    cluster = run_cluster(spec, rounds=30)
+    frozen = cluster.clique_frozen_nodes()
+    assert frozen
+    assert all(cluster.controllers[name]._tick_event is None
+               for name in frozen)
