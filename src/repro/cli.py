@@ -322,6 +322,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         report = run_lint(paths, root=".", selectors=selectors,
                           baseline=baseline, check_models=not args.no_models,
                           model_slots=args.slots, changed_ref=args.changed)
+    except ValueError as error:  # a --rules selector that matches no rule
+        print(f"repro lint: error: {error}", file=sys.stderr)
+        return 2
     except RuntimeError as error:
         print(f"repro lint: {error}", file=sys.stderr)
         return 2
@@ -611,8 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = subparsers.add_parser(
         "lint", help="domain-aware static analysis: determinism (DET), "
                      "event taxonomy (EVT), simulator processes (SIM), "
-                     "transition-system hygiene (MDL), concurrency hazards "
-                     "(CON), packed widths (WID), emit ordering (ORD)")
+                     "transition-system hygiene (MDL), unpicklable pool "
+                     "work (CON), packed widths (WID), emit ordering (ORD)")
     lint.add_argument("paths", nargs="*",
                       help="files or directories to check (default: src)")
     lint.add_argument("--format", choices=("text", "json", "sarif"),

@@ -9,7 +9,8 @@ conventions; this package turns them into machine-checked rules:
 * **DET** (:mod:`repro.staticcheck.rules_det`) -- determinism sanitizer:
   no wall-clock reads, no direct ``random`` use outside ``sim/rng.py``,
   no set iteration in hot paths, no ``id()``-based ordering, no float
-  equality in clock-sync code.
+  equality in clock-sync code, no unseeded or unstable NumPy idioms in
+  hot paths.
 * **EVT** (:mod:`repro.staticcheck.rules_evt`) -- event-taxonomy checker:
   every emit site names a dataclass kind declared in ``obs/events.py``
   with matching detail fields; monitors consume declared kinds only.
@@ -17,16 +18,16 @@ conventions; this package turns them into machine-checked rules:
   protocol and network code schedules only through the simulator, with
   no private heaps, wall clocks, or per-slot rescheduling loops.
 * **MDL** (:mod:`repro.staticcheck.rules_mdl`) -- transition-system
-  linter: per coupler authority, dead fault transitions, never-fired
-  guards, never-written state variables, and unreachable enum values,
-  found by packed-state reachability over the real TTA startup model.
-* **CON** (:mod:`repro.staticcheck.rules_con`) -- concurrency hazards
-  at the pool boundary: shared-memory mutation after publish, closures
-  in submitted work, worker-reachable global mutation (call graph), and
-  un-enveloped pool results.
+  linter: per coupler authority, never-written state variables and
+  unreachable enum values, found by packed-state reachability over the
+  real TTA startup model.
+* **CON** (:mod:`repro.staticcheck.rules_con`) -- unpicklable work at
+  the pool boundary: lambdas, nested or generator functions, and live
+  simulators in submitted work, which ``TaskRunner`` would otherwise
+  run serially without a word.
 * **WID** (:mod:`repro.staticcheck.rules_wid`) -- packed-width safety of
   the uint64 split-code kernels: unguarded geometry growth into uint64,
-  uint64/int64 arithmetic mixing, cross-dtype comparisons.
+  and cross-dtype uint64/int64 comparisons.
 * **ORD** (:mod:`repro.staticcheck.rules_ord`) -- emit-ordering honesty:
   state mutations post-dominated by the ``_emit`` reporting them, and
   every constructed event kind consumed by some monitor.

@@ -2,17 +2,15 @@
 
 The abstract domain is deliberately tiny: an :class:`AbstractValue` is a
 set of *tags* ("this value may be a uint64-typed array", "this value may
-be a shared-memory view", "this value is derived from packed-layout
+be a process pool", "this value is derived from packed-layout
 geometry").  The lattice join is set union -- a may-analysis: a tag says
 the property holds on *some* path, which is the right polarity for
-hazard rules (a mutation that races on one path is a finding).
+hazard rules (a width bug on one path is a finding).
 
 :func:`solve_forward` runs the classic worklist fixpoint over basic
 blocks; a rule supplies a per-statement transfer function and reads the
 block-entry environments back.  Environments map variable keys -- plain
-names (``x``), ``self`` attributes (``self.x``), and the synthetic
-:data:`FACTS` key carrying statement-position facts like "a pool
-publish already happened" -- to abstract values.
+names (``x``) and ``self`` attributes (``self.x``) -- to abstract values.
 """
 
 from __future__ import annotations
@@ -21,10 +19,6 @@ import ast
 from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.staticcheck.cfg import CFG
-
-#: Synthetic environment key for path facts (not a program variable).
-FACTS = "<facts>"
-
 
 class AbstractValue:
     """An immutable set of tags; join is union."""
@@ -94,8 +88,8 @@ def assignment_keys(stmt: ast.stmt) -> List[str]:
 
     Tuple/list/starred targets are flattened; subscript and non-``self``
     attribute stores bind nothing (``a[i] = x`` mutates ``a``, it does not
-    rebind it -- the base name deliberately does NOT appear here, which is
-    what lets CON003 tell a module-global mutation from a local binding).
+    rebind it -- the base name deliberately does NOT appear here, so an
+    element store keeps the array's WID dtype tag).
     """
     targets: List[ast.AST] = []
     if isinstance(stmt, ast.Assign):

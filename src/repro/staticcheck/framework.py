@@ -273,5 +273,4 @@ def select_rules(selectors: Optional[Sequence[str]]) -> List[AstRule]:
         return rules
     wanted = [selector.strip().upper() for selector in selectors]
     return [rule for rule in rules
-            if any(rule.rule == item or rule.rule.startswith(item)
-                   for item in wanted)]
+            if any(rule.rule.startswith(item) for item in wanted)]

@@ -8,30 +8,28 @@ verification engine searches), and reports structural dead weight --
 the model-hygiene questions an SMV user asks alongside the properties:
 
 ======== ==============================================================
-MDL001   dead transition: a coupler fault mode the configuration
-         declares but that is never enabled in any reachable state
-MDL002   never-fired guard: a named model guard (big-bang latch,
-         activation, out-of-slot replay, ...) that no reachable
-         transition ever fires
 MDL003   never-written state variable: constant across the entire
          reachable space (dead state the packed encoding still pays for)
 MDL004   unreachable enum value: a declared symbolic domain value no
          reachable state carries
 ======== ==============================================================
 
+A dead fault transition or a never-fired guard changes the state counts
+and verdicts the model-checking tests pin, so the tests, not the linter,
+catch those.
+
 Findings carry the synthetic path ``model:<scenario>`` and line 0; their
-``item`` token (``fault:out_of_slot``, ``guard:big_bang_latched``,
-``var:a_failed``, ``a_state=freeze_clique``) is what the baseline
-matches.  The committed repository baseline deliberately *keeps* several
-MDL004 entries: ``freeze_clique`` being unreachable below full-shifting
-authority is the paper's Section 5 verdict, mechanically re-derived on
-every lint run.
+``item`` token (``var:a_failed``, ``a_state=freeze_clique``) is what the
+baseline matches.  The committed repository baseline deliberately
+*keeps* several MDL004 entries: ``freeze_clique`` being unreachable
+below full-shifting authority is the paper's Section 5 verdict,
+mechanically re-derived on every lint run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.staticcheck.findings import Finding
 
@@ -48,109 +46,27 @@ class ModelLintError(RuntimeError):
     """Raised when a scenario exceeds the reachability budget."""
 
 
-@dataclass(frozen=True)
-class GuardSpec:
-    """One named guard of the model, with its applicability condition.
-
-    ``fires(diff, label)`` sees one explored transition: the variable
-    diff (``name -> (before, after)``) and the transition label.
-    """
-
-    name: str
-    description: str
-    applicable: Callable[[object], bool]
-    fires: Callable[[Dict[str, Tuple[object, object]], Dict[str, str]], bool]
-
-
-def _state_becomes(suffix: str, value: object) -> Callable:
-    def fires(diff: Dict[str, Tuple[object, object]],
-              label: Dict[str, str]) -> bool:
-        return any(name.endswith(suffix) and after == value
-                   for name, (_, after) in diff.items())
-    return fires
-
-
-def _counter_changes(suffix: str) -> Callable:
-    def fires(diff: Dict[str, Tuple[object, object]],
-              label: Dict[str, str]) -> bool:
-        return any(name.endswith(suffix) for name in diff)
-    return fires
-
-
-def default_guards() -> List[GuardSpec]:
-    """The registry of named guards checked by MDL002."""
-    from repro.model.config import FAULT_OUT_OF_SLOT
-    from repro.model.node_model import ST_ACTIVE, ST_PASSIVE
-
-    def always(config: object) -> bool:
-        return True
-
-    def replay_possible(config) -> bool:
-        return (FAULT_OUT_OF_SLOT in config.fault_modes()
-                and config.out_of_slot_budget != 0)
-
-    def integrated_fires(diff, label):
-        return any(name.endswith("_state") and after in (ST_ACTIVE, ST_PASSIVE)
-                   for name, (_, after) in diff.items())
-
-    def replay_fires(diff, label):
-        return label.get("fault", "").endswith(FAULT_OUT_OF_SLOT)
-
-    return [
-        GuardSpec("big_bang_latched",
-                  "a listener records its first cold-start sighting",
-                  always, _state_becomes("_big_bang", True)),
-        GuardSpec("node_activated",
-                  "a node acquires sending rights (enters active)",
-                  always, _state_becomes("_state", ST_ACTIVE)),
-        GuardSpec("node_integrated",
-                  "a node joins the cluster (enters active or passive)",
-                  always, integrated_fires),
-        GuardSpec("clique_counter_advanced",
-                  "a node's agreed-slot counter moves",
-                  always, _counter_changes("_agreed")),
-        GuardSpec("timeout_running",
-                  "a node's listen/cold-start timeout counts",
-                  always, _counter_changes("_timeout")),
-        GuardSpec("out_of_slot_replayed",
-                  "a full-shifting coupler replays its buffered frame",
-                  replay_possible, replay_fires),
-    ]
-
-
 @dataclass
 class ModelAnalysis:
-    """Everything one exhaustive reachability pass learns about a model."""
+    """What one exhaustive reachability pass learns about a model."""
 
     scenario: str
     states: int = 0
-    transitions: int = 0
-    #: Fault modes enabled in at least one reachable state.
-    enabled_faults: Set[str] = field(default_factory=set)
-    #: Guards that fired on at least one explored transition.
-    fired_guards: Set[str] = field(default_factory=set)
     #: Variable name -> set of reachable values.
     reachable_values: Dict[str, Set[object]] = field(default_factory=dict)
 
 
 def analyze_model(config, scenario: str,
-                  guards: Optional[Sequence[GuardSpec]] = None,
                   max_states: int = DEFAULT_MAX_STATES) -> ModelAnalysis:
     """Exhaustive BFS over one scenario, collecting MDL evidence.
 
     The seen-set holds packed integer codes from the model's
     :class:`~repro.modelcheck.encode.StateCodec` -- the verification
-    engine's own representation -- while transitions are enumerated at
-    the tuple level so labels and variable diffs stay observable.
+    engine's own representation.
     """
-    from repro.model.coupler_model import enumerate_fault_choices
-    from repro.model.system_model import UNLIMITED, TTAStartupModel
+    from repro.model.system_model import TTAStartupModel
 
     model = TTAStartupModel(config)
-    if guards is None:
-        guards = default_guards()
-    active_guards = [guard for guard in guards if guard.applicable(config)]
-    analysis = ModelAnalysis(scenario=scenario)
     space = model.space
     values: List[Set[object]] = [set() for _ in space.variables]
     pack = model.codec.pack
@@ -163,31 +79,12 @@ def analyze_model(config, scenario: str,
             seen.add(code)
             frontier.append(state)
 
-    pending_guards = {guard.name: guard for guard in active_guards}
-    declared_faults = set(config.fault_modes())
-    pending_faults = set(declared_faults)
-
     while frontier:
         next_frontier: List[tuple] = []
         for state in frontier:
             for position, value in enumerate(state):
                 values[position].add(value)
-            if pending_faults:
-                locals_, buffers, oos_left = model._unpack(state)
-                budget = 1 if oos_left == UNLIMITED else oos_left
-                for fault0, fault1 in enumerate_fault_choices(
-                        config, buffers, budget):
-                    pending_faults.discard(fault0)
-                    pending_faults.discard(fault1)
             for transition in model.successors(state):
-                analysis.transitions += 1
-                if pending_guards:
-                    diff = space.diff(state, transition.target)
-                    fired = [name for name, guard in pending_guards.items()
-                             if guard.fires(diff, transition.label)]
-                    for name in fired:
-                        analysis.fired_guards.add(name)
-                        del pending_guards[name]
                 code = pack(transition.target)
                 if code not in seen:
                     if len(seen) >= max_states:
@@ -198,46 +95,21 @@ def analyze_model(config, scenario: str,
                     next_frontier.append(transition.target)
         frontier = next_frontier
 
-    analysis.states = len(seen)
-    analysis.enabled_faults = declared_faults - pending_faults
-    analysis.reachable_values = {
-        variable.name: values[position]
-        for position, variable in enumerate(space.variables)}
-    return analysis
+    return ModelAnalysis(
+        scenario=scenario, states=len(seen),
+        reachable_values={variable.name: values[position]
+                          for position, variable in enumerate(space.variables)})
 
 
 def model_findings(config, scenario: str,
-                   guards: Optional[Sequence[GuardSpec]] = None,
                    max_states: int = DEFAULT_MAX_STATES) -> List[Finding]:
-    """Run MDL001..MDL004 on one model configuration."""
+    """Run MDL003 and MDL004 on one model configuration."""
     from repro.model.system_model import TTAStartupModel
 
-    guards = list(default_guards() if guards is None else guards)
-    analysis = analyze_model(config, scenario, guards=guards,
-                             max_states=max_states)
+    analysis = analyze_model(config, scenario, max_states=max_states)
     path = f"model:{scenario}"
     findings: List[Finding] = []
-
-    for mode in sorted(set(config.fault_modes()) - analysis.enabled_faults):
-        findings.append(Finding(
-            rule="MDL001", path=path, line=0, column=0,
-            message=(f"dead transition: fault mode {mode!r} is declared by "
-                     f"the configuration but never enabled in any of "
-                     f"{analysis.states} reachable states"),
-            item=f"fault:{mode}"))
-
-    applicable = [guard for guard in guards if guard.applicable(config)]
-    for guard in applicable:
-        if guard.name not in analysis.fired_guards:
-            findings.append(Finding(
-                rule="MDL002", path=path, line=0, column=0,
-                message=(f"never-fired guard {guard.name!r} "
-                         f"({guard.description}): no transition among "
-                         f"{analysis.transitions} explored ever fires it"),
-                item=f"guard:{guard.name}"))
-
-    space = TTAStartupModel(config).space
-    for variable in space.variables:
+    for variable in TTAStartupModel(config).space.variables:
         reachable = analysis.reachable_values[variable.name]
         if len(reachable) == 1:
             only = next(iter(reachable))
@@ -287,8 +159,6 @@ def run_model_rules(slots: int = DEFAULT_SLOTS,
 
 #: Rule metadata for emitters (SARIF rule table, --rules selection).
 MDL_RULE_INFO = {
-    "MDL001": "dead transition: declared coupler fault mode never enabled",
-    "MDL002": "never-fired guard: named model guard no transition fires",
     "MDL003": "never-written state variable (constant over reachability)",
     "MDL004": "unreachable enum value in a declared symbolic domain",
 }

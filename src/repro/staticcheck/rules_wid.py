@@ -9,12 +9,14 @@ shapes, both invisible to a per-file linter:
 WID001   geometry-derived growth arithmetic (``block_radix ** i``,
          pre-scaled option pools) flows into a ``dtype=np.uint64``
          construction with no dominating 63-bit guard on any path
-WID002   uint64- and int64-typed arrays mixed in one arithmetic
-         expression: numpy resolves that pairing to *float64*, silently
-         rounding codes above 2**53
 WID003   comparisons across the split-code dtypes (uint64 word vs int64
-         tail), which numpy also routes through float64
+         tail), which numpy routes through float64
 ======== ==============================================================
+
+Mixed uint64/int64 *arithmetic* promotes to float64 as well, but it
+changes the result's dtype, which the model-checking tests see; a mixed
+comparison returns the same bool array either way, so only this rule
+sees it.
 
 Dtype tags propagate through the forward dataflow lattice; the guard
 test for WID001 uses CFG dominance ("does a ``> (1 << 63)`` check run
@@ -57,10 +59,6 @@ _NP_CONSTRUCTORS = frozenset({"array", "asarray", "zeros", "empty", "full",
 
 #: Operators under which geometry *grows* toward the 63-bit boundary.
 _GROWTH_OPS = (ast.Pow, ast.Mult, ast.LShift)
-
-#: Arithmetic operators where a u64/i64 pairing silently widens.
-_ARITH_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
-              ast.Pow, ast.LShift, ast.RShift)
 
 _WIDTH_LIMIT = 1 << 63
 
@@ -322,38 +320,6 @@ class PackedWidthGuardRule(AstRule):
         return False
 
 
-class MixedDtypeArithmeticRule(AstRule):
-    """WID002: uint64 op int64 resolves to float64 and rounds codes."""
-
-    rule = "WID002"
-    description = ("arithmetic mixing uint64 and int64 arrays promotes to "
-                   "float64, silently rounding packed codes above 2**53; "
-                   "cast one side explicitly first")
-
-    def check(self, unit: ModuleUnit, context) -> Iterator[Finding]:
-        for flow in _width_flows(unit, context):
-            for stmt in flow.cfg.statements():
-                env = flow.env_before(stmt)
-                for node in own_nodes(stmt):
-                    if not isinstance(node, ast.BinOp) or \
-                            not isinstance(node.op, _ARITH_OPS):
-                        continue
-                    left = flow.tags_of(env, node.left)
-                    right = flow.tags_of(env, node.right)
-                    u64_one_side = (left.has(TAG_U64) and right.has(TAG_I64)
-                                    and not right.has(TAG_U64)
-                                    and not left.has(TAG_I64))
-                    i64_one_side = (left.has(TAG_I64) and right.has(TAG_U64)
-                                    and not right.has(TAG_I64)
-                                    and not left.has(TAG_U64))
-                    if u64_one_side or i64_one_side:
-                        yield self.finding(
-                            unit, node,
-                            "uint64/int64 operands in one expression: "
-                            "numpy promotes the pair to float64, rounding "
-                            "codes above 2**53; .astype() one side first")
-
-
 class CrossDtypeComparisonRule(AstRule):
     """WID003: comparing split-code dtypes routes through float64."""
 
@@ -387,5 +353,4 @@ class CrossDtypeComparisonRule(AstRule):
                                 "can equate distinct codes above 2**53")
 
 
-WID_RULES = (PackedWidthGuardRule, MixedDtypeArithmeticRule,
-             CrossDtypeComparisonRule)
+WID_RULES = (PackedWidthGuardRule, CrossDtypeComparisonRule)

@@ -109,17 +109,26 @@ def _mdl_selected(selectors: Optional[Sequence[str]]) -> List[str]:
         return all_ids
     wanted = [selector.strip().upper() for selector in selectors]
     return [rule_id for rule_id in all_ids
-            if any(rule_id == item or rule_id.startswith(item)
-                   for item in wanted)]
+            if any(rule_id.startswith(item) for item in wanted)]
+
+
+def _reject_unknown_selectors(selectors: Optional[Sequence[str]],
+                              selected_ids: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming a selector that selected no rule: a
+    typo or a deleted rule id would otherwise check nothing and pass."""
+    for selector in selectors or ():
+        item = selector.strip().upper()
+        if not any(rule_id.startswith(item) for rule_id in selected_ids):
+            raise ValueError(f"unknown rule selector {selector!r}: no rule "
+                             f"id or pack starts with it")
 
 
 def _rule_table(ast_rules, mdl_ids: Sequence[str]) -> List[RuleInfo]:
     infos = [rule.info for rule in ast_rules]
     for rule_id in mdl_ids:
-        severity = "error" if rule_id in ("MDL001", "MDL002") else "warning"
         infos.append(RuleInfo(rule=rule_id,
                               description=MDL_RULE_INFO[rule_id],
-                              severity=severity))
+                              severity="warning"))
     return infos
 
 
@@ -142,14 +151,20 @@ def run_lint(paths: Sequence[Union[str, Path]],
     restricted to files differing from that git ref, and the MDL pack is
     skipped -- it lints models, not files, so a file diff cannot scope
     it.  Run without ``--changed`` (CI does) to get MDL coverage.
+
+    Raises ``ValueError`` when a selector matches no rule.
     """
     root = Path(root)
     ast_rules = select_rules(selectors)
+    mdl_ids = _mdl_selected(selectors)
+    _reject_unknown_selectors(
+        selectors, [*(rule.rule for rule in ast_rules), *mdl_ids])
     report_paths: Optional[Set[str]] = None
     if changed_ref is not None:
         report_paths = changed_python_files(changed_ref, root)
         check_models = False
-    mdl_ids = _mdl_selected(selectors) if check_models else []
+    if not check_models:
+        mdl_ids = []
 
     units: List[ModuleUnit] = []
     for path in discover_files(paths):

@@ -1,42 +1,32 @@
-"""Clean fixture for the CON pack: the same idioms done right."""
+"""Clean fixture for the CON pack: the same submissions done right."""
 
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from multiprocessing import shared_memory
 
-import numpy as np
-
+from repro.exec import TaskRunner
 from repro.exec.pool import run_task_enveloped
-
-#: Immutable module global: fine to read from workers.
-LIMITS = (1, 2, 3)
-
-#: Mutable, but only ever written by main-process-only code.
-CACHE = {}
+from repro.sim.engine import Simulator
 
 
-def worker(task):
-    return task * LIMITS[0]
+def step(task):
+    return task
 
 
-def local_cache_refresh(key):
-    CACHE[key] = True  # not reachable from any pool entry point
+def simulate(config):
+    engine = Simulator()  # rebuilt inside the worker from plain data
+    return engine.now, config
 
 
-def main_process_only(tasks):
-    for task in tasks:
-        local_cache_refresh(task)
+def ship_module_functions(tasks):
+    with ProcessPoolExecutor() as workers:
+        return list(workers.map(partial(run_task_enveloped, step), tasks))
 
 
-def publish_then_leave_alone(tasks):
-    block = shared_memory.SharedMemory(create=True, size=len(tasks) * 8)
-    view = np.frombuffer(block.buf, dtype=np.uint64, count=len(tasks))
-    view[:] = 0  # all writes happen before publication
-    del view
-    with ProcessPoolExecutor() as pool:
-        return list(pool.map(partial(run_task_enveloped, worker), tasks))
+def ship_configs(configs):
+    runner = TaskRunner(max_workers=2)
+    return runner.map(simulate, configs)
 
 
-def enveloped_submission(tasks):
-    pool = ProcessPoolExecutor()
-    return list(pool.map(partial(run_task_enveloped, worker), tasks))
+def local_closures(tasks):
+    # Closures that never reach a pool are fine.
+    return sorted(tasks, key=lambda task: -task)

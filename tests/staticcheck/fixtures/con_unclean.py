@@ -1,38 +1,38 @@
-"""Firing fixture for the CON pack: one pool hazard per rule."""
+"""Firing fixture for the CON pack: work that cannot cross ``pickle``.
+
+Each CON002 line below ships something a worker process cannot
+unpickle: a generator factory, a live Simulator, a lambda, a nested
+closure.  The receivers cover both ways the rule recognizes a pool: a
+name dataflow tracked from a pool constructor (``workers``, ``spawner``)
+and the repository's pool-like receiver names (``pool``, ``runner``).
+
+``TaskRunner`` pickles its work first and falls back to the serial loop
+when that fails: these calls run, but the pool never does.
+"""
 
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-from multiprocessing import shared_memory
 
-import numpy as np
-
-from repro.exec.pool import run_task_enveloped
-
-#: Module-global mutable cache a worker-reachable helper writes (CON003).
-CACHE = {}
+from repro.exec import TaskRunner
+from repro.sim.engine import Simulator
 
 
-def _helper(key):
-    CACHE[key] = True  # CON003: reachable from the pool entry `worker`
+def cells(tasks):
+    yield from tasks
 
 
-def worker(task):
-    _helper(task)
+def step(task):
     return task
 
 
-def bare(task):
-    return task + 1
+def ship_generator(tasks):
+    with ProcessPoolExecutor() as workers:
+        return list(workers.map(cells, tasks))  # CON002: generator factory
 
 
-def mutate_after_publish(tasks):
-    block = shared_memory.SharedMemory(create=True, size=len(tasks) * 8)
-    view = np.frombuffer(block.buf, dtype=np.uint64, count=len(tasks))
-    view[:] = 0
-    with ProcessPoolExecutor() as pool:
-        results = list(pool.map(partial(run_task_enveloped, worker), tasks))
-        view[0] = 1  # CON001: store into the view after publication
-    return results
+def ship_simulator(task):
+    engine = Simulator()
+    spawner = ProcessPoolExecutor()
+    return spawner.submit(step, task, engine)  # CON002: live Simulator
 
 
 def ship_closures(pool, tasks):
@@ -44,6 +44,6 @@ def ship_closures(pool, tasks):
     pool.submit(inner)  # CON002: nested closure never pickles
 
 
-def unenveloped(tasks):
-    pool = ProcessPoolExecutor()
-    return list(pool.map(bare, tasks))  # CON004: no run_task_enveloped
+def ship_through_the_task_runner(tasks):
+    runner = TaskRunner(max_workers=2)
+    return runner.map(lambda task: step(task), tasks)  # CON002: lambda

@@ -11,13 +11,6 @@ def guarded_scales(block_radix, node_count):
                     dtype=np.uint64)
 
 
-def cast_before_mixing(n):
-    words = np.zeros(n, dtype=np.uint64)
-    tails = np.ones(n, dtype=np.int64)
-    # Casting pins both operands to uint64 before any arithmetic.
-    return words + tails.astype(np.uint64) * np.uint64(7)
-
-
 def compare_in_one_dtype(n):
     words = np.zeros(n, dtype=np.uint64)
     tails = np.ones(n, dtype=np.int64)

@@ -16,12 +16,6 @@ def scaled_pool(block_radix, options):
     return np.asarray(pool, dtype=np.uint64)  # WID001 via container taint
 
 
-def mixed_arithmetic(n):
-    words = np.zeros(n, dtype=np.uint64)
-    tails = np.ones(n, dtype=np.int64)
-    return words + tails  # WID002: numpy promotes this pair to float64
-
-
 def cross_compare(n):
     words = np.zeros(n, dtype=np.uint64)
     tails = np.ones(n, dtype=np.int64)

@@ -42,7 +42,7 @@ class TestReferenceKeys:
 
     def test_subscript_store_binds_nothing(self):
         # `CACHE[key] = v` mutates CACHE; it must NOT look like a local
-        # binding of CACHE (CON003 depends on this distinction).
+        # binding of CACHE (an element store keeps an array's WID dtype tag).
         stmt = ast.parse("CACHE[key] = v").body[0]
         assert assignment_keys(stmt) == []
 

@@ -7,6 +7,7 @@ from repro.staticcheck.framework import ModuleUnit, run_ast_rules
 from repro.staticcheck.rules_det import (
     FloatEqualityRule,
     IdOrderingRule,
+    NumpyDeterminismRule,
     RawRandomRule,
     SetIterationRule,
     WallClockRule,
@@ -38,6 +39,14 @@ class TestDetFixture:
         unit = load_unit("ttp/clock_drift.py")
         assert _counts([FloatEqualityRule()], unit)["DET005"] == 2
 
+    def test_numpy_nondeterminism_in_hot_path_is_flagged(self, load_unit):
+        unit = load_unit("sim/det_unclean.py")
+        findings = run_ast_rules([NumpyDeterminismRule()], [unit])
+        assert [f.item.split("#")[0].strip() for f in findings] == [
+            "noise = np.random.rand(len(codes))",
+            'order = np.argsort(codes, kind="quicksort")',
+            "_, first = np.unique(codes, return_index=True)"]
+
     def test_findings_carry_location_and_item(self, load_unit):
         unit = load_unit("sim/det_unclean.py")
         finding = run_ast_rules([WallClockRule()], [unit])[0]
@@ -52,6 +61,12 @@ class TestDetScoping:
         elsewhere = ModuleUnit(Path("/x/analysis/det_unclean.py"),
                                "analysis/det_unclean.py", source)
         assert run_ast_rules([SetIterationRule()], [elsewhere]) == []
+
+    def test_numpy_rule_only_applies_to_hot_paths(self, load_unit):
+        source = load_unit("sim/det_unclean.py").source
+        elsewhere = ModuleUnit(Path("/x/analysis/det_unclean.py"),
+                               "analysis/det_unclean.py", source)
+        assert run_ast_rules([NumpyDeterminismRule()], [elsewhere]) == []
 
     def test_float_equality_only_applies_to_clock_modules(self, load_unit):
         source = load_unit("ttp/clock_drift.py").source

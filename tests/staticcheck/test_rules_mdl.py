@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.analysis.statespace import explore
 from repro.core.authority import CouplerAuthority
 from repro.model.config import ModelConfig
 from repro.model.scenarios import scenario_for_authority
+from repro.model.system_model import TTAStartupModel
 from repro.staticcheck.rules_mdl import (
     ModelLintError,
     analyze_model,
@@ -30,14 +32,6 @@ def no_big_bang_findings():
     return model_findings(config, "no_big_bang")
 
 
-@pytest.fixture(scope="module")
-def zero_budget_findings():
-    """Seeded model defect: out-of-slot declared but given a zero budget."""
-    config = ModelConfig(authority=CouplerAuthority.FULL_SHIFTING, slots=2,
-                         out_of_slot_budget=0)
-    return model_findings(config, "zero_budget")
-
-
 class TestRealModels:
     def test_paper_verdict_appears_as_unreachable_enum(self, passive_findings):
         # Section 5: below full-shifting authority the clique-freeze state
@@ -51,10 +45,6 @@ class TestRealModels:
         assert _items(passive_findings, "MDL003") == {
             "var:a_failed", "var:b_failed", "var:c_failed"}
 
-    def test_real_model_has_no_dead_faults_or_guards(self, passive_findings):
-        assert _items(passive_findings, "MDL001") == set()
-        assert _items(passive_findings, "MDL002") == set()
-
     def test_full_shifting_reaches_the_freeze_state(self):
         config = scenario_for_authority(CouplerAuthority.FULL_SHIFTING,
                                         slots=3)
@@ -63,11 +53,6 @@ class TestRealModels:
 
 
 class TestSeededDefects:
-    def test_disabled_big_bang_is_a_never_fired_guard(
-            self, no_big_bang_findings):
-        assert "guard:big_bang_latched" in _items(
-            no_big_bang_findings, "MDL002")
-
     def test_disabled_big_bang_leaves_constant_variables(
             self, no_big_bang_findings):
         items = _items(no_big_bang_findings, "MDL003")
@@ -78,22 +63,15 @@ class TestSeededDefects:
             self, no_big_bang_findings):
         assert "a_big_bang=True" in _items(no_big_bang_findings, "MDL004")
 
-    def test_zero_budget_is_a_dead_fault_transition(
-            self, zero_budget_findings):
-        assert "fault:out_of_slot" in _items(zero_budget_findings, "MDL001")
-
-    def test_healthy_fixture_model_has_no_dead_faults(
-            self, no_big_bang_findings):
-        assert _items(no_big_bang_findings, "MDL001") == set()
-
 
 class TestAnalysis:
     def test_analysis_counts_the_exact_reachable_space(self):
         config = scenario_for_authority(CouplerAuthority.PASSIVE, slots=2)
         analysis = analyze_model(config, "tiny")
-        assert analysis.states > 0
-        assert analysis.transitions >= analysis.states - 1
-        assert analysis.enabled_faults == {"silence", "bad_frame"}
+        system = TTAStartupModel(config)
+        assert analysis.states == explore(system).states
+        assert set(analysis.reachable_values) == {
+            variable.name for variable in system.space.variables}
 
     def test_budget_overflow_raises_instead_of_guessing(self):
         config = scenario_for_authority(CouplerAuthority.PASSIVE, slots=3)

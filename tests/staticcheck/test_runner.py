@@ -10,6 +10,7 @@ import pytest
 from repro.cli import main
 from repro.staticcheck import (
     Baseline,
+    all_rules,
     changed_python_files,
     run_lint,
     to_json,
@@ -22,11 +23,8 @@ HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
 REPO_ROOT = HERE.parents[1]
 
-#: Every AST rule id the fixture packages must demonstrate.
-AST_RULE_IDS = {"DET001", "DET002", "DET003", "DET004", "DET005",
-                "EVT001", "EVT002", "EVT003", "SIM003",
-                "CON001", "CON002", "CON003", "CON004",
-                "WID001", "WID002", "WID003", "ORD001", "ORD002"}
+#: Every registered AST rule must fire on the fixture packages.
+AST_RULE_IDS = {rule.rule for rule in all_rules()}
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +71,11 @@ class TestRepositoryGate:
         assert all(f.item.startswith("kind:") for f in ord_debt)
         assert set(by_rule) == {"SIM003", "WID001", "ORD002"}
         assert report.stale_baseline == []
+
+    def test_unknown_selector_raises(self):
+        with pytest.raises(ValueError, match="'XYZ999'"):
+            run_lint([FIXTURES], root=FIXTURES, selectors=["DET", "XYZ999"],
+                     check_models=False)
 
     def test_selectors_restrict_the_run(self):
         report = run_lint([REPO_ROOT / "src"], root=REPO_ROOT,
@@ -234,3 +237,14 @@ class TestCli:
                      "--rules", "EVT003", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert {entry["rule"] for entry in payload["new"]} == {"EVT003"}
+
+    @pytest.mark.parametrize("selector", ["XYZ999", "CON001"])
+    def test_unknown_selector_is_a_usage_error(self, monkeypatch, capsys,
+                                               selector):
+        # A selector that matches no rule -- a typo, or a CI line naming
+        # a deleted rule -- must not check nothing and pass.
+        monkeypatch.chdir(REPO_ROOT)
+        assert main(["lint", "--no-models", "--rules", selector]) == 2
+        captured = capsys.readouterr()
+        assert f"unknown rule selector {selector!r}" in captured.err
+        assert captured.out == ""
