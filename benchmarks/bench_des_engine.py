@@ -1,10 +1,10 @@
 """EXP-P7: the rebuilt DES hot path.
 
 The hot-path refactor gave the engine a pooled no-cancellation
-scheduling fast path, compiled each MEDL round into a per-slot dispatch
-table installed once per mode change, and collapsed per-transmission
-completion events into one updatable channel-state process shared by
-both replicated channels.  The refactor is semantics-preserving -- both
+scheduling fast path and compiled each MEDL round into a per-slot
+dispatch table installed once per mode change; later, each controller
+re-arms one tick event, and each channel posts its completions on the
+same engine queue.  The refactor is semantics-preserving -- both
 paper conformance traces stay byte-identical (see
 ``tests/test_conformance_golden.py``) -- so the only number that changes
 is the rate.  This benchmark measures it on the paper's benign case:
@@ -212,7 +212,7 @@ def test_exp_p7_des_engine_rates(benchmark):
     write_report("EXP-P7", format_table(
         ["measurement", "time", "value"], rows,
         title="Rebuilt DES hot path (pooled scheduling + compiled "
-              "dispatch + channel-state process)"))
+              "dispatch + re-armed ticks)"))
     update_bench_json("exp_p7_des_engine_rates", {
         "workload": f"benign 4-node star startup, {TDMA_ROUNDS} rounds",
         "typed_events_per_run": event_count,

@@ -14,13 +14,13 @@ transmitters and the channel (exactly the paper's concern).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from repro.network.signal import NOMINAL_SHAPE, SignalShape
 from repro.obs import events as obs_events
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.monitor import TraceMonitor
 from repro.ttp.frames import Frame
 
@@ -52,94 +52,20 @@ class Transmission:
         return self.start_time < other.end_time and other.start_time < self.end_time
 
 
-class ChannelScheduler:
-    """One updatable completion process shared by every channel.
-
-    The classic design schedules one simulator event per transmission; at
-    N senders on two replicated channels that is O(messages) live events.
-    This scheduler keeps all pending completions of *all* its channels in
-    one small heap ordered by ``(end_time, transmit order)`` and holds
-    exactly one live simulator event -- for the earliest completion --
-    re-aimed whenever an earlier transmission arrives (the single
-    updatable bus-state process idiom).
-
-    The global transmit-order counter makes same-instant completions fire
-    in the order the transmissions entered the media, across channels --
-    exactly the order the per-event design produced via event sequence
-    numbers, so event streams are unchanged.
-    """
-
-    __slots__ = ("sim", "_heap", "_order", "_wake", "_draining")
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._heap: List[Tuple[float, int, "Channel", Transmission]] = []
-        self._order = 0
-        self._wake: Optional[Event] = None
-        self._draining = False
-
-    def add(self, channel: "Channel", transmission: Transmission) -> None:
-        """Track one transmission; fires ``channel._complete`` at its end."""
-        order = self._order
-        self._order = order + 1
-        heappush(self._heap, (transmission.end_time, order, channel,
-                              transmission))
-        if not self._draining:
-            # Inlined _arm (two calls per transmission on the hot path).
-            end_time = self._heap[0][0]
-            wake = self._wake
-            if wake is not None:
-                if wake.time <= end_time:
-                    return
-                wake.cancel()
-            sim = self.sim
-            # now + (end - now) keeps the exact float the delay-based
-            # schedule() produced, so event times are bit-identical.
-            now = sim.now
-            self._wake = sim.schedule_at(now + (end_time - now), self._drain)
-
-    def _arm(self) -> None:
-        """(Re-)aim the single wake event at the earliest completion."""
-        end_time = self._heap[0][0]
-        wake = self._wake
-        if wake is not None:
-            if wake.time <= end_time:
-                return
-            wake.cancel()
-        self._wake = self.sim.schedule(end_time - self.sim.now, self._drain)
-
-    def _drain(self) -> None:
-        """Fire every completion due now, in global transmit order."""
-        self._wake = None
-        heap = self._heap
-        now = self.sim.now
-        self._draining = True
-        try:
-            while heap and heap[0][0] <= now:
-                _, _, channel, transmission = heappop(heap)
-                channel._complete(transmission)
-        finally:
-            self._draining = False
-        if heap:
-            self._arm()
-
-
 class Channel:
     """A broadcast medium with collision semantics.
 
     Receivers subscribe a callback invoked when a transmission *completes*
     (store-and-forward at the receiver: a frame can only be judged once it
-    has fully arrived).  Completion timing is tracked by a
-    :class:`ChannelScheduler` -- shared across channels when the topology
-    provides one, else private to this channel.
+    has fully arrived).  Each transmission posts its own completion on
+    the simulator's event queue.
     """
 
     def __init__(self, sim: Simulator, name: str,
                  monitor: Optional[TraceMonitor] = None,
                  drop_probability: float = 0.0,
                  corrupt_probability: float = 0.0,
-                 rng=None,
-                 scheduler: Optional[ChannelScheduler] = None) -> None:
+                 rng=None) -> None:
         self.sim = sim
         self.name = name
         self.monitor = monitor
@@ -154,7 +80,6 @@ class Channel:
         self.drop_probability = drop_probability
         self.corrupt_probability = corrupt_probability
         self.rng = rng
-        self.scheduler = scheduler or ChannelScheduler(sim)
         self._subscribers: Tuple[Subscriber, ...] = ()
         self._active: List[Transmission] = []
         self._collided: set = set()
@@ -196,7 +121,10 @@ class Channel:
             details["sender"] = transmission.source
             details["frame_kind"] = transmission.frame.kind_value
             monitor.emit(event)
-        self.scheduler.add(self, transmission)
+        # The completion fires at now + (end - now), not at end: the
+        # golden traces pin these event times bit for bit.
+        self.sim.post(transmission.end_time - now,
+                      partial(self._complete, transmission))
 
     def _complete(self, transmission: Transmission) -> None:
         # Identity-based removal: the same (frozen, by-value-equal)

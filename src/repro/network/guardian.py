@@ -110,15 +110,8 @@ class LocalBusGuardian:
     def _emit(self, event_cls, **details) -> None:
         monitor = self.monitor
         if monitor is not None:
-            # __new__ + __dict__ skips the Event constructor and its
-            # argument checks; unset detail fields fall back to their
-            # class-level defaults.
-            event = object.__new__(event_cls)
-            fields = event.__dict__
-            fields["time"] = self.sim.now
-            fields["source"] = self._source
-            fields.update(details)
-            monitor.emit(event)
+            monitor.emit(obs_events.fill_event(event_cls, self.sim.now,
+                                               self._source, details))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LocalBusGuardian({self.node_name!r}, fault={self.fault.value})"

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.authority import CouplerAuthority
-from repro.network.channel import Channel, ChannelScheduler, Transmission
+from repro.network.channel import Channel, Transmission
 from repro.network.guardian import GuardianFault, LocalBusGuardian
 from repro.network.signal import NOMINAL_SHAPE, SignalShape
 from repro.network.star_coupler import CouplerFault, StarCoupler
@@ -43,15 +43,11 @@ class _TopologyBase:
         self.sim = sim
         self.medl = medl
         self.monitor = monitor
-        #: One completion process serves both replicated channels, so
-        #: same-instant completions fire in global transmit order.
-        self.scheduler = ChannelScheduler(sim)
         self.channels: List[Channel] = [
             Channel(sim, name=f"ch{index}", monitor=monitor,
                     drop_probability=drop_probability,
                     corrupt_probability=corrupt_probability,
-                    rng=None if rng is None else rng.child(f"ch{index}"),
-                    scheduler=self.scheduler)
+                    rng=None if rng is None else rng.child(f"ch{index}"))
             for index in range(CHANNEL_COUNT)]
         self._receivers: List[ReceiverCallback] = []
         for index, channel in enumerate(self.channels):

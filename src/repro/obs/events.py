@@ -74,8 +74,7 @@ class Event:
     class's ``_names``; generating them per kind was the largest import
     cost of a simulator command.  Unset details are not stored on the
     instance but read through to the class defaults, exactly as in an
-    event an emit site builds by ``object.__new__`` and a ``__dict__``
-    fill.
+    event built by :func:`fill_event`.
     """
 
     kind: ClassVar[str] = "event"
@@ -83,6 +82,9 @@ class Event:
     #: Set per kind by ``_register``.  Unannotated, so neither a field nor
     #: a type hint.
     _names = ("time", "source")
+    #: The detail field names (``_names`` without time and source), for
+    #: :func:`fill_event`'s check.  Set per kind by ``_register``.
+    _detail_names = frozenset()
 
     time: float
     source: str
@@ -198,8 +200,32 @@ def _register(cls: Type[Event]) -> Type[Event]:
     if cls.kind in EVENT_TYPES:
         raise ValueError(f"duplicate event kind {cls.kind!r}")
     cls._names = tuple(entry.name for entry in fields(cls))
+    cls._detail_names = frozenset(cls._names[2:])
     EVENT_TYPES[cls.kind] = cls
     return cls
+
+
+def fill_event(event_cls: Type[Event], time: float, source: str,
+               details: Dict[str, Any]) -> Event:
+    """Build a typed event on the DES emit path.
+
+    Cheaper than the constructor: the instance is filled through
+    ``object.__new__`` and one ``__dict__`` update, and unset detail
+    fields read through to their class defaults.  The detail names are
+    still checked against the kind's declared fields, so a misspelled
+    detail raises :class:`TypeError` naming it instead of riding along
+    as a stray attribute.
+    """
+    if not event_cls._detail_names.issuperset(details):
+        unknown = sorted(set(details) - event_cls._detail_names)
+        raise TypeError(f"{event_cls.__name__} has no detail field "
+                        f"{unknown[0]!r}")
+    event = object.__new__(event_cls)
+    values = event.__dict__
+    values["time"] = time
+    values["source"] = source
+    values.update(details)
+    return event
 
 
 # -- controller events -------------------------------------------------------

@@ -8,7 +8,7 @@ insertion order, which makes every run fully deterministic.
 The queue (:class:`HeapQueue`) stores plain ``(time, priority, seq,
 event)`` tuples so every comparison happens at C level, and
 :meth:`Simulator.run` pops it directly.  A time-triggered TDMA cluster
-keeps only O(N) events live (a benign 64-node startup peaks at 127
+keeps only O(N) events live (a benign 64-node startup peaks at 128
 queued entries), so the heap's O(log n) push and pop stay cheap; EXP-P7
 and EXP-P8 record the measured rates.  The queue compacts itself when
 more than half of its entries are cancelled (long cancel-heavy runs stop

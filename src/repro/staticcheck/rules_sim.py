@@ -37,15 +37,14 @@ _SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "post",
 class NoEngineBypassRule(AstRule):
     """SIM003: protocol/network code schedules only through the engine.
 
-    The hot-path refactor moved all event bookkeeping into the engine
-    (its event queue) and per-channel state processes: protocol and
-    network modules hold *no* private event heaps, never consult wall
-    clocks, and install compiled dispatch tables instead of scheduling
-    one event per slot.  This rule keeps it that way: direct ``heapq`` /
+    The hot-path refactor moved all event bookkeeping into the engine's
+    event queue: protocol and network modules hold *no* private event
+    heaps, never consult wall clocks, and install compiled dispatch
+    tables instead of scheduling one event per slot.  This rule keeps it that way: direct ``heapq`` /
     ``time`` imports and ``sim.schedule`` / ``schedule_at`` / ``post`` /
-    ``rearm`` calls inside ``for`` / ``while`` loops are flagged.  The one
-    legitimate heap -- the shared
-    :class:`~repro.network.channel.ChannelScheduler` -- is baselined.
+    ``rearm`` calls inside ``for`` / ``while`` loops are flagged.  A
+    channel posts one completion per transmission on the engine queue,
+    so no module under ``ttp/`` or ``network/`` keeps a heap of its own.
     """
 
     rule = "SIM003"
@@ -96,8 +95,8 @@ class NoEngineBypassRule(AstRule):
                     unit, node,
                     f"{name}() inside a loop: per-slot rescheduling "
                     f"loops were replaced by compiled dispatch tables "
-                    f"(Medl.dispatch()) and single channel-state "
-                    f"processes; schedule one event and re-aim it")
+                    f"(Medl.dispatch()) and re-armed events; schedule "
+                    f"one event and re-aim it")
 
 
 SIM_RULES = (NoEngineBypassRule,)

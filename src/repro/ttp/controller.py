@@ -27,7 +27,7 @@ signals.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.network.channel import Transmission
@@ -281,10 +281,6 @@ class TTPController:
 
         self.ack = AcknowledgmentState(own_slot=self.own_slot)
 
-        #: The slot judge has an allocation-free fast path for the standard
-        #: dual-channel topology (judging straight off the mailbox); other
-        #: channel counts go through the generic observation fold.
-        self._fast_judge = len(getattr(topology, "channels", ())) == 2
         #: Healthy nodes skip the fault-injection hook per tick.
         self._faulty = self.config.fault is not NodeFaultBehavior.HEALTHY
 
@@ -402,8 +398,6 @@ class TTPController:
                 timing_offset=transmission.shape.timing_offset,
                 signal_level=transmission.shape.level,
                 corrupted=corrupted)
-        from dataclasses import replace as dc_replace
-
         from repro.ttp.decode import DecodeError, decode_frame
 
         bits = transmission.frame.encode()
@@ -414,7 +408,7 @@ class TTPController:
         # sender's membership bit set (the sender believes in itself), and
         # with the DMC field neutral (it travels in the header, not in the
         # implicit C-state digest).
-        hypothesis = dc_replace(
+        hypothesis = replace(
             self.cstate,
             membership=self.view.membership_set() | {self.slot},
             dmc_mode=0)
@@ -752,12 +746,11 @@ class TTPController:
     def _judge_completed_slot(self, mailbox) -> None:
         """Judge the slot that just elapsed against our C-state.
 
-        Operates directly on the raw mailbox entries: in the common
-        dual-channel, frame-level case no :class:`FrameObservation` is
-        built at all -- validity and C-state agreement are tested against
-        the transmissions (and their signal shapes) in place.  Wire-level
-        reception and non-standard channel counts fall back to the
-        generic observation fold.
+        Operates directly on the raw mailbox entries of the two
+        replicated channels: validity and C-state agreement are tested
+        against the transmissions (and their signal shapes) in place.
+        Under wire-level reception each channel's sole transmission is
+        first replaced by what the receiver decoded from its bits.
         """
         if self._skip_next_judge:
             # The slot was consumed (and credited) by the integration path.
@@ -769,9 +762,20 @@ class TTPController:
             # Own sending slot was already credited at send time.
             return
         config = self.config
-        if config.wire_level_reception or not self._fast_judge:
-            self._judge_observations(self._fold_mailbox(mailbox))
-            return
+        if config.wire_level_reception:
+            # A channel with interference is invalid whatever its bits
+            # say, so only a channel's sole transmission is decoded.
+            channels = [entry[0] for entry in mailbox]
+            decoded = []
+            for channel_index, transmission, corrupted in mailbox:
+                if channels.count(channel_index) == 1:
+                    observation = self._make_observation(transmission,
+                                                         corrupted)
+                    transmission = replace(transmission,
+                                           frame=observation.frame)
+                    corrupted = observation.corrupted
+                decoded.append((channel_index, transmission, corrupted))
+            mailbox = decoded
 
         # One transmission (plus corruption flag) per channel; a second
         # transmission on the same channel is slot interference and makes
@@ -802,7 +806,7 @@ class TTPController:
         expected_word = (self.view.word | (1 << position)
                          if config.strict_membership_agreement else None)
 
-        # Inlined FrameObservation.is_valid + _frame_correct per channel.
+        # FrameObservation.is_valid plus the correctness test per channel.
         valid0 = valid1 = correct0 = correct1 = False
         frame0 = frame1 = None
         if tx0 is not None:
@@ -836,7 +840,7 @@ class TTPController:
 
         any_correct = correct0 or correct1
         if any_correct:
-            # Fused _deliver_app_data + _adopt_deferred_mode: both act on
+            # Application data and a deferred mode change both come from
             # the first correct frame (the channels are replicas).
             good = frame0 if correct0 else frame1
             if isinstance(good, XFrame) and good.data_bits:
@@ -851,7 +855,7 @@ class TTPController:
                     # Heard from the bus: it is circulating.
                     self._dmc_announced = True
         if config.explicit_acknowledgment and self.ack.armed:
-            # Fused _check_acknowledgment: the first valid frame whose
+            # Explicit acknowledgment: the first valid frame whose
             # time/position agree with ours witnesses the pending send.
             ack_frame = None
             if valid0:
@@ -888,106 +892,6 @@ class TTPController:
                     frame_members=None if frame is None
                     else sorted(frame.cstate.membership),
                     my_members=sorted(self.view.membership_set()))
-
-    def _judge_observations(self, observations: Dict[int, FrameObservation]) -> None:
-        """Generic slot judge over folded per-channel observations (the
-        wire-level-reception and non-dual-channel path)."""
-        obs_list = [observations.get(index, SILENCE)
-                    for index in range(len(self.topology.channels))]
-        any_correct = any(self._frame_correct(observation) for observation in obs_list)
-        all_null = all(observation.is_null() for observation in obs_list)
-        if any_correct:
-            self._deliver_app_data(obs_list)
-            self._adopt_deferred_mode(obs_list)
-        if self.config.explicit_acknowledgment and self.ack.armed:
-            self._check_acknowledgment(obs_list)
-            if self.state is _FREEZE:
-                return
-        self.view.apply_judgment(self.slot, any_correct, all_null)
-        if not all_null:
-            self._judged_since_test += 1
-            if not any_correct:
-                # Diagnostic detail for campaign forensics: what we
-                # expected vs what the (first) frame claimed.
-                frame = next((observation.frame for observation in obs_list
-                              if observation.frame is not None), None)
-                self._emit(
-                    ev.SlotFailed, slot=self.slot,
-                    expected_time=self._global_time,
-                    expected_pos=self._position,
-                    frame_time=None if frame is None else frame.cstate.global_time,
-                    frame_pos=None if frame is None else frame.cstate.medl_position,
-                    frame_members=None if frame is None
-                    else sorted(frame.cstate.membership),
-                    my_members=sorted(self.view.membership_set()))
-
-    def _check_acknowledgment(self, obs_list) -> None:
-        """Fold a successor frame into the pending acknowledgment.
-
-        A witness is any valid frame whose time/position agree with ours
-        (its *membership* is precisely the evidence under test).
-        """
-        for observation in obs_list:
-            if not observation.is_valid(self.tolerance.window,
-                                        self.tolerance.threshold):
-                continue
-            frame = observation.frame
-            assert frame is not None
-            if (frame.cstate.global_time != self._global_time
-                    or frame.cstate.medl_position != self._position):
-                continue
-            outcome = self.ack.observe_successor(frame.cstate.membership)
-            if outcome is AckOutcome.SEND_FAULT:
-                self._emit(ev.AckFailure, slot=self.slot)
-                self._freeze(FreezeReason.ACK_FAILURE)
-            return
-
-    def _dmc_wire_value(self) -> int:
-        """The C-state DMC field: pending mode index + 1, 0 = none."""
-        return 0 if self.pending_mode is None else self.pending_mode + 1
-
-    def _adopt_deferred_mode(self, obs_list) -> None:
-        """Latch a mode-change request carried by a correct frame."""
-        for observation in obs_list:
-            if not self._frame_correct(observation):
-                continue
-            wire_value = observation.frame.cstate.dmc_mode
-            if wire_value:
-                requested = wire_value - 1
-                if self.modes.valid_mode(requested):
-                    if requested != self.pending_mode:
-                        self.pending_mode = requested
-                        self._emit(ev.DmcLatched, mode=requested)
-                    # Heard from the bus: it is circulating.
-                    self._dmc_announced = True
-            return
-
-    def _deliver_app_data(self, obs_list) -> None:
-        """Deposit the slot's application payload (if any) into the CNI."""
-        for observation in obs_list:
-            if not self._frame_correct(observation):
-                continue
-            frame = observation.frame
-            if isinstance(frame, XFrame) and frame.data_bits:
-                self.cni.deliver(self.slot, frame.data_bits,
-                                 self._global_time)
-            return  # one delivery per slot (channels are replicas)
-
-    def _frame_correct(self, observation: FrameObservation) -> bool:
-        if not observation.is_valid(self.tolerance.window, self.tolerance.threshold):
-            return False
-        assert observation.frame is not None
-        frame_cstate = observation.frame.cstate
-        if (frame_cstate.global_time != self._global_time
-                or frame_cstate.medl_position != self._position):
-            return False
-        if self.config.strict_membership_agreement:
-            # TTP/C membership check: the sender includes itself at its
-            # membership point, so the receiver compares against its own
-            # view with the sender's bit set.
-            return (frame_cstate.membership_word()
-                    == self.view.word | (1 << frame_cstate.medl_position))
-        return True
 
     def _advance_slot(self) -> None:
         slot_count = self._slot_count
@@ -1279,15 +1183,8 @@ class TTPController:
     def _emit(self, event_cls, **details) -> None:
         monitor = self.monitor
         if monitor is not None:
-            # Built via __new__ + __dict__, skipping the Event constructor
-            # and its argument checks; unset detail fields fall back to
-            # their class-level defaults.
-            event = object.__new__(event_cls)
-            fields = event.__dict__
-            fields["time"] = self.sim.now
-            fields["source"] = self._source
-            fields.update(details)
-            monitor.emit(event)
+            monitor.emit(ev.fill_event(event_cls, self.sim.now,
+                                       self._source, details))
 
     def _announce_fault_if_active(self) -> None:
         """Emit the fault-activation event the first time the injected

@@ -3,9 +3,11 @@
 Pins what a frozen dataclass event guarantees -- construction, equality,
 hashing, ``repr``, immutability and pickling -- for each kind in
 ``EVENT_TYPES``, independent of how the methods are provided.  It also
-pins that an event built the emit-site way (``object.__new__`` plus a
-``__dict__`` fill that leaves unset details to the class defaults) is
-indistinguishable from a constructed one.
+pins that an event built the emit-site way (:func:`fill_event`:
+``object.__new__`` plus a ``__dict__`` fill that leaves unset details to
+the class defaults) is indistinguishable from a constructed one, and
+that the fill, like the constructor, refuses a detail the kind does not
+declare -- from every emitter that uses it.
 """
 
 import dataclasses
@@ -13,7 +15,9 @@ import pickle
 
 import pytest
 
-from repro.obs.events import EVENT_TYPES
+from repro.cluster import Cluster, ClusterSpec
+from repro.obs import events as ev
+from repro.obs.events import EVENT_TYPES, fill_event
 
 KINDS = sorted(EVENT_TYPES)
 
@@ -137,9 +141,8 @@ def test_emit_site_fill_equals_constructed(kind):
     values = sample_values(cls)
     names = list(values)
     given = {name: values[name] for name in names[:3]}
-    event = object.__new__(cls)
-    fill = event.__dict__
-    fill.update(given)
+    event = fill_event(cls, given["time"], given["source"],
+                       {name: values[name] for name in names[2:3]})
     constructed = cls(**given)
     assert event == constructed
     assert constructed == event
@@ -148,6 +151,36 @@ def test_emit_site_fill_equals_constructed(kind):
     assert event.details == constructed.details
     assert event.to_dict() == constructed.to_dict()
     assert pickle.loads(pickle.dumps(event)) == constructed
+
+
+def test_fill_rejects_an_undeclared_detail(kind):
+    cls = EVENT_TYPES[kind]
+    with pytest.raises(TypeError, match="'no_such_detail'"):
+        fill_event(cls, 1.0, "src", {"no_such_detail": 1})
+    # time and source are not details: a second value for them is refused.
+    with pytest.raises(TypeError, match="'time'"):
+        fill_event(cls, 1.0, "src", {"time": 2.0})
+
+
+def star_controller():
+    return Cluster(ClusterSpec(topology="star")).controllers["A"]
+
+
+def star_coupler():
+    return Cluster(ClusterSpec(topology="star")).topology.couplers[0]
+
+
+def bus_guardian():
+    return Cluster(ClusterSpec(topology="bus")).topology.guardians["A"][0]
+
+
+@pytest.mark.parametrize("emitter", [star_controller, star_coupler,
+                                     bus_guardian])
+def test_emitters_reject_a_misspelled_detail(emitter):
+    """``Integrated`` declares ``slot``; ``slots`` must not pass."""
+    with pytest.raises(TypeError, match="Integrated has no detail field "
+                                        "'slots'"):
+        emitter()._emit(ev.Integrated, via="c_state", slots=3)
 
 
 def test_replace_builds_a_new_event(kind):

@@ -55,21 +55,22 @@ class TestRepositoryGate:
         assert report.new_findings == []
         assert report.exit_code == 0
         # The accepted debt is model hygiene plus a small, enumerated set
-        # of sanctioned AST findings (each justified in DESIGN.md):
-        # the shared ChannelScheduler heap (SIM003), a width sink whose
-        # bound the checker cannot see (WID001), and telemetry-only
-        # event kinds no monitor dispatches on (ORD002).
+        # of sanctioned AST findings (each justified in DESIGN.md): a
+        # width sink whose bound the checker cannot see (WID001) and
+        # telemetry-only event kinds no monitor dispatches on (ORD002).
+        # No SIM003 debt remains: ttp/ and network/ hold no private
+        # event heap.
         ast_debt = [f for f in report.baselined_findings
                     if f.rule[:3] != "MDL"]
         by_rule = {}
         for finding in ast_debt:
             by_rule.setdefault(finding.rule, []).append(finding.path)
-        assert by_rule["SIM003"] == ["src/repro/network/channel.py"]
+        assert "SIM003" not in by_rule
         assert by_rule["WID001"] == ["src/repro/modelcheck/vector.py"]
         ord_debt = [f for f in ast_debt if f.rule == "ORD002"]
         assert len(ord_debt) == 19
         assert all(f.item.startswith("kind:") for f in ord_debt)
-        assert set(by_rule) == {"SIM003", "WID001", "ORD002"}
+        assert set(by_rule) == {"WID001", "ORD002"}
         assert report.stale_baseline == []
 
     def test_unknown_selector_raises(self):

@@ -1,12 +1,12 @@
 """Differential golden traces: the refactored hot path is bit-exact.
 
-The engine rebuild (compiled MEDL dispatch tables, single channel-state
-process, pooled event scheduling) is a pure performance refactor -- the
-typed event stream it produces must be byte-identical to the stream the
-pre-refactor stack produced.  Both paper conformance scenarios were
-captured as JSONL golden fixtures before the refactor; here each scenario
-is replayed and the exported stream is compared byte-for-byte against the
-fixture.
+The engine rebuild (compiled MEDL dispatch tables, pooled event
+scheduling, re-armed ticks, channel completions on the engine queue) is
+a pure performance refactor -- the typed event stream it produces must
+be byte-identical to the stream the pre-refactor stack produced.  Both
+paper conformance scenarios were captured as JSONL golden fixtures before
+the refactor; here each scenario is replayed and the exported stream is
+compared byte-for-byte against the fixture.
 """
 
 import filecmp

@@ -8,12 +8,12 @@ judgment bookkeeping) against hand-built inputs.
 import pytest
 
 from repro.network.channel import Transmission
-from repro.network.signal import ReceiverTolerance
+from repro.network.signal import ReceiverTolerance, SignalShape
 from repro.sim.engine import Simulator
 from repro.ttp.controller import (ControllerConfig, ControllerStateName,
                                   TTPController)
 from repro.ttp.cstate import CState
-from repro.ttp.frames import FrameObservation, IFrame
+from repro.ttp.frames import IFrame
 from repro.ttp.medl import Medl
 
 
@@ -21,7 +21,6 @@ class DummyTopology:
     """Just enough topology for a controller to be constructed."""
 
     def __init__(self):
-        self.channels = [object(), object()]
         self.sent = []
 
     def attach_receiver(self, callback):
@@ -43,68 +42,83 @@ def make_controller(**config_kwargs):
     return controller, topology
 
 
-def observation(cstate, **kwargs):
-    return FrameObservation(frame=IFrame(sender_slot=cstate.medl_position,
-                                         cstate=cstate), **kwargs)
+def judged_at_slot_3(controller, members, frame_cstate, corrupted=False,
+                     level=1.0):
+    """Judge slot 3 at global time 5 on a one-entry mailbox: one I-frame
+    on channel 0.  Returns the membership view."""
+    controller.state = ControllerStateName.PASSIVE
+    controller.slot = 3
+    controller.cstate = CState(global_time=5, medl_position=3)
+    controller.view.assign(members)
+    frame = IFrame(sender_slot=frame_cstate.medl_position, cstate=frame_cstate)
+    transmission = Transmission(frame=frame, source="C", start_time=0.0,
+                                duration=1.0, shape=SignalShape(level=level))
+    controller._judge_completed_slot([(0, transmission, corrupted)])
+    return controller.view
 
 
-# -- _frame_correct -----------------------------------------------------------------
+# -- frame correctness ----------------------------------------------------------------
 
 
 def test_frame_correct_requires_time_and_position():
-    controller, _ = make_controller()
-    controller.cstate = CState(global_time=5, medl_position=3)
-    controller.view.assign({1, 2})
     good = CState(global_time=5, medl_position=3,
                   membership=frozenset({1, 2, 3}))
-    assert controller._frame_correct(observation(good))
+    view = judged_at_slot_3(make_controller()[0], {1, 2}, good)
+    assert view.judged_failed == 0
+    assert view.word == 0b1110
     wrong_time = CState(global_time=6, medl_position=3,
                         membership=frozenset({1, 2, 3}))
-    assert not controller._frame_correct(observation(wrong_time))
+    view = judged_at_slot_3(make_controller()[0], {1, 2, 3}, wrong_time)
+    assert view.judged_failed == 1
+    assert view.word == 0b0110
     wrong_pos = CState(global_time=5, medl_position=2,
                        membership=frozenset({1, 2, 3}))
-    assert not controller._frame_correct(observation(wrong_pos))
+    view = judged_at_slot_3(make_controller()[0], {1, 2, 3}, wrong_pos)
+    assert view.judged_failed == 1
+    assert view.word == 0b0110
 
 
 def test_frame_correct_sender_inclusion_rule():
     """Expected membership = receiver's view with the sender's bit set."""
-    controller, _ = make_controller()
-    controller.cstate = CState(global_time=5, medl_position=3)
-    controller.view.assign({1, 2})
     without_self = CState(global_time=5, medl_position=3,
                           membership=frozenset({1, 2}))
-    assert not controller._frame_correct(observation(without_self))
+    view = judged_at_slot_3(make_controller()[0], {1, 2}, without_self)
+    assert view.judged_failed == 1
+    assert view.word == 0b0110
 
 
 def test_frame_correct_loose_mode_ignores_membership():
     controller, _ = make_controller(strict_membership_agreement=False)
-    controller.cstate = CState(global_time=5, medl_position=3)
-    controller.view.assign({1, 2})
     odd_membership = CState(global_time=5, medl_position=3,
                             membership=frozenset({9}))
-    assert controller._frame_correct(observation(odd_membership))
+    view = judged_at_slot_3(controller, {1, 2}, odd_membership)
+    assert view.judged_failed == 0
+    assert view.word == 0b1110
 
 
 def test_frame_correct_rejects_invalid_signal():
-    controller, _ = make_controller()
-    controller.cstate = CState(global_time=5, medl_position=3)
-    controller.view.assign(())
     good = CState(global_time=5, medl_position=3, membership=frozenset({3}))
-    assert not controller._frame_correct(observation(good, corrupted=True))
-    assert not controller._frame_correct(observation(good, signal_level=0.1))
+    view = judged_at_slot_3(make_controller()[0], (), good, corrupted=True)
+    assert view.judged_failed == 1
+    assert view.word == 0
+    view = judged_at_slot_3(make_controller()[0], (), good, level=0.1)
+    assert view.judged_failed == 1
+    assert view.word == 0
 
 
 def test_frame_correct_respects_receiver_tolerance():
     sim = Simulator()
     medl = Medl.uniform(["A", "B", "C", "D"])
-    topology = DummyTopology()
-    strict = TTPController(sim, "B", medl, topology,
-                           tolerance=ReceiverTolerance(threshold=0.9))
-    strict.cstate = CState(global_time=5, medl_position=3)
-    strict.view.assign(())
     good = CState(global_time=5, medl_position=3, membership=frozenset({3}))
-    marginal = observation(good, signal_level=0.8)
-    assert not strict._frame_correct(marginal)
+    strict = TTPController(sim, "B", medl, DummyTopology(),
+                           tolerance=ReceiverTolerance(threshold=0.9))
+    view = judged_at_slot_3(strict, (), good, level=0.8)
+    assert view.judged_failed == 1
+    assert view.word == 0
+    lenient = TTPController(sim, "B", medl, DummyTopology())
+    view = judged_at_slot_3(lenient, (), good, level=0.8)
+    assert view.judged_failed == 0
+    assert view.word == 0b1000
 
 
 # -- lazy C-state -------------------------------------------------------------------
@@ -232,12 +246,13 @@ def test_shared_replica_with_one_clean_copy_is_correct():
 
 
 def test_dmc_wire_value_encoding():
-    controller, _ = make_controller()
-    assert controller._dmc_wire_value() == 0
-    controller.pending_mode = 0
-    assert controller._dmc_wire_value() == 1  # mode 0 is expressible
-    controller.pending_mode = 3
-    assert controller._dmc_wire_value() == 4
+    """The C-state's DMC field is the pending mode index + 1, 0 = none, so
+    a request for mode 0 is expressible on the wire."""
+    controller = integrated_controller(10, 3, {3})
+    for pending, wire in ((None, 0), (0, 1), (3, 4)):
+        controller.pending_mode = pending
+        controller._advance_slot()
+        assert controller.cstate.dmc_mode == wire
 
 
 # -- state accessors ------------------------------------------------------------------

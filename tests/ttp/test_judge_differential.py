@@ -1,18 +1,21 @@
-"""Differential test: the fast dual-channel slot judge against the generic
-observation path.
+"""Differential test: the controller's slot judge against the
+observation-fold oracle.
 
 ``TTPController._judge_completed_slot`` judges straight off the raw
-mailbox when the topology has two channels; every other configuration
-folds the mailbox into :class:`FrameObservation` values and runs
-``_judge_observations``.  Both must reach the same verdict and leave the
-controller in the same state.  The inputs are random mailboxes (0-3
-transmissions per channel, corrupted copies, signal shapes inside and
-outside the receiver tolerance) carrying C-states whose memberships range
-over slots 1..64, across the 16-bit boundaries of the wire field.  Half
-of them carry one shared transmission on both channels, the way the star
-forwards a frame, with independently drawn corruption flags: the fast
-judge reuses channel 0's verdict for such a replica only when both
-copies are equally corrupted.
+mailbox of the two replicated channels.  The oracle below is the
+straightforward reading of the protocol rules: fold the mailbox into one
+:class:`FrameObservation` per channel (``_fold_mailbox``) and apply the
+frame-correctness, application-data, deferred-mode, acknowledgment and
+membership rules observation by observation.  Both must reach the same
+verdict and leave the controller in the same state, with frame-level and
+with wire-level reception (where the fold decodes and CRC-checks each
+channel's bits).  The inputs are random mailboxes (0-3 transmissions per
+channel, corrupted copies, signal shapes inside and outside the receiver
+tolerance) carrying C-states whose memberships range over slots 1..64,
+across the 16-bit boundaries of the wire field.  Half of them carry one
+shared transmission on both channels, the way the star forwards a frame,
+with independently drawn corruption flags: the judge reuses channel 0's
+verdict for such a replica only when both copies are equally corrupted.
 """
 
 from hypothesis import given, settings
@@ -20,11 +23,13 @@ from hypothesis import strategies as st
 
 from repro.network.channel import Transmission
 from repro.network.signal import SignalShape
+from repro.obs import events as ev
 from repro.sim.engine import Simulator
+from repro.ttp.acknowledgment import AckOutcome
 from repro.ttp.controller import (ControllerConfig, ControllerStateName,
-                                  TTPController)
+                                  FreezeReason, TTPController)
 from repro.ttp.cstate import CState
-from repro.ttp.frames import IFrame, NFrame, XFrame
+from repro.ttp.frames import SILENCE, IFrame, NFrame, XFrame
 from repro.ttp.medl import Medl
 
 SLOTS = 64
@@ -37,10 +42,8 @@ slot_ids = st.one_of(st.sampled_from(EDGE_SLOTS), st.integers(1, SLOTS))
 memberships = st.frozensets(slot_ids, max_size=SLOTS)
 
 
-class TwoChannelTopology:
-    """Just enough dual-channel topology to construct a controller."""
-
-    channels = (object(), object())
+class StubTopology:
+    """Just enough topology to construct a controller."""
 
     def attach_receiver(self, callback):
         pass
@@ -126,18 +129,86 @@ def judge_inputs(draw):
         "global_time": global_time,
         "mailbox": mailbox,
         "strict": draw(st.booleans()),
+        "wire": draw(st.booleans()),
         "ack_armed": draw(st.booleans()),
         "pending_mode": draw(st.sampled_from((None, 0))),
     }
 
 
-def judged_controller(inputs, fast):
+def frame_correct(controller, observation):
+    """Valid, agreeing on time and position, and (strict mode) carrying
+    the receiver's view with the sender's bit set."""
+    tolerance = controller.tolerance
+    if not observation.is_valid(tolerance.window, tolerance.threshold):
+        return False
+    frame_cstate = observation.frame.cstate
+    if (frame_cstate.global_time != controller._global_time
+            or frame_cstate.medl_position != controller._position):
+        return False
+    if controller.config.strict_membership_agreement:
+        return (frame_cstate.membership_word()
+                == controller.view.word | (1 << frame_cstate.medl_position))
+    return True
+
+
+def oracle_judge(controller, mailbox):
+    """The slot judge over folded per-channel observations."""
+    observations = controller._fold_mailbox(mailbox)
+    obs_list = [observations.get(index, SILENCE) for index in (0, 1)]
+    correct = [observation for observation in obs_list
+               if frame_correct(controller, observation)]
+    all_null = all(observation.is_null() for observation in obs_list)
+    if correct:
+        # One delivery and one mode latch per slot: the first correct
+        # frame speaks for both replicas.
+        frame = correct[0].frame
+        if isinstance(frame, XFrame) and frame.data_bits:
+            controller.cni.deliver(controller.slot, frame.data_bits,
+                                   controller._global_time)
+        wire_value = frame.cstate.dmc_mode
+        if wire_value and controller.modes.valid_mode(wire_value - 1):
+            if wire_value - 1 != controller.pending_mode:
+                controller.pending_mode = wire_value - 1
+                controller._emit(ev.DmcLatched, mode=wire_value - 1)
+            controller._dmc_announced = True
+    if controller.config.explicit_acknowledgment and controller.ack.armed:
+        tolerance = controller.tolerance
+        witnesses = [
+            observation.frame for observation in obs_list
+            if observation.is_valid(tolerance.window, tolerance.threshold)
+            and observation.frame.cstate.global_time == controller._global_time
+            and observation.frame.cstate.medl_position == controller._position]
+        if witnesses:
+            outcome = controller.ack.observe_successor(
+                witnesses[0].cstate.membership)
+            if outcome is AckOutcome.SEND_FAULT:
+                controller._emit(ev.AckFailure, slot=controller.slot)
+                controller._freeze(FreezeReason.ACK_FAILURE)
+                return
+    controller.view.apply_judgment(controller.slot, bool(correct), all_null)
+    if not all_null:
+        controller._judged_since_test += 1
+        if not correct:
+            frame = next((observation.frame for observation in obs_list
+                          if observation.frame is not None), None)
+            controller._emit(
+                ev.SlotFailed, slot=controller.slot,
+                expected_time=controller._global_time,
+                expected_pos=controller._position,
+                frame_time=None if frame is None else frame.cstate.global_time,
+                frame_pos=None if frame is None else frame.cstate.medl_position,
+                frame_members=None if frame is None
+                else sorted(frame.cstate.membership),
+                my_members=sorted(controller.view.membership_set()))
+
+
+def judged_controller(inputs, judge):
     log = EventLog()
     controller = TTPController(
-        Simulator(), "N2", MEDL, TwoChannelTopology(), monitor=log,
+        Simulator(), "N2", MEDL, StubTopology(), monitor=log,
         config=ControllerConfig(
-            strict_membership_agreement=inputs["strict"]))
-    controller._fast_judge = fast
+            strict_membership_agreement=inputs["strict"],
+            wire_level_reception=inputs["wire"]))
     controller.state = ControllerStateName.PASSIVE
     controller.slot = inputs["position"]
     controller.cstate = CState(global_time=inputs["global_time"],
@@ -147,7 +218,7 @@ def judged_controller(inputs, fast):
     controller.pending_mode = inputs["pending_mode"]
     if inputs["ack_armed"]:
         controller.ack.arm()
-    controller._judge_completed_slot(list(inputs["mailbox"]))
+    judge(controller, list(inputs["mailbox"]))
     return controller, log.events
 
 
@@ -170,7 +241,8 @@ def observable(controller, events):
 
 @settings(max_examples=400, deadline=None)
 @given(judge_inputs())
-def test_fast_judge_matches_generic_path(inputs):
-    fast = observable(*judged_controller(inputs, fast=True))
-    generic = observable(*judged_controller(inputs, fast=False))
-    assert fast == generic
+def test_slot_judge_matches_observation_oracle(inputs):
+    judged = observable(*judged_controller(
+        inputs, TTPController._judge_completed_slot))
+    oracle = observable(*judged_controller(inputs, oracle_judge))
+    assert judged == oracle
