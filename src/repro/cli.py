@@ -623,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="report format on stdout (default: text)")
     lint.add_argument("--rules", action="append", default=None,
                       help="restrict to rule packs or ids, comma-separated "
-                           "(e.g. DET,EVT002,MDL); repeatable")
+                           "(e.g. DET,EVT003,MDL); repeatable")
     lint.add_argument("--baseline", action="store_true",
                       help="write all current findings to the baseline file "
                            "and exit 0 (accept them)")

@@ -143,10 +143,6 @@ class Channel:
         # Passive channel faults: drop or corrupt.
         if self.drop_probability > 0.0 and self._chance(self.drop_probability):
             self.dropped_count += 1
-            if self.monitor is not None:
-                self.monitor.emit(obs_events.TxDropped(
-                    time=self.sim.now, source=self._source,
-                    sender=transmission.source))
             return
         corrupted = collided or (self.corrupt_probability > 0.0
                                  and self._chance(self.corrupt_probability))

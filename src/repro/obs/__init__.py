@@ -13,15 +13,11 @@ checker's slot-granularity state variables.
 from repro.obs.events import (
     EVENT_TYPES,
     Event,
-    GenericEvent,
     event_from_dict,
-    make_event,
 )
 
 __all__ = [
     "EVENT_TYPES",
     "Event",
-    "GenericEvent",
     "event_from_dict",
-    "make_event",
 ]

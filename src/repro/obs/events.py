@@ -24,18 +24,13 @@ clique_test           controller           clique-avoidance verdict this round
 ack_failure           controller           explicit acknowledgment send fault
 slot_failed           controller           judged a slot failed (diagnostics)
 send                  controller           scheduled frame transmitted
-mode_request          controller           host requested a deferred mode change
 dmc_latched           controller           latched a mode change from the bus
 mode_change           controller           cluster switched operating modes
-babble                controller           babbling-idiot fault traffic
-masquerade_send       controller           forged cold-start frame sent
 collision_jam         controller           deliberate overlapping transmission
 byzantine_tick        controller           Byzantine clock applied its pattern
 sync_round            controller           per-round FTA correction (opt-in)
-fault_activated       controller           injected node fault became active
 tx_start              channel              transmission started on a medium
 tx_complete           channel              transmission completed (corrupted?)
-tx_dropped            channel              passive channel fault dropped a frame
 blocked_by_fault      guardian             block-all guardian fault blocked a send
 blocked_out_of_window guardian, coupler    transmit window closed
 blocked_semantic      coupler              semantic analysis rejected a frame
@@ -50,8 +45,8 @@ task_failed           runner               task permanently failed (budget spent
 checkpoint_written    runner               finished task persisted to JSONL
 ===================== ==================== ===================================
 
-Unknown kinds (hand-built records, forward-compatible imports) fall back to
-:class:`GenericEvent`, which carries its kind and details per instance.
+There is no fallback kind: :func:`event_from_dict` rejects a kind that is
+not in :data:`EVENT_TYPES`, and a detail the kind does not declare.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import typing
-from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
 
@@ -150,46 +144,6 @@ class Event:
         """JSON-ready mapping; inverse of :func:`event_from_dict`."""
         return {"time": self.time, "source": self.source, "kind": self.kind,
                 "details": self.details}
-
-
-class GenericEvent(Event):
-    """An event outside the closed taxonomy (legacy or imported records).
-
-    Kept constructor-compatible with the pre-spine ``TraceRecord``:
-    ``GenericEvent(time, source, kind, details)``.  Not a dataclass so that
-    ``kind`` and ``details`` can be per-instance attributes.
-    """
-
-    __slots__ = ("time", "source", "_kind", "_details")
-
-    def __init__(self, time: float, source: str, kind: str,
-                 details: Optional[Dict[str, Any]] = None) -> None:
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "_kind", kind)
-        object.__setattr__(self, "_details", dict(details or {}))
-
-    @property
-    def kind(self) -> str:  # type: ignore[override]
-        return self._kind
-
-    @property
-    def details(self) -> Dict[str, Any]:
-        return dict(self._details)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GenericEvent):
-            return NotImplemented
-        return (self.time, self.source, self._kind, self._details) == (
-            other.time, other.source, other._kind, other._details)
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.source, self._kind,
-                     tuple(sorted(self._details.items()))))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"GenericEvent(time={self.time!r}, source={self.source!r}, "
-                f"kind={self._kind!r}, details={self._details!r})")
 
 
 #: kind string -> event class, populated by ``_register``.
@@ -323,15 +277,6 @@ class FrameSent(Event):
 
 @_register
 @dataclass(init=False, repr=False, eq=False)
-class ModeRequest(Event):
-    """Host requested a deferred mode change."""
-
-    kind: ClassVar[str] = "mode_request"
-    mode: int = 0
-
-
-@_register
-@dataclass(init=False, repr=False, eq=False)
 class DmcLatched(Event):
     """A mode-change request heard on the bus was latched."""
 
@@ -346,24 +291,6 @@ class ModeChange(Event):
 
     kind: ClassVar[str] = "mode_change"
     mode: int = 0
-
-
-@_register
-@dataclass(init=False, repr=False, eq=False)
-class Babble(Event):
-    """Babbling-idiot fault traffic outside the node's own slot."""
-
-    kind: ClassVar[str] = "babble"
-    slot: int = 0
-
-
-@_register
-@dataclass(init=False, repr=False, eq=False)
-class MasqueradeSend(Event):
-    """A forged cold-start frame claiming another node's slot."""
-
-    kind: ClassVar[str] = "masquerade_send"
-    claimed: int = 0
 
 
 @_register
@@ -404,15 +331,6 @@ class SyncRound(Event):
     measurements: int = 0
 
 
-@_register
-@dataclass(init=False, repr=False, eq=False)
-class FaultActivated(Event):
-    """An injected node fault shaped wire traffic for the first time."""
-
-    kind: ClassVar[str] = "fault_activated"
-    fault: str = ""
-
-
 # -- channel events ----------------------------------------------------------
 
 
@@ -435,15 +353,6 @@ class TxComplete(Event):
     sender: str = ""
     frame_kind: str = ""
     corrupted: bool = False
-
-
-@_register
-@dataclass(init=False, repr=False, eq=False)
-class TxDropped(Event):
-    """A passive channel fault dropped a completed transmission."""
-
-    kind: ClassVar[str] = "tx_dropped"
-    sender: str = ""
 
 
 # -- guardian / coupler events -----------------------------------------------
@@ -592,51 +501,16 @@ class CheckpointWritten(Event):
     path: str = ""
 
 
-#: Per-source tally of GenericEvent fallbacks: how often :func:`make_event`
-#: could not produce a typed event, keyed by the emitting source.  The EVT
-#: rule pack proves first-party emitters cannot reach this path; the counter
-#: is the run-time complement, so tests can assert it stays zero.
-_FALLBACKS: Counter = Counter()
-
-
-def fallback_counts() -> Dict[str, int]:
-    """GenericEvent fallbacks per source since the last reset."""
-    return dict(_FALLBACKS)
-
-
-def reset_fallback_counts() -> None:
-    _FALLBACKS.clear()
-
-
-def make_event(time: float, source: str, kind: str,
-               **details: Any) -> Event:
-    """Build the typed event for ``kind``, or a :class:`GenericEvent`.
-
-    The legacy ``TraceMonitor.record(time, source, kind, **details)`` shim
-    funnels through here, so hand-written records with taxonomy kinds come
-    out as their typed classes, and anything else stays representable.
-    Every fall-back to :class:`GenericEvent` is tallied per source in
-    :func:`fallback_counts`.
-    """
-    cls = EVENT_TYPES.get(kind)
-    if cls is None:
-        _FALLBACKS[source] += 1
-        return GenericEvent(time, source, kind, details)
-    known = {entry.name for entry in fields(cls)}
-    if set(details) - known:
-        _FALLBACKS[source] += 1
-        return GenericEvent(time, source, kind, details)
-    return cls(time=time, source=source, **details)
-
-
 def event_from_dict(payload: Any) -> Event:
     """Rebuild an event from :meth:`Event.to_dict` output (JSONL import).
 
     Raises :class:`ValueError` for a payload no export produces: not an
     object, a missing or non-numeric ``time``, a non-string ``source`` or
-    ``kind``, ``details`` that are not an object or that repeat one of
-    those three fields, or a typed event's detail whose value does not
-    match the field's declared type.
+    ``kind``, a kind not in :data:`EVENT_TYPES`, ``details`` that are not
+    an object, a detail the kind does not declare (``time``, ``source``
+    and ``kind`` included), or a detail whose value does not match the
+    field's declared type.  Top-level keys other than the four that
+    :meth:`Event.to_dict` writes are ignored.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"event record must be a JSON object, "
@@ -651,24 +525,26 @@ def event_from_dict(payload: Any) -> Event:
         if not isinstance(payload[name], str):
             raise ValueError(f"event {name} must be a string, "
                              f"got {payload[name]!r}")
+    kind = payload["kind"]
+    cls = EVENT_TYPES.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown event kind {kind!r}")
     details = payload.get("details")
     if details is None:
         details = {}
     if not isinstance(details, dict):
         raise ValueError(f"event details must be a JSON object, "
                          f"got {details!r}")
-    clashing = {"time", "source", "kind"} & set(details)
-    if clashing:
-        raise ValueError(f"event details repeat {sorted(clashing)}")
-    event = make_event(time, payload["source"], payload["kind"], **details)
-    if not isinstance(event, GenericEvent):
-        hints = _detail_hints(type(event))
-        for name, value in details.items():
-            if not _conforms(value, hints[name]):
-                raise ValueError(
-                    f"{event.kind} event detail {name!r} must be "
-                    f"{_hint_text(hints[name])}, got {value!r}")
-    return event
+    hints = _detail_hints(cls)
+    for name, value in details.items():
+        if name not in cls._detail_names:
+            raise ValueError(f"{kind} event has no detail {name!r} "
+                             f"(declared: {sorted(cls._detail_names)})")
+        if not _conforms(value, hints[name]):
+            raise ValueError(
+                f"{kind} event detail {name!r} must be "
+                f"{_hint_text(hints[name])}, got {value!r}")
+    return cls(time, payload["source"], **details)
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ _EXPORTS = {name: module for module, names in (
     ("clock", ("ClockConfig", "DriftingClock", "ppm_to_rate",
                "relative_rate_difference")),
     ("engine", ("Event", "SimulationError", "Simulator")),
-    ("monitor", ("TraceMonitor", "TraceRecord")),
+    ("monitor", ("TraceMonitor",)),
     ("rng", ("RandomStream",)),
 ) for name in names}
 
@@ -38,7 +38,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "TraceMonitor",
-    "TraceRecord",
     "ppm_to_rate",
     "relative_rate_difference",
 ]

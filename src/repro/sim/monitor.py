@@ -12,12 +12,9 @@ kind, typed details) on a shared :class:`TraceMonitor`.  The bus
 
 Fault-injection campaigns, online monitors (:mod:`repro.obs.monitors`),
 and the model conformance subsystem (:mod:`repro.conformance`) all consume
-this one spine.
-
-``TraceRecord`` is the legacy name for events outside the typed taxonomy;
-``record()`` is the legacy emit shim.  Both now funnel through
-:mod:`repro.obs.events`, so records created with taxonomy kinds come back
-as their typed classes.
+this one spine.  :meth:`TraceMonitor.emit` is the only way onto the bus,
+and the JSONL import accepts only the kinds and details that
+:mod:`repro.obs.events` declares.
 """
 
 from __future__ import annotations
@@ -26,13 +23,10 @@ import io
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
                     Optional, Union)
 
-from repro.obs.events import Event, GenericEvent, event_from_dict, make_event
-
-#: Legacy alias: a free-form record is simply an event outside the taxonomy.
-TraceRecord = GenericEvent
+from repro.obs.events import Event, event_from_dict
 
 Listener = Callable[[Event], None]
 
@@ -88,12 +82,6 @@ class TraceMonitor:
                         del self.listener_errors[0]
                     self.listener_errors.append(
                         ListenerError(listener=listener, event=event, error=error))
-
-    def record(self, time: float, source: str, kind: str, **details: Any) -> None:
-        """Legacy shim: build the typed event for ``kind`` and emit it."""
-        if not self.enabled:
-            return
-        self.emit(make_event(time, source, kind, **details))
 
     # -- subscriptions ---------------------------------------------------------
 
@@ -208,8 +196,8 @@ class TraceMonitor:
         A line that is not JSON, or not an event record (see
         :func:`~repro.obs.events.event_from_dict`), raises
         :class:`ValueError` naming the source and its 1-based line number
-        (blank lines count).  Unknown kinds load as
-        :class:`~repro.obs.events.GenericEvent`.
+        (blank lines count).  So does a kind the taxonomy does not
+        declare, or a detail its kind does not declare.
         """
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as handle:

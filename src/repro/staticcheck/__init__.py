@@ -30,7 +30,7 @@ conventions; this package turns them into machine-checked rules:
   and cross-dtype uint64/int64 comparisons.
 * **ORD** (:mod:`repro.staticcheck.rules_ord`) -- emit-ordering honesty:
   state mutations post-dominated by the ``_emit`` reporting them, and
-  every constructed event kind consumed by some monitor.
+  every constructed event kind read somewhere.
 
 The CON/WID/ORD packs are flow- and call-graph-aware: they run over a
 shared :class:`~repro.staticcheck.context.AnalysisContext` carrying

@@ -11,8 +11,7 @@ answers two questions the interprocedural packs need:
   defined).  Anything outside the analyzed universe (stdlib, numpy)
   resolves to ``None`` -- unresolved calls simply contribute no edge.
 * *reachability* -- the transitive closure of the edge relation from a
-  seed set, e.g. "every helper a monitor's ``on_event`` dispatches
-  through" (ORD002).
+  seed set.
 
 Function keys are ``"<module>:<qualname>"`` (``repro.exec.runner:
 TaskRunner.map``); modules are derived from repo-relative

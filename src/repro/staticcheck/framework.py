@@ -10,7 +10,7 @@ hot-path rules only fire under ``sim/``, ``modelcheck/``, ``ttp/``).
 Suppressions are inline comments on the offending line::
 
     leaky = time.time()  # repro: ignore[DET001]
-    noisy = foo()        # repro: ignore[DET001,EVT002]
+    noisy = foo()        # repro: ignore[DET001,EVT001]
     escape = bar()       # repro: ignore
 
 A bare ``ignore`` suppresses every rule on that line; the bracketed form
@@ -31,7 +31,7 @@ from repro.staticcheck.findings import Finding, RuleInfo
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (context -> framework)
     from repro.staticcheck.context import AnalysisContext
 
-#: ``# repro: ignore`` or ``# repro: ignore[DET001,EVT002]``.
+#: ``# repro: ignore`` or ``# repro: ignore[DET001,EVT001]``.
 _SUPPRESSION = re.compile(
     r"#\s*repro:\s*ignore(?:\[(?P<rules>[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)\])?")
 

@@ -9,16 +9,13 @@ hard-coded, so adding an event kind never requires touching the linter):
 ======== ==============================================================
 EVT001   ``_emit`` call sites name a declared event class and pass only
          its declared detail fields
-EVT002   ``record``/``make_event`` call sites with literal kinds name
-         declared kinds with matching details; no first-party
-         ``GenericEvent``/``TraceRecord`` construction
 EVT003   monitor modules consume declared kinds only (comparisons,
          membership tests, and ``select``/``first``/``count`` queries)
 ======== ==============================================================
 
-The runtime counterpart is ``repro.obs.events.fallback_counts()``: EVT
-proves emitters cannot fall back to :class:`GenericEvent`; the counter
-proves none did at run time.
+The run-time counterparts are :func:`repro.obs.events.fill_event` and
+:func:`repro.obs.events.event_from_dict`, which refuse an undeclared
+detail (and the importer an undeclared kind) when the event is built.
 """
 
 from __future__ import annotations
@@ -29,11 +26,6 @@ from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from repro.staticcheck.findings import Finding
 from repro.staticcheck.framework import AstRule, ModuleUnit, terminal_name
-
-#: Files allowed to build GenericEvent / open-vocabulary records: the
-#: taxonomy itself and the bus shim that funnels legacy records through it.
-TAXONOMY_MODULES = ("obs/events.py", "sim/monitor.py")
-
 
 def _load_taxonomy() -> Tuple[Dict[str, FrozenSet[str]], Dict[str, str]]:
     """(event class name -> detail fields, kind string -> class name)."""
@@ -59,10 +51,6 @@ def taxonomy() -> Tuple[Dict[str, FrozenSet[str]], Dict[str, str]]:
     return _CACHE
 
 
-def _is_taxonomy_module(unit: ModuleUnit) -> bool:
-    return any(unit.rel_path.endswith(suffix) for suffix in TAXONOMY_MODULES)
-
-
 class EmitSiteRule(AstRule):
     """EVT001: every ``_emit(EventClass, **details)`` site is well-typed."""
 
@@ -82,12 +70,6 @@ class EmitSiteRule(AstRule):
             class_name = terminal_name(node.args[0])
             if class_name is None:
                 continue  # dynamic class argument: not statically checkable
-            if class_name in ("GenericEvent", "TraceRecord"):
-                yield self.finding(
-                    unit, node,
-                    "_emit with GenericEvent bypasses the closed taxonomy; "
-                    "declare a typed event kind in obs/events.py")
-                continue
             if class_name not in class_fields:
                 yield self.finding(
                     unit, node,
@@ -107,69 +89,6 @@ class EmitSiteRule(AstRule):
                         f"_emit({class_name}) passes undeclared detail field "
                         f"{keyword.arg!r}; declared fields are "
                         f"{sorted(declared)}")
-
-
-class RecordKindRule(AstRule):
-    """EVT002: literal-kind record/make_event sites name declared kinds."""
-
-    rule = "EVT002"
-    description = ("record()/make_event() with a literal kind must name a "
-                   "declared kind with matching details; first-party code "
-                   "never constructs GenericEvent")
-
-    def applies_to(self, unit: ModuleUnit) -> bool:
-        return not _is_taxonomy_module(unit)
-
-    @staticmethod
-    def _literal_kind(node: ast.Call) -> Optional[Tuple[str, ast.AST]]:
-        """(kind string, node) when the call passes a literal kind."""
-        kind_node: Optional[ast.AST] = None
-        if len(node.args) >= 3:
-            kind_node = node.args[2]
-        for keyword in node.keywords:
-            if keyword.arg == "kind":
-                kind_node = keyword.value
-        if isinstance(kind_node, ast.Constant) and isinstance(
-                kind_node.value, str):
-            return kind_node.value, kind_node
-        return None
-
-    def check(self, unit: ModuleUnit, context) -> Iterator[Finding]:
-        class_fields, kind_to_class = taxonomy()
-        for node in ast.walk(unit.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = terminal_name(node.func)
-            if callee in ("GenericEvent", "TraceRecord"):
-                yield self.finding(
-                    unit, node,
-                    f"direct {callee} construction opens the event "
-                    f"vocabulary; declare a typed kind in obs/events.py")
-                continue
-            if callee not in ("record", "make_event"):
-                continue
-            literal = self._literal_kind(node)
-            if literal is None:
-                continue  # dynamic kind (imports, replays): runtime counter
-            kind, kind_node = literal
-            if kind not in kind_to_class:
-                yield self.finding(
-                    unit, kind_node,
-                    f"{callee}() with kind {kind!r}, which is not declared "
-                    f"in obs/events.py -- this would fall back to "
-                    f"GenericEvent at run time")
-                continue
-            declared = class_fields[kind_to_class[kind]]
-            detail_args = [keyword for keyword in node.keywords
-                           if keyword.arg not in (None, "time", "source", "kind")]
-            for keyword in detail_args:
-                if keyword.arg not in declared:
-                    yield self.finding(
-                        unit, node,
-                        f"{callee}(kind={kind!r}) passes undeclared detail "
-                        f"field {keyword.arg!r} (declared: "
-                        f"{sorted(declared)}) -- this would fall back to "
-                        f"GenericEvent at run time")
 
 
 class MonitorKindRule(AstRule):
@@ -238,4 +157,4 @@ class MonitorKindRule(AstRule):
                             yield from verify(kind, literal_node)
 
 
-EVT_RULES = (EmitSiteRule, RecordKindRule, MonitorKindRule)
+EVT_RULES = (EmitSiteRule, MonitorKindRule)

@@ -10,10 +10,12 @@ ORD001   a controller mutates ``self.<attr>`` and reports it through
          ``_emit(...)`` -- but the emit does not *post-dominate* the
          mutation, so an early return or exception path changes state
          without telling the trace
-ORD002   an event kind is constructed somewhere in the universe but no
-         monitor's consumption set (call-graph closure over ``kind``
-         comparisons and membership tests) ever reads it: either dead
-         telemetry or a monitor wired to the wrong kind string
+ORD002   an event kind is constructed somewhere in the universe but
+         nothing reads it: no ``kind`` comparison, membership test or
+         ``kind=`` query outside the taxonomy and the linter names it,
+         directly or through a module or class-attribute constant.
+         Either dead telemetry or a consumer wired to the wrong kind
+         string
 ======== ==============================================================
 
 ORD001 is flow-sensitive (CFG postdominators); ORD002 is the one
@@ -33,8 +35,18 @@ from repro.staticcheck.framework import AstRule, ModuleUnit, terminal_name
 
 _EMIT_NAMES = frozenset({"_emit", "emit"})
 
-#: Call names whose string arguments name an event kind directly.
-_KIND_FACTORIES = frozenset({"make_event", "events_of_kind", "of_kind"})
+#: Wrappers whose single literal argument is still a constant string set.
+_SET_BUILDERS = frozenset({"frozenset", "set", "tuple", "list"})
+
+
+def _reads_kinds(unit: ModuleUnit) -> bool:
+    """Whether ``unit``'s kind comparisons count as consumption: the
+    taxonomy declares kinds and the linter inspects them, neither reads
+    the stream.  (Matched on ``repro/staticcheck/`` so that the linter's
+    test fixtures still count.)"""
+    path = "/" + unit.rel_path
+    return not (path.endswith("/obs/events.py")
+                or "/repro/staticcheck/" in path)
 
 
 def _is_emit_call(node: ast.AST) -> bool:
@@ -117,7 +129,7 @@ class _KindUniverse:
         self.context = context
         #: event class name -> kind string (from `kind = "..."` class attrs).
         self.class_kinds: Dict[str, str] = {}
-        #: module -> {constant name -> string or tuple of strings}.
+        #: module -> {module or class-attribute constant name -> strings}.
         self.module_consts: Dict[int, Dict[str, Tuple[str, ...]]] = {}
         for unit in context.units:
             self._collect_classes(unit)
@@ -158,7 +170,11 @@ class _KindUniverse:
 
     def _collect_consts(self, unit: ModuleUnit) -> None:
         consts: Dict[str, Tuple[str, ...]] = {}
+        statements = list(unit.tree.body)
         for stmt in unit.tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                statements.extend(stmt.body)
+        for stmt in statements:
             if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
                 continue
             target = stmt.targets[0]
@@ -182,6 +198,9 @@ class _KindUniverse:
                 else:
                     return ()
             return tuple(values)
+        if isinstance(node, ast.Call) and len(node.args) == 1 and \
+                terminal_name(node.func) in _SET_BUILDERS:
+            return _KindUniverse._string_values(node.args[0])
         return ()
 
     # -- pass 2: constructions -----------------------------------------------------
@@ -220,28 +239,16 @@ class _KindUniverse:
                 kind = kind_of(node.args[0])
                 if kind is not None:
                     self._record(kind, unit, node.args[0])
-            if name in _KIND_FACTORIES:
-                for argument in node.args:
-                    if isinstance(argument, ast.Constant) and \
-                            isinstance(argument.value, str) and \
-                            argument.value in self.class_kinds.values():
-                        self._record(argument.value, unit, argument)
 
-    # -- pass 3: consumption (monitor modules + call-graph closure) ----------------
-
-    def _monitor_closure(self) -> List[Tuple[ModuleUnit, ast.AST]]:
-        graph = self.context.callgraph
-        seeds = [info.key for info in graph.functions.values()
-                 if "monitor" in info.unit.basename()]
-        reachable = graph.reachable(seeds)
-        return [(graph.functions[key].unit, graph.functions[key].node)
-                for key in sorted(reachable)]
+    # -- pass 3: consumption ---------------------------------------------------------
 
     def _collect_consumptions(self) -> Set[str]:
         consumed: Set[str] = set()
-        for unit, function in self._monitor_closure():
+        for unit in self.context.units:
+            if not _reads_kinds(unit):
+                continue
             consts = self.module_consts.get(id(unit), {})
-            for node in ast.walk(function):
+            for node in ast.walk(unit.tree):
                 if isinstance(node, ast.Compare):
                     parts = [node.left, *node.comparators]
                     if any(terminal_name(part) == "kind" for part in parts):
@@ -252,9 +259,6 @@ class _KindUniverse:
                         if keyword.arg == "kind":
                             consumed |= set(self._resolve(consts,
                                                           keyword.value))
-                    if terminal_name(node.func) in _KIND_FACTORIES:
-                        for argument in node.args:
-                            consumed |= set(self._resolve(consts, argument))
         return consumed
 
     def _resolve(self, consts: Dict[str, Tuple[str, ...]],
@@ -264,6 +268,8 @@ class _KindUniverse:
             return strings
         if isinstance(node, ast.Name):
             return consts.get(node.id, ())
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return consts.get(node.attr, ())  # self.KINDS, Monitor.KINDS
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
             values: List[str] = []
             for element in node.elts:
@@ -273,20 +279,20 @@ class _KindUniverse:
 
 
 class UnconsumedEventKindRule(AstRule):
-    """ORD002: every constructed event kind needs a monitor consumer."""
+    """ORD002: every constructed event kind needs a consumer."""
 
     rule = "ORD002"
-    description = ("every constructed event kind must appear in some "
-                   "monitor's consumption set (kind comparisons reachable "
-                   "from monitor modules); unconsumed kinds are dead "
-                   "telemetry or a mis-wired kind string")
+    description = ("every constructed event kind must be read somewhere "
+                   "(a kind comparison, membership test or kind= query "
+                   "outside the taxonomy and the linter); unconsumed "
+                   "kinds are dead telemetry or a mis-wired kind string")
     severity = "warning"
     scope = "universe"
 
     def check_universe(self, context) -> Iterator[Finding]:
         universe = _KindUniverse(context)
         if not universe.consumed:
-            # No monitors in the analyzed universe (e.g. a single-file
+            # No consumer in the analyzed universe (e.g. a single-file
             # lint): nothing meaningful to compare against.
             return
         for kind in sorted(universe.constructed):
@@ -296,9 +302,9 @@ class UnconsumedEventKindRule(AstRule):
             yield Finding(
                 rule=self.rule, path=path, line=line, column=0,
                 severity=self.severity,
-                message=(f"event kind {kind!r} is constructed here but no "
-                         f"monitor ever consumes it; wire a monitor to it "
-                         f"or document it as export-only telemetry"),
+                message=(f"event kind {kind!r} is constructed here but "
+                         f"nothing ever reads it; consume it or delete it "
+                         f"with its emit sites"),
                 item=f"kind:{kind}")
 
 

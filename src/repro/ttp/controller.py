@@ -241,7 +241,6 @@ class TTPController:
         self.startup = StartupRules(slot_count=medl.slot_count, node_slot=self.own_slot)
         self.ever_integrated = False
         self.tick_count = 0
-        self._fault_announced = False
         self._init_slots_left = 0
         self._mailbox: List[Tuple[int, Transmission, bool]] = []
         self._tick_event: Optional[Event] = None
@@ -308,7 +307,6 @@ class TTPController:
                              f"(have 0..{self.modes.mode_count - 1})")
         self.pending_mode = None if mode == self.current_mode else mode
         self._dmc_announced = False
-        self._emit(ev.ModeRequest, mode=mode)
 
     @property
     def cstate(self) -> CState:
@@ -1049,7 +1047,6 @@ class TTPController:
                 f" units but the slot is {self.config.slot_duration:g}: enlarge"
                 " the MEDL slot duration or shrink the payload")
         duration = self._frame_duration_ref(frame)
-        self._announce_fault_if_active()
         self._emit(ev.FrameSent, frame_kind=frame.kind_value, slot=self.slot)
         if (self._faulty
                 and self.config.fault is NodeFaultBehavior.BYZANTINE_CLOCK
@@ -1071,13 +1068,10 @@ class TTPController:
         magnitude_ref = self.config.byzantine_magnitude / self.clock.rate
         skews = [(index + 1) * magnitude_ref
                  for index in range(len(self.topology.channels))]
-        send_skewed = getattr(self.topology, "send_skewed", None)
-        if send_skewed is None:  # pragma: no cover - all topologies have it
-            self.topology.send(self.name, frame, duration, self._signal_shape())
-            return
         self._emit(ev.ByzantineTick, mode="two_faced",
                    offset=self.config.byzantine_magnitude)
-        send_skewed(self.name, frame, duration, self._signal_shape(), skews)
+        self.topology.send_skewed(self.name, frame, duration,
+                                  self._signal_shape(), skews)
 
     # -- node fault traffic -------------------------------------------------------------------
 
@@ -1088,7 +1082,6 @@ class TTPController:
             # contain with their transmit windows.
             if self.state is ControllerStateName.ACTIVE and self.slot != self.own_slot:
                 frame = NFrame(sender_slot=self.own_slot, cstate=self.cstate)
-                self._emit(ev.Babble, slot=self.slot)
                 self._transmit(frame)
         elif self.config.fault is NodeFaultBehavior.MASQUERADE_COLD_START:
             if (self.state is ControllerStateName.LISTEN
@@ -1097,8 +1090,6 @@ class TTPController:
                     sender_slot=self.config.masquerade_as,
                     cstate=CState(global_time=self.cstate.global_time,
                                   medl_position=self.config.masquerade_as))
-                self._announce_fault_if_active()
-                self._emit(ev.MasqueradeSend, claimed=self.config.masquerade_as)
                 duration = self._frame_duration_ref(bogus)
                 self.topology.send(self.name, bogus, duration, self._signal_shape())
         elif self.config.fault is NodeFaultBehavior.COLLIDING_SENDER:
@@ -1144,7 +1135,6 @@ class TTPController:
         """Drive a deliberately colliding frame (bypasses ``_transmit`` so
         no ``send`` event is forged for scheduled traffic)."""
         frame = NFrame(sender_slot=self.own_slot, cstate=self.cstate)
-        self._announce_fault_if_active()
         self._emit(ev.CollisionJam, targeted=targeted)
         duration = self._frame_duration_ref(frame)
         self.topology.send(self.name, frame, duration, self._signal_shape())
@@ -1185,14 +1175,6 @@ class TTPController:
         if monitor is not None:
             monitor.emit(ev.fill_event(event_cls, self.sim.now,
                                        self._source, details))
-
-    def _announce_fault_if_active(self) -> None:
-        """Emit the fault-activation event the first time the injected
-        fault actually shapes wire traffic."""
-        if self._fault_announced or not self._fault_active():
-            return
-        self._fault_announced = True
-        self._emit(ev.FaultActivated, fault=self.config.fault.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"TTPController({self.name!r}, {self.state.value}, "

@@ -7,9 +7,8 @@ import typing
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.obs.events import (EVENT_TYPES, Event, Freeze, FrameSent,
-                              GenericEvent, event_from_dict, make_event,
-                              taxonomy_rows)
+from repro.obs.events import (EVENT_TYPES, Event, Freeze, Integrated,
+                              event_from_dict, taxonomy_rows)
 from repro.sim.monitor import TraceMonitor
 
 
@@ -25,7 +24,7 @@ def test_taxonomy_is_closed_and_documented():
 
 def test_taxonomy_covers_every_emitting_layer():
     sample = {"state", "freeze", "integrated", "send",  # controller
-              "tx_start", "tx_complete", "tx_dropped",  # channel
+              "tx_start", "tx_complete",                # channel
               "blocked_by_fault",                       # guardian
               "out_of_slot_replay", "uplink_silenced",  # coupler
               "fault_injected"}                         # injector
@@ -38,42 +37,13 @@ def test_details_exclude_time_and_source():
     assert event.details == {"reason": "clique_error", "was_integrated": True}
 
 
-def test_make_event_builds_typed_class():
-    event = make_event(3.0, "node:A", "send", frame_kind="cold_start")
-    assert isinstance(event, FrameSent)
-    assert event.frame_kind == "cold_start"
-    assert event.slot == 0  # defaulted detail field
-
-
-def test_make_event_unknown_kind_falls_back_to_generic():
-    event = make_event(1.0, "x", "made_up_kind", foo=1)
-    assert isinstance(event, GenericEvent)
-    assert event.kind == "made_up_kind"
-    assert event.details == {"foo": 1}
-
-
-def test_make_event_extra_details_fall_back_to_generic():
-    event = make_event(1.0, "node:A", "send", frame_kind="c_state",
-                       surprise="extra")
-    assert isinstance(event, GenericEvent)
-    assert event.details == {"frame_kind": "c_state", "surprise": "extra"}
-
-
-def test_generic_event_equality_and_hash():
-    first = GenericEvent(1.0, "a", "k", {"x": 1})
-    second = GenericEvent(1.0, "a", "k", {"x": 1})
-    assert first == second
-    assert hash(first) == hash(second)
-    assert first != GenericEvent(1.0, "a", "k", {"x": 2})
-
-
 def test_event_from_dict_rejects_missing_keys():
     with pytest.raises(ValueError):
         event_from_dict({"time": 1.0, "source": "a"})
 
 
 def test_describe_sorts_detail_fields():
-    event = make_event(0.5, "node:B", "integrated", via="c_state", slot=2)
+    event = Integrated(0.5, "node:B", via="c_state", slot=2)
     assert event.describe() == "[t=0.500000] node:B: integrated slot=2 via=c_state"
 
 
@@ -120,21 +90,6 @@ def test_typed_event_jsonl_round_trip(event):
     assert rebuilt == event
 
 
-@given(time=_SCALARS[float], source=_SCALARS[str],
-       kind=st.text(min_size=1, max_size=20).filter(
-           lambda value: value not in EVENT_TYPES),
-       details=st.dictionaries(st.text(max_size=10),
-                               st.one_of(_SCALARS[int], _SCALARS[str],
-                                         _SCALARS[bool], st.none()),
-                               max_size=4))
-def test_generic_event_jsonl_round_trip(time, source, kind, details):
-    event = GenericEvent(time, source, kind, details)
-    payload = json.loads(json.dumps(event.to_dict()))
-    rebuilt = event_from_dict(payload)
-    assert isinstance(rebuilt, GenericEvent)
-    assert rebuilt.to_dict() == event.to_dict()
-
-
 @given(st.lists(_typed_event_strategy(), max_size=12))
 def test_monitor_stream_jsonl_round_trip(events):
     monitor = TraceMonitor()
@@ -145,55 +100,3 @@ def test_monitor_stream_jsonl_round_trip(events):
     buffer.seek(0)
     rebuilt = TraceMonitor.read_jsonl(buffer)
     assert rebuilt == events
-
-
-class TestFallbackCounter:
-    """make_event tallies every GenericEvent fallback per source."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_counter(self):
-        from repro.obs.events import reset_fallback_counts
-
-        reset_fallback_counts()
-        yield
-        reset_fallback_counts()
-
-    def test_typed_events_do_not_count(self):
-        from repro.obs.events import fallback_counts
-
-        make_event(1.0, "node:A", "send", frame_kind="cold_start")
-        assert fallback_counts() == {}
-
-    def test_unknown_kind_counts_against_its_source(self):
-        from repro.obs.events import fallback_counts
-
-        make_event(1.0, "rogue", "made_up_kind")
-        make_event(2.0, "rogue", "made_up_kind")
-        make_event(3.0, "other", "also_unknown")
-        assert fallback_counts() == {"rogue": 2, "other": 1}
-
-    def test_mismatched_details_count_too(self):
-        from repro.obs.events import fallback_counts
-
-        make_event(1.0, "node:B", "send", frame_kind="c_state", bogus=1)
-        assert fallback_counts() == {"node:B": 1}
-
-    def test_reset_clears_the_tally(self):
-        from repro.obs.events import fallback_counts, reset_fallback_counts
-
-        make_event(1.0, "rogue", "made_up_kind")
-        reset_fallback_counts()
-        assert fallback_counts() == {}
-
-    def test_first_party_startup_never_falls_back(self):
-        # The DES event spine only emits declared kinds: a full startup
-        # leaves the fallback counter untouched (the runtime complement
-        # of the EVT rule pack).
-        from repro.cluster import Cluster, ClusterSpec
-        from repro.obs.events import fallback_counts
-
-        cluster = Cluster(ClusterSpec(topology="star"))
-        cluster.power_on()
-        cluster.run(rounds=10)
-        assert len(cluster.monitor.records) > 0
-        assert fallback_counts() == {}

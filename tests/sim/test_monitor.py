@@ -5,16 +5,17 @@ import json
 
 import pytest
 
-from repro.obs.events import FrameSent, StateChange
-from repro.sim.monitor import MAX_LISTENER_ERRORS, TraceMonitor, TraceRecord
+from repro.obs.events import (Activated, Freeze, FrameSent, OutOfSlotReplay,
+                              StateChange)
+from repro.sim.monitor import MAX_LISTENER_ERRORS, TraceMonitor
 
 
 def make_monitor():
     monitor = TraceMonitor()
-    monitor.record(1.0, "node:A", "state", state="listen")
-    monitor.record(2.0, "node:B", "state", state="listen")
-    monitor.record(3.0, "node:A", "send", frame_kind="cold_start")
-    monitor.record(4.0, "coupler:c0", "replay")
+    monitor.emit(StateChange(1.0, "node:A", state="listen"))
+    monitor.emit(StateChange(2.0, "node:B", state="listen"))
+    monitor.emit(FrameSent(3.0, "node:A", frame_kind="cold_start"))
+    monitor.emit(OutOfSlotReplay(4.0, "coupler:c0"))
     return monitor
 
 
@@ -43,8 +44,7 @@ def test_select_combined_filters():
     monitor = make_monitor()
     records = monitor.select(source="node:A", kind="send")
     assert len(records) == 1
-    # The legacy record() shim promotes taxonomy kinds to their typed
-    # classes, so defaulted detail fields (here: slot) appear too.
+    # Defaulted detail fields (here: slot) appear in the details too.
     assert isinstance(records[0], FrameSent)
     assert records[0].details == {"frame_kind": "cold_start", "slot": 0}
 
@@ -64,7 +64,7 @@ def test_sources_first_appearance_order():
 
 def test_disabled_monitor_records_nothing():
     monitor = TraceMonitor(enabled=False)
-    monitor.record(1.0, "x", "y")
+    monitor.emit(StateChange(1.0, "x"))
     assert len(monitor) == 0
 
 
@@ -72,26 +72,26 @@ def test_subscribe_listener_sees_future_records():
     monitor = TraceMonitor()
     seen = []
     monitor.subscribe(seen.append)
-    monitor.record(1.0, "a", "b")
+    monitor.emit(Activated(1.0, "a"))
     assert len(seen) == 1
-    assert seen[0].kind == "b"
+    assert seen[0].kind == "activated"
 
 
 def test_clear_keeps_listeners():
     monitor = TraceMonitor()
     seen = []
     monitor.subscribe(seen.append)
-    monitor.record(1.0, "a", "b")
+    monitor.emit(Activated(1.0, "a"))
     monitor.clear()
     assert len(monitor) == 0
-    monitor.record(2.0, "a", "c")
+    monitor.emit(Freeze(2.0, "a"))
     assert len(seen) == 2
 
 
 def test_describe_format():
-    record = TraceRecord(time=1.5, source="node:A", kind="freeze",
-                         details={"reason": "clique_error"})
-    assert record.describe() == "[t=1.500000] node:A: freeze reason=clique_error"
+    record = Freeze(time=1.5, source="node:A", reason="clique_error")
+    assert record.describe() == ("[t=1.500000] node:A: freeze "
+                                 "reason=clique_error was_integrated=False")
 
 
 def test_format_with_limit():
@@ -118,9 +118,9 @@ def test_unsubscribe_stops_delivery():
     monitor = TraceMonitor()
     seen = []
     listener = monitor.subscribe(seen.append)
-    monitor.record(1.0, "a", "b")
+    monitor.emit(Activated(1.0, "a"))
     monitor.unsubscribe(listener)
-    monitor.record(2.0, "a", "c")
+    monitor.emit(Freeze(2.0, "a"))
     assert len(seen) == 1
     assert monitor.listener_count == 0
 
@@ -140,7 +140,7 @@ def test_raising_listener_is_isolated():
     seen = []
     monitor.subscribe(bad)
     monitor.subscribe(seen.append)
-    monitor.record(1.0, "a", "b")
+    monitor.emit(Activated(1.0, "a"))
     # The other listener still ran, the event was stored, and the error
     # was kept for inspection.
     assert len(seen) == 1
@@ -157,7 +157,7 @@ def test_listener_error_log_is_bounded():
 
     monitor.subscribe(bad)
     for step in range(MAX_LISTENER_ERRORS + 7):
-        monitor.record(float(step), "a", "b")
+        monitor.emit(Activated(float(step), "a"))
     assert len(monitor.listener_errors) == MAX_LISTENER_ERRORS
     # Oldest errors were discarded: the first retained one is not t=0.
     assert str(monitor.listener_errors[0].error) == "7.0"
@@ -166,7 +166,7 @@ def test_listener_error_log_is_bounded():
 def test_ring_buffer_evicts_oldest():
     monitor = TraceMonitor(capacity=3)
     for step in range(5):
-        monitor.record(float(step), "a", "b")
+        monitor.emit(Activated(float(step), "a"))
     assert len(monitor) == 3
     assert [record.time for record in monitor] == [2.0, 3.0, 4.0]
     assert monitor.dropped_count == 2
@@ -175,9 +175,9 @@ def test_ring_buffer_evicts_oldest():
 def test_ring_buffer_counters_survive_eviction():
     monitor = TraceMonitor(capacity=2)
     for step in range(5):
-        monitor.record(float(step), "a", "tick")
-    assert monitor.count("tick") == 2  # retained
-    assert monitor.kind_count("tick") == 5  # ever emitted
+        monitor.emit(Activated(float(step), "a"))
+    assert monitor.count("activated") == 2  # retained
+    assert monitor.kind_count("activated") == 5  # ever emitted
 
 
 def test_invalid_capacity_rejected():
@@ -188,15 +188,15 @@ def test_invalid_capacity_rejected():
 def test_kind_counts_copy():
     monitor = make_monitor()
     counts = monitor.kind_counts
-    assert counts == {"state": 2, "send": 1, "replay": 1}
+    assert counts == {"state": 2, "send": 1, "out_of_slot_replay": 1}
     counts["state"] = 99
     assert monitor.kind_count("state") == 2
 
 
 def test_clear_resets_counters_and_drops():
     monitor = TraceMonitor(capacity=1)
-    monitor.record(1.0, "a", "b")
-    monitor.record(2.0, "a", "b")
+    monitor.emit(Activated(1.0, "a"))
+    monitor.emit(Activated(2.0, "a"))
     assert monitor.dropped_count == 1
     monitor.clear()
     assert monitor.dropped_count == 0
@@ -224,15 +224,15 @@ def test_from_jsonl_rebuilds_queryable_monitor(tmp_path):
 
 
 def test_read_jsonl_skips_blank_lines():
-    lines = ['{"time": 1.0, "source": "a", "kind": "b", "details": {}}',
+    lines = ['{"time": 1.0, "source": "a", "kind": "state", "details": {}}',
              "", "   "]
     events = TraceMonitor.read_jsonl(lines)
     assert len(events) == 1
-    assert events[0].kind == "b"
+    assert events[0].kind == "state"
 
 
 def test_read_jsonl_names_the_line_of_a_malformed_record(tmp_path):
-    good = '{"time": 1.0, "source": "a", "kind": "b", "details": {}}'
+    good = '{"time": 1.0, "source": "a", "kind": "state", "details": {}}'
     path = tmp_path / "events.jsonl"
     path.write_text(f"{good}\n\n{{not json\n{good}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"events\.jsonl:3: ") as caught:
@@ -244,15 +244,15 @@ def test_read_jsonl_names_the_line_of_a_malformed_record(tmp_path):
     "42",
     "null",
     "[1, 2]",
-    '{"source": "a", "kind": "b", "details": {}}',
-    '{"time": 1.0, "kind": "b"}',
-    '{"time": "abc", "source": "a", "kind": "b", "details": {}}',
-    '{"time": true, "source": "a", "kind": "b", "details": {}}',
-    '{"time": 1.0, "source": 7, "kind": "b", "details": {}}',
+    '{"source": "a", "kind": "state", "details": {}}',
+    '{"time": 1.0, "kind": "state"}',
+    '{"time": "abc", "source": "a", "kind": "state", "details": {}}',
+    '{"time": true, "source": "a", "kind": "state", "details": {}}',
+    '{"time": 1.0, "source": 7, "kind": "state", "details": {}}',
     '{"time": 1.0, "source": "a", "kind": ["b"], "details": {}}',
-    '{"time": 1.0, "source": "a", "kind": "b", "details": 5}',
-    '{"time": 1.0, "source": "a", "kind": "b", "details": [1]}',
-    '{"time": 1.0, "source": "a", "kind": "b", "details": {"time": 2}}',
+    '{"time": 1.0, "source": "a", "kind": "state", "details": 5}',
+    '{"time": 1.0, "source": "a", "kind": "state", "details": [1]}',
+    '{"time": 1.0, "source": "a", "kind": "state", "details": {"time": 2}}',
     '{"time": 1.0, "source": "a", "kind": "integrated", '
     '"details": {"slot": "abc", "via": "cold_start"}}',
     '{"time": 1.0, "source": "a", "kind": "integrated", '
@@ -269,15 +269,19 @@ def test_read_jsonl_names_the_line_of_a_malformed_record(tmp_path):
     '"details": {"frame_members": [1, "x"]}}',
     '{"time": 1.0, "source": "a", "kind": "slot_failed", '
     '"details": {"my_members": 3}}',
+    '{"time": 1.0, "source": "node:B", "kind": "integrate", '
+    '"details": {"via": "c_state", "slot": 2}}',
+    '{"time": 1.0, "source": "node:B", "kind": "integrated", '
+    '"details": {"via": "c_state", "slots": 2}}',
 ], ids=["number", "null", "array", "missing-time", "missing-source",
         "string-time", "bool-time", "number-source", "array-kind",
         "number-details", "array-details", "details-repeat-time",
         "string-int-detail", "number-str-detail", "bool-int-detail",
         "string-float-detail", "int-bool-detail",
         "float-optional-int-detail", "mixed-list-detail",
-        "int-list-detail"])
+        "int-list-detail", "unknown-kind", "undeclared-detail"])
 def test_read_jsonl_names_the_line_of_a_bad_record(tmp_path, record):
-    good = '{"time": 1.0, "source": "a", "kind": "b", "details": {}}'
+    good = '{"time": 1.0, "source": "a", "kind": "state", "details": {}}'
     path = tmp_path / "events.jsonl"
     path.write_text(f"{good}\n\n{record}\n{good}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"events\.jsonl:3: "):
@@ -300,10 +304,9 @@ def test_read_jsonl_accepts_declared_detail_types():
     assert events[1].frame_time is None
 
 
-def test_read_jsonl_keeps_unknown_kinds_and_null_details():
+def test_read_jsonl_accepts_null_details():
     events = TraceMonitor.read_jsonl([
-        '{"time": 1, "source": "a", "kind": "made_up", "details": {"x": 1}}',
-        '{"time": 2.5, "source": "a", "kind": "made_up", "details": null}',
+        '{"time": 2.5, "source": "a", "kind": "activated", "details": null}',
     ])
     assert [(event.time, event.kind, event.details) for event in events] == [
-        (1, "made_up", {"x": 1}), (2.5, "made_up", {})]
+        (2.5, "activated", {"round_start": 0.0})]

@@ -1,9 +1,9 @@
-"""Seeded EVT001/EVT002 violations (parsed by the linter tests, never run).
+"""Seeded EVT001 violations (parsed by the linter tests, never run).
 
-Expected findings: EVT001 x4, EVT002 x3.
+Expected findings: EVT001 x4.
 """
 
-from repro.obs.events import GenericEvent, StateChange, make_event
+from repro.obs.events import StateChange
 
 
 class Telemetry:
@@ -14,17 +14,8 @@ class Telemetry:
         self.monitor.emit(event_cls(time=0.0, source="fixture", **details))
 
     def open_vocabulary(self, extra):
-        self._emit(GenericEvent)  # EVT001: GenericEvent bypasses the taxonomy
+        self._emit(ModeRequest)  # EVT001: not a declared event class
         self._emit(Telemetry)  # EVT001: not an event class
         self._emit(StateChange, wrong_field="x")  # EVT001: undeclared field
         self._emit(StateChange, **extra)  # EVT001: ** defeats the check
         self._emit(StateChange, state="active")  # clean: declared field
-
-
-def legacy_records(monitor):
-    rogue = GenericEvent(0.0, "fixture", "boom")  # EVT002: direct GenericEvent
-    monitor.record(1.0, "fixture", "made_up_kind")  # EVT002: undeclared kind
-    made = make_event(2.0, "fixture", "state",
-                      wrong_field="x")  # EVT002: undeclared detail field
-    clean = make_event(3.0, "fixture", "state", state="active")  # clean
-    return rogue, made, clean

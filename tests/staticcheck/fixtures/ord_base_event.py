@@ -3,6 +3,6 @@
 from ord_events import Event
 
 
-def make_event():
-    # ORD002: no monitor ever consumes kind 'event'.
+def base_event():
+    # ORD002: nothing ever reads kind 'event'.
     return Event(time=0.0, source="ctl")

@@ -20,5 +20,5 @@ class Controller:
 
 
 def make_orphan():
-    # ORD002: no monitor ever consumes kind 'orphan'.
+    # ORD002: nothing ever reads kind 'orphan'.
     return Orphan(time=0.0, source="ctl")

@@ -25,8 +25,8 @@ def _unit(source: str, rel_path: str = "pkg/mod.py") -> ModuleUnit:
 
 class TestSuppressions:
     def test_bracketed_form_lists_rules(self):
-        table = parse_suppressions("x = 1  # repro: ignore[DET001,EVT002]\n")
-        assert table == {1: {"DET001", "EVT002"}}
+        table = parse_suppressions("x = 1  # repro: ignore[DET001,EVT001]\n")
+        assert table == {1: {"DET001", "EVT001"}}
 
     def test_bare_form_suppresses_everything(self):
         table = parse_suppressions("a = 1\nb = 2  # repro: ignore\n")
@@ -134,8 +134,8 @@ class TestRuleSelection:
         assert ids == self._registered("DET")
 
     def test_exact_id_selects_one_rule(self):
-        ids = {rule.rule for rule in select_rules(["evt002"])}
-        assert ids == {"EVT002"}
+        ids = {rule.rule for rule in select_rules(["evt003"])}
+        assert ids == {"EVT003"}
 
 
 class TestFinding:

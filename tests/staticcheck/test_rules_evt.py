@@ -9,7 +9,6 @@ from repro.staticcheck.framework import ModuleUnit, run_ast_rules
 from repro.staticcheck.rules_evt import (
     EmitSiteRule,
     MonitorKindRule,
-    RecordKindRule,
     taxonomy,
 )
 
@@ -42,23 +41,6 @@ class TestEmitSites:
             Path("/x/ttp/controller.py"), "ttp/controller.py",
             "self._emit(StateChange, state='active')\n")
         assert run_ast_rules([EmitSiteRule()], [unit]) == []
-
-
-class TestRecordSites:
-    def test_bad_record_sites_are_flagged(self, load_unit):
-        unit = load_unit("evt_unclean.py")
-        assert _counts([RecordKindRule()], unit)["EVT002"] == 3
-
-    def test_dynamic_kind_is_left_to_the_runtime_counter(self):
-        unit = ModuleUnit(
-            Path("/x/obs/replay.py"), "obs/replay.py",
-            "monitor.record(t, src, payload['kind'], **payload)\n")
-        assert run_ast_rules([RecordKindRule()], [unit]) == []
-
-    def test_taxonomy_modules_are_exempt(self, load_unit):
-        source = load_unit("evt_unclean.py").source
-        unit = ModuleUnit(Path("/x/obs/events.py"), "obs/events.py", source)
-        assert run_ast_rules([RecordKindRule()], [unit]) == []
 
 
 class TestMonitorKinds:

@@ -1,9 +1,11 @@
 """ORD pack: emit placement and event-kind consumption."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.staticcheck.context import AnalysisContext
-from repro.staticcheck.framework import run_ast_rules, select_rules
+from repro.staticcheck.framework import ModuleUnit, run_ast_rules, select_rules
 
 UNIVERSE = ("ord_events.py", "ord_monitors.py", "ord_unclean.py",
             "ord_clean.py")
@@ -54,3 +56,26 @@ def test_ord002_still_flags_a_taxonomy_construction(load_unit):
                                 "ord_base_event.py"))
     assert [(f.path, f.line, f.item) for f in findings
             if f.rule == "ORD002"] == [("ord_base_event.py", 8, "kind:event")]
+
+
+def _orphan_findings(load_unit, consumer_source):
+    consumer = ModuleUnit(Path("/x/replay.py"), "replay.py", consumer_source)
+    units = [load_unit("ord_events.py"), load_unit("ord_unclean.py"),
+             consumer]
+    return [f.item for f in run_ast_rules(select_rules(["ORD002"]), units,
+                                          AnalysisContext(units))]
+
+
+def test_ord002_resolves_a_class_attribute_kind_set(load_unit):
+    """A kind read only through ``self.<CONST>`` in a non-monitor module
+    counts as consumed; dropping it from the set flags it again."""
+    def consumer(kinds):
+        return ("class Replay:\n"
+                "    WATCHED = frozenset({" + kinds + "})\n"
+                "\n"
+                "    def on_event(self, event):\n"
+                "        if event.kind in self.WATCHED:\n"
+                "            return event\n")
+
+    assert _orphan_findings(load_unit, consumer('"state", "orphan"')) == []
+    assert _orphan_findings(load_unit, consumer('"state"')) == ["kind:orphan"]

@@ -228,6 +228,50 @@ def test_conform_command_all_scenarios(capsys):
     assert "trace2: CONFORMS" in out
 
 
+def _assert_loads_back(path, skip_header=False):
+    """Every event line of ``path`` loads through the closed importer as
+    the event that was written (an extra ``stream`` tag stays on the
+    line, outside the event)."""
+    import json
+
+    from repro.sim.monitor import TraceMonitor
+
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    if skip_header:
+        lines = lines[1:]
+    written = [json.loads(line) for line in lines]
+    events = TraceMonitor.read_jsonl(lines)
+    assert events and len(events) == len(written)
+    for event, entry in zip(events, written):
+        tag = {"stream": entry["stream"]} if "stream" in entry else {}
+        assert dict(event.to_dict(), **tag) == entry
+
+
+@pytest.mark.parametrize("scenario", ["startup", "trace1", "trace2"])
+def test_events_export_loads_back(capsys, tmp_path, scenario):
+    target = tmp_path / "events.jsonl"
+    code, _ = run_cli(capsys, "events", scenario, "--jsonl", str(target))
+    assert code == 0
+    _assert_loads_back(target)
+
+
+def test_conform_export_loads_back(capsys, tmp_path):
+    prefix = tmp_path / "conform-events"
+    code, _ = run_cli(capsys, "conform", "all", "--jsonl", str(prefix))
+    assert code == 0
+    for name in ("trace1", "trace2"):
+        _assert_loads_back(f"{prefix}.{name}.jsonl")
+
+
+def test_adversarial_preset_export_loads_back(capsys, tmp_path):
+    target = tmp_path / "adversarial-collision.jsonl"
+    code, _ = run_cli(capsys, "campaign", "--preset", "adversarial-collision",
+                      "--seed", "0", "--jsonl", str(target))
+    assert code == 0
+    _assert_loads_back(target, skip_header=True)
+
+
 def test_conform_command_rejects_unknown_scenario():
     with pytest.raises(SystemExit):
         main(["conform", "nonsense"])

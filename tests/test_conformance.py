@@ -16,7 +16,7 @@ from repro.conformance import (SCENARIOS, TRACE1_REPLAY, TRACE2_REPLAY,
                                model_replayed_kind, model_state_path,
                                phase_path)
 from repro.core.verification import verify_config
-from repro.obs.events import make_event
+from repro.obs.events import Freeze, Integrated, OutOfSlotReplay, StateChange
 
 NODES = ["A", "B", "C", "D"]
 
@@ -121,14 +121,13 @@ def test_phase_path_keeps_other_states():
 
 def synthetic_stream():
     return [
-        make_event(0.0, "node:B", "state", state="init"),
-        make_event(1.0, "node:B", "state", state="listen"),
-        make_event(2.0, "coupler:coupler0", "out_of_slot_replay",
-                   sender="A", frame_kind="cold_start"),
-        make_event(3.0, "node:B", "integrated", via="cold_start", slot=0),
-        make_event(3.0, "node:B", "state", state="passive"),
-        make_event(4.0, "node:B", "freeze", reason="clique_error",
-                   was_integrated=True),
+        StateChange(0.0, "node:B", state="init"),
+        StateChange(1.0, "node:B", state="listen"),
+        OutOfSlotReplay(2.0, "coupler:coupler0", sender="A",
+                        frame_kind="cold_start"),
+        Integrated(3.0, "node:B", via="cold_start", slot=0),
+        StateChange(3.0, "node:B", state="passive"),
+        Freeze(4.0, "node:B", reason="clique_error", was_integrated=True),
     ]
 
 
@@ -143,8 +142,8 @@ def test_abstraction_builds_model_vocabulary_paths():
 
 
 def test_abstraction_host_freeze_is_not_clique_freeze():
-    events = [make_event(1.0, "node:A", "freeze", reason="host_command",
-                         was_integrated=False)]
+    events = [Freeze(1.0, "node:A", reason="host_command",
+                     was_integrated=False)]
     abstraction = DesAbstraction.from_events(events)
     assert abstraction.current_state("A") == "freeze"
     assert abstraction.clique_frozen(NODES) == []

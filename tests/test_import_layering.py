@@ -132,6 +132,16 @@ def test_simulator_exports_no_generator_processes(name):
         getattr(importlib.import_module("repro.sim"), name)
 
 
+@pytest.mark.parametrize("package, name", [
+    ("repro.sim", "TraceRecord"),
+    ("repro.obs", "GenericEvent"),
+    ("repro.obs", "make_event"),
+])
+def test_event_vocabulary_has_no_open_fallback(package, name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(importlib.import_module(package), name)
+
+
 def test_numpy_loads_on_first_vectorized_use():
     loaded = fresh_interpreter(
         "import json, sys\n"
