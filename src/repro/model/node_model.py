@@ -5,6 +5,9 @@ returns every allowed next local state given the frames on the two
 channels -- the direct transcription of the paper's constraints for the
 freeze, init, listen, cold_start, active, and passive states, plus the
 bookkeeping the paper leaves implicit (clique-counter updates).
+It is the composition of :func:`node_observation` (the small part of the
+channels a step reads) and :func:`node_step_observed` (the step given that
+observation), so callers can memoize steps per observation.
 
 Counter semantics (derived in DESIGN.md from the paper's results and both
 counterexample narratives):
@@ -31,7 +34,7 @@ semantically identical states collapse in the explicit-state search.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from repro.model.config import ModelConfig
 from repro.model.coupler_model import (
@@ -55,6 +58,10 @@ ST_TEST = "test"
 
 INTEGRATED_STATES = (ST_ACTIVE, ST_PASSIVE)
 SLOTTED_STATES = (ST_COLD_START, ST_ACTIVE, ST_PASSIVE)
+
+#: What one node's step reads of the channels (see :func:`node_observation`):
+#: a slot verdict, or a listening node's ``(targets, saw_cold_start)``.
+Observation = Union[str, Tuple[Tuple[int, ...], bool]]
 
 
 class NodeLocal(NamedTuple):
@@ -128,9 +135,37 @@ def _integration_targets(config: ModelConfig, local: NodeLocal,
     return unique
 
 
-def node_step(config: ModelConfig, node_id: int, local: NodeLocal,
-              channels: Tuple[ChannelContent, ChannelContent]) -> List[NodeLocal]:
-    """All allowed next local states for one node."""
+def node_observation(config: ModelConfig, node_id: int, local: NodeLocal,
+                     channels: Tuple[ChannelContent, ChannelContent]
+                     ) -> Optional[Observation]:
+    """The part of the two channel contents that one node's step reads.
+
+    * ``None`` in the host-managed states (freeze, init, await, test) and
+      in a slotted node's own send slot -- the step ignores the channels;
+    * the :func:`_judge` verdict in the other slotted-state slots;
+    * ``(integration targets, saw_cold_start)`` in listen.
+
+    The value is small and hashable, so step results can be memoized per
+    ``(node, local, observation)`` instead of per channel pair: many
+    channel pairs collapse onto one observation.
+    """
+    state = local.state
+    if state == ST_LISTEN:
+        saw_cold_start = any(content.kind == KIND_COLD_START
+                             for content in channels)
+        return (tuple(_integration_targets(config, local, channels)),
+                saw_cold_start)
+    if state not in SLOTTED_STATES:
+        return None
+    if local.slot == node_id and state in (ST_COLD_START, ST_ACTIVE):
+        return None  # own send
+    return _judge(local.slot, channels)
+
+
+def node_step_observed(config: ModelConfig, node_id: int, local: NodeLocal,
+                       observation: Optional[Observation]) -> List[NodeLocal]:
+    """All allowed next local states for one node, given what it observed
+    (:func:`node_observation`)."""
     state = local.state
 
     if state in (ST_FREEZE, ST_FREEZE_CLIQUE):
@@ -157,19 +192,28 @@ def node_step(config: ModelConfig, node_id: int, local: NodeLocal,
         return options
 
     if state == ST_LISTEN:
-        return _listen_step(config, node_id, local, channels)
+        targets, saw_cold_start = observation
+        return _listen_step(config, node_id, local, targets, saw_cold_start)
 
     # Slot-synchronous states: cold_start / active / passive.
-    return _slotted_step(config, node_id, local, channels)
+    return _slotted_step(config, node_id, local, observation)
+
+
+def node_step(config: ModelConfig, node_id: int, local: NodeLocal,
+              channels: Tuple[ChannelContent, ChannelContent]) -> List[NodeLocal]:
+    """All allowed next local states for one node."""
+    return node_step_observed(config, node_id, local,
+                              node_observation(config, node_id, local,
+                                               channels))
 
 
 def _listen_step(config: ModelConfig, node_id: int, local: NodeLocal,
-                 channels: Tuple[ChannelContent, ChannelContent]) -> List[NodeLocal]:
+                 targets: Tuple[int, ...],
+                 saw_cold_start: bool) -> List[NodeLocal]:
     slots = config.slots
-    saw_cold_start = any(content.kind == KIND_COLD_START for content in channels)
 
     options: List[NodeLocal] = []
-    for target in _integration_targets(config, local, channels):
+    for target in targets:
         integrated_slot = 1 if target == slots else target + 1
         options.append(NodeLocal(ST_PASSIVE, integrated_slot, False, 0, 0, 0))
     if options:
@@ -194,20 +238,16 @@ def _listen_step(config: ModelConfig, node_id: int, local: NodeLocal,
 
 
 def _slotted_step(config: ModelConfig, node_id: int, local: NodeLocal,
-                  channels: Tuple[ChannelContent, ChannelContent]) -> List[NodeLocal]:
+                  verdict: Optional[str]) -> List[NodeLocal]:
     slots = config.slots
     cap = config.counter_cap
     agreed, failed = local.agreed, local.failed
 
-    # Counter update for the slot that is completing.
-    if local.slot == node_id and local.state in (ST_COLD_START, ST_ACTIVE):
-        agreed = min(cap, agreed + 1)  # own send
-    else:
-        verdict = _judge(local.slot, channels)
-        if verdict == "agreed":
-            agreed = min(cap, agreed + 1)
-        elif verdict == "failed":
-            failed = min(cap, failed + 1)
+    # Counter update for the slot that is completing (``None``: own send).
+    if verdict is None or verdict == "agreed":
+        agreed = min(cap, agreed + 1)
+    elif verdict == "failed":
+        failed = min(cap, failed + 1)
 
     next_slot = _next_slot(local.slot, slots)
     round_complete = next_slot == node_id

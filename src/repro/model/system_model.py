@@ -27,10 +27,17 @@ Packed fast path
 Because the codec is positional, each node's six variables occupy one
 contiguous digit block of the packed integer, and a successor state is the
 *sum* of per-node contributions plus a buffers/budget tail -- all small-int
-arithmetic over two memo tables:
+arithmetic over memo tables:
 
-* ``(node, local-code, channels) -> shifted next-local codes`` caches the
-  Section 4.3 node relation (the dominant cost of the tuple path),
+* ``(node, local-code, observation) -> next-local codes`` is the one memo
+  of the Section 4.3 node relation (the dominant cost of the tuple path).
+  It is keyed by what the step reads of the channels
+  (:func:`~repro.model.node_model.node_observation`), not by the channel
+  pair, so the many pairs that look alike to a node share one
+  :func:`~repro.model.node_model.node_step_observed` call.  Both engines
+  reach it through :meth:`TTAStartupModel.node_option_codes`; the scalar
+  path keeps its own ``(node, local-code, pair) -> shifted codes`` index
+  over it, and the vectorized kernel builds its step tables from it;
 * ``(nominal, buffers, budget) -> fault-choice contexts`` caches the
   Section 4.4 coupler fault enumeration.
 
@@ -73,7 +80,9 @@ from repro.model.node_model import (
     NodeLocal,
     frame_sent,
     initial_local,
+    node_observation,
     node_step,
+    node_step_observed,
 )
 from repro.modelcheck.encode import StateCodec
 from repro.modelcheck.model import Transition
@@ -305,14 +314,16 @@ class TTAStartupModel:
         # wholesale (workers rebuild them locally).
         self._cache_local_of_code: Dict[int, NodeLocal] = {}
         self._cache_sent: Dict[int, str] = {}
+        #: (node, local, pair) -> shifted next-local codes (scalar path).
         self._cache_step: Dict[int, Tuple[int, ...]] = {}
         self._cache_fault_ctx: Dict[Tuple[tuple, int], List[tuple]] = {}
         #: Channel pairs interned to small ints for compact memo keys.
         self._cache_pair_key: Dict[Tuple[str, int, str, int], int] = {}
         #: Reverse intern table: pair id -> (channel0, channel1).
         self._cache_pair_list: List[Tuple[ChannelContent, ChannelContent]] = []
-        #: Unshifted node-step options (vectorized engine's step tables).
-        self._cache_step_raw: Dict[int, Tuple[int, ...]] = {}
+        #: The node-step memo: (node, local, observation) -> unshifted
+        #: next-local codes (see :meth:`node_option_codes`).
+        self._cache_node_step: Dict[tuple, Tuple[int, ...]] = {}
         self._packed_ready = True
 
     def _encode_local(self, local: NodeLocal) -> int:
@@ -384,10 +395,10 @@ class TTAStartupModel:
         The context of a step is fully determined by the nominal channel
         content and the tail digits (buffers + out-of-slot budget), so the
         cache key is just ``(nominal, tail_code)``.  Each entry is
-        ``(channels, pair_key, tail_contribution)``: the two post-fault
-        channel contents (inputs to the node relation), their interned pair
-        id (memo key for the node-step table), and the packed contribution
-        of the successor's buffers + budget digits.
+        ``(pair_key, tail_contribution)``: the interned id of the two
+        post-fault channel contents (the node relation's input, see
+        :meth:`node_option_codes`) and the packed contribution of the
+        successor's buffers + budget digits.
         """
         nominal = ChannelContent(kind=nominal_signature[0],
                                  frame_id=nominal_signature[1])
@@ -408,23 +419,17 @@ class TTAStartupModel:
                 new_oos = oos_left - (1 if used_out_of_slot else 0)
             tail_contribution = self._tail_code_of(new_buffers, new_oos) * \
                 self._tail_scale
-            contexts.append(((channel0, channel1),
-                             self._intern_pair(channel0, channel1),
+            contexts.append((self._intern_pair(channel0, channel1),
                              tail_contribution))
         self._cache_fault_ctx[(nominal_signature, tail_code)] = contexts
         return contexts
 
     def _build_node_options(self, node_index: int, local_code: int,
-                            step_key: int,
-                            channels: Tuple[ChannelContent, ChannelContent]
-                            ) -> Tuple[int, ...]:
+                            step_key: int, pair_key: int) -> Tuple[int, ...]:
         """Shifted packed codes of one node's next locals (memo miss path)."""
-        local = self._decode_local(local_code)
         scale = self._node_scale[node_index]
-        options = tuple(self._encode_local(next_local) * scale
-                        for next_local in node_step(
-                            self.config, self._node_ids[node_index],
-                            local, channels))
+        options = tuple(option * scale for option in self.node_option_codes(
+            node_index, local_code, pair_key))
         self._cache_step[step_key] = options
         return options
 
@@ -475,7 +480,7 @@ class TTAStartupModel:
         pair_bits = self._PAIR_KEY_BITS
         step_cache = self._cache_step
         seen: Dict[int, None] = {}
-        for channels, pair_key, tail_contribution in contexts:
+        for pair_key, tail_contribution in contexts:
             totals = [tail_contribution]
             for node_index in range(node_count):
                 local_code = local_codes[node_index]
@@ -484,7 +489,7 @@ class TTAStartupModel:
                 options = step_cache.get(step_key)
                 if options is None:
                     options = self._build_node_options(node_index, local_code,
-                                                       step_key, channels)
+                                                       step_key, pair_key)
                 if len(options) == 1:
                     option = options[0]
                     totals = [total + option for total in totals]
@@ -540,31 +545,28 @@ class TTAStartupModel:
             contexts = self._build_fault_contexts(nominal_signature, tail_code)
         return contexts
 
-    def pair_channels(self, pair_key: int
-                      ) -> Tuple[ChannelContent, ChannelContent]:
-        """The two channel contents behind an interned pair id."""
-        return self._cache_pair_list[pair_key]
-
     def node_option_codes(self, node_index: int, local_code: int,
                           pair_key: int) -> Tuple[int, ...]:
-        """*Unshifted* next-local codes of one node under one channel pair.
+        """*Unshifted* next-local codes of one node under one channel pair,
+        in :func:`~repro.model.node_model.node_step` order.
 
-        Same enumeration as :meth:`_build_node_options` but without the
-        ``block_radix ** node_index`` scale -- the vectorized kernel
-        applies scales as array multiplies, so one table entry serves a
-        local code at any node position with the same node id.
+        Looked up in the node-step memo under what the node observes of
+        the pair, so :func:`node_step_observed` runs once per distinct
+        ``(node, local, observation)``, however many pairs map onto it.
+        Callers apply the ``block_radix ** node_index`` scale themselves
+        (:meth:`_build_node_options`, the vectorized kernel's table fill).
         """
-        key = ((local_code * self._node_count + node_index)
-               << self._PAIR_KEY_BITS) | pair_key
-        raw = self._cache_step_raw.get(key)
+        node_id = self._node_ids[node_index]
+        local = self._decode_local(local_code)
+        observation = node_observation(self.config, node_id, local,
+                                       self._cache_pair_list[pair_key])
+        key = (node_index, local_code, observation)
+        raw = self._cache_node_step.get(key)
         if raw is None:
-            channels = self._cache_pair_list[pair_key]
-            local = self._decode_local(local_code)
             raw = tuple(self._encode_local(next_local)
-                        for next_local in node_step(
-                            self.config, self._node_ids[node_index],
-                            local, channels))
-            self._cache_step_raw[key] = raw
+                        for next_local in node_step_observed(
+                            self.config, node_id, local, observation))
+            self._cache_node_step[key] = raw
         return raw
 
     # -- labels ------------------------------------------------------------------------

@@ -28,31 +28,37 @@ Per-level kernel
 :meth:`VectorKernel.successor_level` computes, for a whole frontier:
 
 1. **digit planes** -- per-node local codes via a ``divmod`` chain by
-   ``block_radix`` (one array op per node);
-2. **nominal signatures** -- lazy ``int8`` sent-kind tables map local
-   codes to driven frames, sender counts collapse to a small signature id
-   (silence / collision / single sender x kind);
+   ``block_radix`` (one array op per node), then dense local ids:
+   ``local_id`` is interned the first time a node-local code appears in
+   a frontier, so the tables below cover only the few hundred codes a
+   search reaches, not the whole ``block_radix`` local axis;
+2. **nominal signatures** -- an ``int8`` sent-kind table indexed
+   ``[local_id, node]`` (filled for every node position when the id is
+   interned) maps local ids to driven frames; sender counts collapse to a
+   small signature id (silence / collision / single sender x kind);
 3. **context grouping** -- states sharing ``(signature, tail)`` share the
    same fault-choice contexts; the per-key context lists come from the
    model's scalar cache (:meth:`fault_contexts`) and are flattened into
    arrays, then every state is repeated once per applicable context;
 4. **step tables** -- ``counts``/``offsets`` tables indexed
-   ``[pair, node, local_id]`` point into one flat ``uint64`` array of
-   pre-scaled next-local codes (filled lazily through the same scalar
-   :meth:`node_option_codes` the packed engine uses, so both engines stay
-   bit-for-bit consistent).  ``local_id`` is a dense id interned the
-   first time a node-local code appears in a frontier, so the tables
-   cover only the few hundred codes a search reaches, not the whole
-   ``block_radix`` local axis; both table dimensions grow by doubling;
+   ``[pair, node, local_id]`` point into one flat ``uint64`` pool of
+   pre-scaled next-local codes.  The entries a level gathers unfilled are
+   filled in bulk: their flat indices are decoded with array ``divmod``,
+   their options come from the model's node-step memo
+   (:meth:`node_option_codes`, keyed by what the node observes, shared
+   with the packed engine so both stay bit-for-bit consistent), and
+   counts and offsets are written with one scatter each while the new
+   options join the pool as one chunk.  Both table dimensions grow by
+   doubling;
 5. **cartesian expansion** -- each (state, context) row yields
-   ``prod(counts)`` successors; a mixed-radix decode of the within-row
-   index (last node fastest, like the scalar product) selects one option
-   per node and the successor word is the dot product of option codes
-   with the node scales;
-6. **scalar order** -- the rows are scattered into
-   :meth:`TTAStartupModel.packed_successors` enumeration order (parent,
-   fault context, then node options with the last node fastest); the
-   rows are not deduplicated (:class:`LevelDiscovery` drops the
+   ``prod(counts)`` successors.  Nodes with a single option in every row
+   add it row-wise; each node with several options somewhere repeats
+   every partial successor once per option, in node order, so the last
+   node varies fastest as in the scalar product;
+6. **scalar order** -- the expansion keeps rows in place, so the edges
+   come out in :meth:`TTAStartupModel.packed_successors` enumeration
+   order (parent, fault context, then node options with the last node
+   fastest); they are not deduplicated (:class:`LevelDiscovery` drops the
    per-parent repeats).
 
 Level step
@@ -126,16 +132,15 @@ class VectorKernel:
         #: Whether full codes fit uint64 (fused single-key dedup path).
         self.fused = model.codec.fits_uint64
         self._tail_scale_u64 = np.uint64(tail_scale)
-        #: Node block scales: block_radix ** i, as uint64 for array math.
-        self.scales = np.array([block_radix ** index
-                                for index in range(node_count)],
-                               dtype=np.uint64)
-        #: Lazy sent-kind tables, -1 = not yet filled.
-        self._sent = np.full((node_count, block_radix), -1, dtype=np.int8)
+        #: Node block scales: block_radix ** i.
+        self._scales = [block_radix ** index for index in range(node_count)]
         #: Interned local codes: code -> dense id (-1 = not seen yet), and
         #: the reverse list (id -> code).
         self._local_id = np.full(block_radix, -1, dtype=np.int64)
         self._local_codes: List[int] = []
+        #: Sent-kind id of every interned local id at every node position
+        #: (``[id, node]``), filled when the id is interned.
+        self._sent = np.empty((0, node_count), dtype=np.int8)
         #: Stacked step tables indexed ``[pair_key, node, local_id]``;
         #: counts of -1 mark unfilled entries, offsets point into the flat
         #: pool.  int64 so gathers feed the index arithmetic without
@@ -153,7 +158,6 @@ class VectorKernel:
         self._counts_flat = self._counts.ravel()
         self._offsets_flat = self._offsets.ravel()
         #: Flat pool of pre-scaled option codes the offsets point into.
-        self._options_list: List[int] = []
         self._options = np.empty(0, dtype=np.uint64)
         #: context key -> (pair_keys int64[], next_tails int64[]).
         self._contexts: Dict[int, Tuple["object", "object"]] = {}
@@ -193,29 +197,21 @@ class VectorKernel:
 
     # -- lazy tables --------------------------------------------------------------
 
-    def _sent_kinds(self, planes) -> "object":
-        """Sent-kind ids for all states x nodes (fills table misses)."""
-        np = self.np
-        kinds = self._sent[self._node_row, planes]
-        if (kinds < 0).any():
-            rows, nodes = np.nonzero(kinds < 0)
-            missing = np.unique(nodes * self.block_radix + planes[rows, nodes])
-            for key in missing.tolist():
-                node_index, local_code = divmod(key, self.block_radix)
-                self._sent[node_index, local_code] = KIND_TO_ID[
-                    self.model.sent_kind(node_index, local_code)]
-            kinds = self._sent[self._node_row, planes]
-        return kinds
-
     def _intern(self, planes) -> "object":
-        """Dense local ids of all states x nodes (interns new codes)."""
+        """Dense local ids of all states x nodes (interns new codes and
+        records their sent kinds at every node position)."""
         np = self.np
         ids = self._local_id.take(planes)
         if (ids < 0).any():
-            fresh = np.unique(planes[ids < 0])
+            fresh = np.unique(planes[ids < 0]).tolist()
             first = len(self._local_codes)
             self._local_id[fresh] = np.arange(first, first + len(fresh))
-            self._local_codes.extend(fresh.tolist())
+            self._local_codes.extend(fresh)
+            sent_kind = self.model.sent_kind
+            kinds = np.array([[KIND_TO_ID[sent_kind(node_index, code)]
+                               for node_index in range(self.node_count)]
+                              for code in fresh], dtype=np.int8)
+            self._sent = np.concatenate([self._sent, kinds])
             ids = self._local_id.take(planes)
         return ids
 
@@ -236,11 +232,11 @@ class VectorKernel:
             sig_id, tail_code = divmod(key, self.tail_radix)
             contexts = self.model.fault_contexts(self._signature_of(sig_id),
                                                  tail_code)
-            pair_keys = np.array([pair_key for _, pair_key, _ in contexts],
+            pair_keys = np.array([pair_key for pair_key, _ in contexts],
                                  dtype=np.int64)
             next_tails = np.array(
                 [contribution // self.tail_scale
-                 for _, _, contribution in contexts], dtype=np.int64)
+                 for _, contribution in contexts], dtype=np.int64)
             entry = (pair_keys, next_tails)
             self._contexts[key] = entry
         return entry
@@ -269,24 +265,36 @@ class VectorKernel:
 
     def _fill_missing(self, flat_index, counts) -> None:
         """Fill step-table entries for every flat ``(pair, node, id)``
-        index gathered as unfilled (count < 0) in this level, through the
-        scalar accessor.
+        index gathered as unfilled (count < 0) in this level, from the
+        model's node-step memo (:meth:`node_option_codes`), and append
+        their options to the pool as one chunk.
 
         Options enter the flat pool *pre-scaled* by ``block_radix**node``,
         so the expansion sums gathered pool entries directly.
         """
         np = self.np
-        id_capacity = self._counts.shape[2]
-        for key in np.unique(flat_index[counts < 0]).tolist():
-            pair_key, rest = divmod(key, self._pair_stride)
-            node_index, local_id = divmod(rest, id_capacity)
-            options = self.model.node_option_codes(
-                node_index, self._local_codes[local_id], pair_key)
-            scale = self.block_radix ** node_index
-            self._counts_flat[key] = len(options)
-            self._offsets_flat[key] = len(self._options_list)
-            self._options_list.extend(option * scale for option in options)
-        self._options = np.asarray(self._options_list, dtype=np.uint64)
+        missing = np.unique(flat_index[counts < 0])
+        pair_keys, rest = np.divmod(missing, self._pair_stride)
+        node_indices, local_ids = np.divmod(rest, self._counts.shape[2])
+        option_codes = self.model.node_option_codes
+        local_codes = self._local_codes
+        scales = self._scales
+        lengths = []
+        chunk: List[int] = []
+        for pair_key, node_index, local_id in zip(
+                pair_keys.tolist(), node_indices.tolist(), local_ids.tolist()):
+            options = option_codes(node_index, local_codes[local_id], pair_key)
+            lengths.append(len(options))
+            scale = scales[node_index]
+            chunk.extend(option * scale for option in options)
+        if max(chunk) >= 1 << 63:
+            raise OverflowError("pre-scaled option codes exceed 63 bits")
+        sizes = np.array(lengths, dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes + len(self._options)
+        self._counts_flat[missing] = sizes
+        self._offsets_flat[missing] = starts
+        self._options = np.concatenate(
+            [self._options, np.array(chunk, dtype=np.uint64)])
 
     # -- the per-level kernel ------------------------------------------------------
 
@@ -311,13 +319,13 @@ class VectorKernel:
         if n == 0:
             return empty
 
-        planes = self.local_planes(words)
+        ids = self._intern(self.local_planes(words))
 
         # Nominal signature of every state, branch-free: each sending node
         # contributes its own signature id, the row sum IS the signature
         # when exactly one node sends, and sender counts patch the silent
         # and collision rows.
-        kinds = self._sent_kinds(planes).astype(np.int64)
+        kinds = self._sent[ids, self._node_row].astype(np.int64)
         sending = kinds > 0
         sender_count = sending.sum(axis=1)
         per_node_sig = sending * (self._sig_base + (kinds - 1))
@@ -356,9 +364,8 @@ class VectorKernel:
 
         # Per-row, per-node option counts and offsets into the flat pool.
         # One flat index array serves both stacked tables (same geometry);
-        # entries gathered as -1 are unfilled, triggering a scalar fill +
+        # entries gathered as -1 are unfilled, triggering a bulk fill +
         # regather.
-        ids = self._intern(planes)
         self._reserve(int(flat_pairs.max()) + 1)
         flat_index = (row_pair[:, None] * self._pair_stride
                       + self._node_stride) + ids.take(row_state, axis=0)
@@ -368,55 +375,32 @@ class VectorKernel:
             counts = self._counts_flat.take(flat_index)
         offsets = self._offsets_flat.take(flat_index)
 
-        # Cartesian expansion: each row yields prod(counts) successors.
-        # Most rows are deterministic (every node has exactly one option),
-        # so they skip the mixed-radix machinery entirely: their successor
-        # word is just the row sum of the (pre-scaled) options at digit 0.
-        row_successors = counts.prod(axis=1)
-        multi = np.flatnonzero(row_successors > 1)
-        single_words = self._options.take(offsets).sum(axis=1,
-                                                       dtype=np.uint64)
-        if len(multi) == 0:
-            # One successor per row, and rows are already parent-major,
-            # context-minor: this is scalar enumeration order too.
-            return single_words, row_next_tail, row_state
-        single = np.flatnonzero(row_successors == 1)
-
-        # Multi-option rows: the last node's option index varies fastest,
-        # as in the scalar cartesian product, so the within-row index is
-        # the scalar rank; the mixed-radix decode runs as matrix ops.
-        multi_counts = counts.take(multi, axis=0)
-        multi_successors = row_successors.take(multi)
-        total = int(multi_successors.sum())
-        out_row = np.repeat(multi, multi_successors)
-        out_sub = np.repeat(np.arange(len(multi)), multi_successors)
-        out_starts = np.zeros(len(multi), dtype=np.int64)
-        if len(multi) > 1:
-            out_starts[1:] = np.cumsum(multi_successors)[:-1]
-        within_row = np.arange(total) - out_starts.take(out_sub)
-        strides = np.ones((len(multi), self.node_count), dtype=np.int64)
-        if self.node_count > 1:
-            strides[:, :-1] = np.cumprod(multi_counts[:, :0:-1],
-                                         axis=1)[:, ::-1]
-        digits = (within_row[:, None] // strides.take(out_sub, axis=0)) \
-            % multi_counts.take(out_sub, axis=0)
-        option_codes = self._options.take(offsets.take(out_row, axis=0)
-                                          + digits)
-        multi_words = option_codes.sum(axis=1, dtype=np.uint64)
-
-        succ_words = np.concatenate([single_words.take(single), multi_words])
-        rows = np.concatenate([single, out_row])
-        # Scatter into scalar order: row r's successors start at the
-        # exclusive prefix sum of the per-row counts; a multi-option
-        # output sits at its rank.
-        row_first = np.zeros(len(row_successors), dtype=np.int64)
-        row_first[1:] = np.cumsum(row_successors)[:-1]
-        position = row_first.take(rows)
-        position[len(single):] += within_row
-        order = np.empty_like(position)
-        order[position] = np.arange(len(position))
-        succ_words = succ_words.take(order)
-        rows = rows.take(order)
+        # Cartesian expansion: each row yields prod(counts) successors,
+        # the last node's option varying fastest as in the scalar product.
+        # Nodes with one option in every row add their (pre-scaled) option
+        # row-wise; each node with several options somewhere repeats every
+        # partial successor once per option, in node order, so the output
+        # stays parent-major, context-minor and in scalar rank order.
+        expanding = np.flatnonzero(counts.max(axis=0) > 1).tolist()
+        fixed = [node for node in range(self.node_count)
+                 if node not in expanding]
+        succ_words = self._options.take(offsets[:, fixed]).sum(
+            axis=1, dtype=np.uint64)
+        rows = None
+        for node in expanding:
+            node_counts = counts[:, node]
+            node_offsets = offsets[:, node]
+            if rows is not None:
+                node_counts = node_counts.take(rows)
+                node_offsets = node_offsets.take(rows)
+            partial = np.repeat(np.arange(len(node_counts)), node_counts)
+            first = np.cumsum(node_counts) - node_counts
+            option = np.arange(len(partial)) - first.take(partial)
+            succ_words = succ_words.take(partial) + self._options.take(
+                node_offsets.take(partial) + option)
+            rows = partial if rows is None else rows.take(partial)
+        if rows is None:
+            return succ_words, row_next_tail, row_state
         return succ_words, row_next_tail.take(rows), row_state.take(rows)
 
 

@@ -32,11 +32,11 @@ conventions; this package turns them into machine-checked rules:
   state mutations post-dominated by the ``_emit`` reporting them, and
   every constructed event kind read somewhere.
 
-The CON/WID/ORD packs are flow- and call-graph-aware: they run over a
-shared :class:`~repro.staticcheck.context.AnalysisContext` carrying
+The CON/WID/ORD packs are flow-aware: they run over a shared
+:class:`~repro.staticcheck.context.AnalysisContext` carrying
 per-function CFGs (:mod:`repro.staticcheck.cfg`), a forward dataflow
 solver (:mod:`repro.staticcheck.dataflow`), and the repo-wide call
-graph (:mod:`repro.staticcheck.callgraph`).
+graph (:mod:`repro.staticcheck.callgraph`) CON resolves callables with.
 
 Findings can be suppressed inline (``# repro: ignore[RULE]``) or accepted
 into a committed JSON baseline; ``repro lint`` fails CI on anything new.

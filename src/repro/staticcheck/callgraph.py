@@ -1,17 +1,15 @@
 """Repo-wide call graph with module-attribute resolution.
 
 Built once per lint run over every parsed :class:`ModuleUnit`, the graph
-answers two questions the interprocedural packs need:
-
-* *resolution* -- which defined function does this call expression name?
-  Handled forms: bare names (same module, or ``from mod import f``),
-  import-alias attributes (``import pkg.mod as m; m.f()``), fully dotted
-  module paths (``pkg.mod.f()``), ``self.method()`` within a class, and
-  ``ClassName(...)`` construction (resolving to ``Class.__init__`` when
-  defined).  Anything outside the analyzed universe (stdlib, numpy)
-  resolves to ``None`` -- unresolved calls simply contribute no edge.
-* *reachability* -- the transitive closure of the edge relation from a
-  seed set.
+records every defined function (with whether it is nested in another
+function) and answers *resolution*: which defined function does this
+callable expression name?  Handled forms: bare names (same module, a
+function nested in the enclosing one, or ``from mod import f``),
+import-alias attributes (``import pkg.mod as m; m.f()``), fully dotted
+module paths (``pkg.mod.f()``), ``self.method()`` within a class, and
+``ClassName(...)`` construction (resolving to ``Class.__init__`` when
+defined).  Anything outside the analyzed universe (stdlib, numpy)
+resolves to ``None``.
 
 Function keys are ``"<module>:<qualname>"`` (``repro.exec.runner:
 TaskRunner.map``); modules are derived from repo-relative
@@ -21,7 +19,7 @@ paths (``src/`` stripped, ``__init__`` collapsed to the package).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.staticcheck.framework import ModuleUnit, dotted_name
 
@@ -75,29 +73,22 @@ class _ModuleScope:
 
 
 class CallGraph:
-    """Functions, resolved call edges, and reachability over them."""
+    """Defined functions and call-expression resolution over them."""
 
     def __init__(self, units: Iterable[ModuleUnit]) -> None:
-        self.units = list(units)
         self.functions: Dict[str, FunctionInfo] = {}
-        self.edges: Dict[str, Set[str]] = {}
-        self.callers: Dict[str, Set[str]] = {}
         self._scopes: Dict[str, _ModuleScope] = {}
-        self._module_units: Dict[str, ModuleUnit] = {}
         #: id(function node) -> key, for rules iterating AST nodes.
         self._key_of_node: Dict[int, str] = {}
-        for unit in self.units:
+        for unit in units:
             self._collect(unit)
-        for unit in self.units:
-            self._link(unit)
 
-    # -- pass 1: definitions and imports -----------------------------------------
+    # -- definitions and imports ------------------------------------------------
 
     def _collect(self, unit: ModuleUnit) -> None:
         module = module_name(unit.rel_path)
         scope = _ModuleScope(module)
         self._scopes[module] = scope
-        self._module_units[module] = unit
         self._collect_defs(unit, module, scope, unit.tree.body,
                            prefix="", class_name=None, nested=False)
         for node in ast.walk(unit.tree):
@@ -148,45 +139,10 @@ class CallGraph:
                                    prefix=prefix + stmt.name + ".",
                                    class_name=stmt.name, nested=nested)
 
-    # -- pass 2: edges ------------------------------------------------------------
-
-    def _link(self, unit: ModuleUnit) -> None:
-        module = module_name(unit.rel_path)
-        for info in self.functions.values():
-            if info.unit is not unit:
-                continue
-            callees = self.edges.setdefault(info.key, set())
-            for node in self._own_nodes(info.node):
-                if isinstance(node, ast.Call):
-                    target = self.resolve_call(unit, node, enclosing=info)
-                    if target is not None:
-                        callees.add(target)
-        for caller, callees in self.edges.items():
-            for callee in callees:
-                self.callers.setdefault(callee, set()).add(caller)
-        del module
-
-    @staticmethod
-    def _own_nodes(function: ast.AST):
-        """AST nodes of a function excluding nested def/class bodies."""
-        stack = list(ast.iter_child_nodes(function))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
     # -- resolution ----------------------------------------------------------------
 
     def key_of(self, function_node: ast.AST) -> Optional[str]:
         return self._key_of_node.get(id(function_node))
-
-    def resolve_call(self, unit: ModuleUnit, call: ast.Call,
-                     enclosing: Optional[FunctionInfo] = None
-                     ) -> Optional[str]:
-        return self.resolve_callable(unit, call.func, enclosing)
 
     def resolve_callable(self, unit: ModuleUnit, func: ast.AST,
                          enclosing: Optional[FunctionInfo] = None
@@ -262,22 +218,3 @@ class CallGraph:
                 return scope.classes[remainder[0]].get(remainder[1])
             return None
         return None
-
-    # -- reachability --------------------------------------------------------------
-
-    def reachable(self, seeds: Iterable[str]) -> Set[str]:
-        """Transitive closure of the call relation from ``seeds``."""
-        seen: Set[str] = set()
-        stack = [seed for seed in seeds if seed in self.functions]
-        while stack:
-            key = stack.pop()
-            if key in seen:
-                continue
-            seen.add(key)
-            stack.extend(callee for callee in self.edges.get(key, ())
-                         if callee not in seen)
-        return seen
-
-    def functions_in(self, unit: ModuleUnit) -> List[FunctionInfo]:
-        return [info for info in self.functions.values()
-                if info.unit is unit]

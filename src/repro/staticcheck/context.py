@@ -4,12 +4,12 @@ One :class:`AnalysisContext` is built per lint run and memoizes the
 expensive artifacts so no rule ever re-walks them: the parsed module
 universe, per-function control-flow graphs (:mod:`cfg`), and the
 repo-wide call graph (:mod:`callgraph`).  Per-file rules can ignore it;
-the interprocedural packs (CON/WID/ORD) read the call graph and request
-CFGs on demand.
+the flow-aware packs (CON/WID/ORD) request CFGs on demand, and CON
+resolves pool-submitted callables through the call graph.
 
 ``report_paths`` implements ``repro lint --changed``: when set, the
-context still spans the *whole* universe (call-graph facts need every
-module) but :meth:`should_report` restricts which files findings may
+context still spans the *whole* universe (call-graph and event-kind
+facts need every module) but :meth:`should_report` restricts which files findings may
 land in.
 """
 

@@ -27,10 +27,12 @@ from repro.model.node_model import (
     ST_LISTEN,
     ST_PASSIVE,
     NodeLocal,
+    node_observation,
     node_step,
 )
 from repro.model.scenarios import scenario_for_authority
 from repro.model.system_model import TTAStartupModel
+from tests.model.reference_node_step import reference_node_step
 
 CONFIG = ModelConfig()
 
@@ -97,6 +99,29 @@ def test_node_step_canonicalizes_unused_variables(local, channel_pair, node_id):
             assert 1 <= option.slot <= CONFIG.slots
         assert 0 <= option.agreed <= CONFIG.counter_cap
         assert 0 <= option.failed <= CONFIG.counter_cap
+
+
+#: Every channel content the strategies above can draw, and every pair.
+ALL_CONTENTS = [ChannelContent(kind=KIND_NONE, frame_id=0),
+                ChannelContent(kind=KIND_BAD_FRAME, frame_id=0)] + [
+    ChannelContent(kind=kind, frame_id=frame_id)
+    for kind in (KIND_C_STATE, KIND_COLD_START) for frame_id in range(1, 5)]
+ALL_PAIRS = [(first, second) for first in ALL_CONTENTS for second in ALL_CONTENTS]
+
+
+@given(locals_(), st.integers(min_value=1, max_value=4),
+       st.sampled_from([CONFIG, ModelConfig(big_bang_enabled=False),
+                        ModelConfig(full_host_choices=True)]))
+def test_equal_observations_give_equal_steps(local, node_id, config):
+    """The observation is all a step reads: channel pairs the node observes
+    alike step alike, and alike the relation read straight off the
+    channels."""
+    step_of = {}
+    for pair in ALL_PAIRS:
+        observation = node_observation(config, node_id, local, pair)
+        expected = reference_node_step(config, node_id, local, pair)
+        assert node_step(config, node_id, local, pair) == expected
+        assert step_of.setdefault(observation, expected) == expected
 
 
 @given(locals_(), channels(), st.integers(min_value=1, max_value=4))

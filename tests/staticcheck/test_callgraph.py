@@ -1,4 +1,4 @@
-"""Call-graph construction, resolution forms, and reachability."""
+"""Call-graph construction and resolution forms."""
 
 import ast
 from pathlib import Path
@@ -69,58 +69,50 @@ class TestResolution:
 
     def test_bare_name_same_module(self, graph):
         call = self._call("helper()")
-        assert graph.resolve_call(UTIL, call) == "pkg.util:helper"
+        assert graph.resolve_callable(UTIL, call.func) == "pkg.util:helper"
 
     def test_from_import(self, graph):
         call = self._call("helper()")
-        assert graph.resolve_call(CORE, call) == "pkg.util:helper"
+        assert graph.resolve_callable(CORE, call.func) == "pkg.util:helper"
 
     def test_import_alias_attribute(self, graph):
         call = self._call("u.chain()")
-        assert graph.resolve_call(CORE, call) == "pkg.util:chain"
+        assert graph.resolve_callable(CORE, call.func) == "pkg.util:chain"
 
     def test_fully_dotted_path(self, graph):
         call = self._call("pkg.util.helper()")
-        assert graph.resolve_call(CORE, call) == "pkg.util:helper"
+        assert graph.resolve_callable(CORE, call.func) == "pkg.util:helper"
 
     def test_class_construction_resolves_to_init(self, graph):
         call = self._call("Engine()")
-        assert graph.resolve_call(CORE, call) == "pkg.core:Engine.__init__"
+        assert graph.resolve_callable(CORE, call.func) == \
+            "pkg.core:Engine.__init__"
 
     def test_self_method_inside_class(self, graph):
         run = graph.functions["pkg.core:Engine.run"]
         call = run.node.body[0].value
-        assert graph.resolve_call(CORE, call, enclosing=run) == \
+        assert graph.resolve_callable(CORE, call.func, enclosing=run) == \
             "pkg.core:Engine.step"
 
     def test_nested_function_by_name(self, graph):
         assert "pkg.core:outer.inner" in graph.functions
         outer = graph.functions["pkg.core:outer"]
         call = self._call("inner()")
-        assert graph.resolve_call(CORE, call, enclosing=outer) == \
+        assert graph.resolve_callable(CORE, call.func,
+                                      enclosing=outer) == \
             "pkg.core:outer.inner"
 
     def test_unknown_callable_resolves_to_none(self, graph):
         call = self._call("np.zeros(4)")
-        assert graph.resolve_call(CORE, call) is None
+        assert graph.resolve_callable(CORE, call.func) is None
 
 
-class TestEdgesAndReachability:
-    def test_edges_exclude_nested_bodies(self, graph):
-        # outer's own calls: Engine() and engine.run() and inner();
-        # u.chain() belongs to inner, not outer.
-        assert "pkg.util:chain" not in graph.edges["pkg.core:outer"]
-        assert "pkg.util:chain" in graph.edges["pkg.core:outer.inner"]
-
-    def test_reachable_closure(self, graph):
-        reached = graph.reachable(["pkg.core:outer"])
-        assert "pkg.core:outer.inner" in reached
-        assert "pkg.util:chain" in reached
-        assert "pkg.util:helper" in reached          # via chain()
-        assert "pkg.core:Engine.__init__" in reached  # via Engine()
-
-    def test_reachable_ignores_unknown_seeds(self, graph):
-        assert graph.reachable(["nope:missing"]) == set()
+class TestFunctions:
+    def test_nested_definitions_are_marked_nested(self, graph):
+        # CON002 flags a pool submission of a nested function by this mark.
+        assert graph.functions["pkg.core:outer.inner"].nested
+        assert not graph.functions["pkg.core:outer"].nested
+        assert not graph.functions["pkg.core:Engine.run"].nested
 
     def test_key_of_maps_nodes_back(self, graph):
         info = graph.functions["pkg.util:helper"]

@@ -1,9 +1,15 @@
 """CON pack: unpicklable work across the pool boundary."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.staticcheck.context import AnalysisContext
-from repro.staticcheck.framework import run_ast_rules, select_rules
+from repro.staticcheck.framework import (
+    ModuleUnit,
+    run_ast_rules,
+    select_rules,
+)
 
 
 @pytest.fixture
@@ -29,3 +35,17 @@ def test_con002_flags_unpicklable_payloads(findings):
 
 def test_clean_fixture_is_silent(findings):
     assert not [f for f in findings if f.path == "con_clean.py"]
+
+
+def test_submission_in_a_nested_function_is_reported_once():
+    """A nested body belongs to the nested function alone: its submission
+    is one finding, not a second one at the enclosing function."""
+    unit = ModuleUnit(
+        Path("/x/nested.py"), "nested.py",
+        "def outer(pool, tasks):\n"
+        "    def inner():\n"
+        "        return pool.submit(lambda: tasks)\n"
+        "    return inner\n")
+    findings = run_ast_rules(select_rules(["CON"]), [unit],
+                             AnalysisContext([unit]))
+    assert _hits(findings, "CON002") == [("nested.py", 3)]
