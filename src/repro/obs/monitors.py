@@ -464,26 +464,3 @@ class FtaResilienceMonitor(OnlineMonitor):
                 "byzantine_nodes": sorted(self.byzantine_nodes),
                 "holds": self.holds}
 
-
-def replay_decentralized_verdicts(events: Sequence[Event]) -> Dict[str, Dict[str, object]]:
-    """Fold an exported ``decentralized_verdict`` stream back into a
-    per-node summary.
-
-    The decentralized monitor network (:mod:`repro.obs.decentralized`)
-    exports one verdict event per node; campaign presets and the CI smoke
-    job re-read those streams from JSONL and assert on the result of this
-    fold (last verdict per node wins, matching the monitors' own
-    monotonic updates).
-    """
-    summary: Dict[str, Dict[str, object]] = {}
-    for event in events:
-        if event.kind != "decentralized_verdict":
-            continue
-        detail = event.details
-        summary[detail["node"]] = {
-            "verdict": detail["verdict"],
-            "detail": detail["detail"],
-            "sampling_rate": detail["sampling_rate"],
-            "time": event.time,
-        }
-    return summary

@@ -75,9 +75,9 @@ class ClockConfig:
 class DriftingClock:
     """A local clock that runs fast or slow relative to reference time.
 
-    The clock is piecewise linear: its rate may be changed at runtime (for
-    modeling temperature drift or fault injection), and conversions stay
-    consistent across rate changes.
+    The clock is linear: it reads 0 at reference time ``epoch`` and then
+    advances at its configured rate.  Clock synchronization corrects the
+    controller's slot grid, not the oscillator.
     """
 
     def __init__(self, config: ClockConfig, epoch: float = 0.0) -> None:
@@ -99,21 +99,6 @@ class DriftingClock:
     def ref_time(self, local_time: float) -> float:
         """Reference time at which this clock reads ``local_time``."""
         return self._anchor_ref + (local_time - self._anchor_local) / self._rate
-
-    def set_rate(self, rate: float, at_ref_time: float) -> None:
-        """Change the rate at ``at_ref_time`` (reference time), keeping the
-        local reading continuous."""
-        if rate <= 0:
-            raise ValueError(f"clock rate must be positive, got {rate!r}")
-        self._anchor_local = self.local_time(at_ref_time)
-        self._anchor_ref = at_ref_time
-        self._rate = rate
-
-    def adjust(self, correction: float, at_ref_time: float) -> None:
-        """Apply a clock-state correction (clock synchronization): shift the
-        local reading by ``correction`` local seconds at ``at_ref_time``."""
-        self._anchor_local = self.local_time(at_ref_time) + correction
-        self._anchor_ref = at_ref_time
 
     def bits_elapsed(self, ref_duration: float) -> float:
         """Number of bit periods this clock counts in ``ref_duration``

@@ -1,13 +1,12 @@
 """TTP/C protocol substrate.
 
 Implements the parts of the Time-Triggered Protocol (TTP/C) that the paper
-relies on, from the bit level up:
+relies on:
 
 * :mod:`repro.ttp.constants` -- frame sizes and protocol parameters from the
   TTP/C specification values quoted in the paper,
-* :mod:`repro.ttp.crc` -- CRC-24/CRC-16 used for frame protection,
-* :mod:`repro.ttp.frames` -- N/I/X/cold-start frame types with bit-level
-  encoding and validity checking,
+* :mod:`repro.ttp.frames` -- N/I/X/cold-start frame types with their wire
+  sizes and the receiver's validity check,
 * :mod:`repro.ttp.cstate` -- the controller state (C-state) carried
   explicitly or implicitly in frames,
 * :mod:`repro.ttp.medl` -- the Message Descriptor List (static TDMA
@@ -21,13 +20,13 @@ relies on, from the bit level up:
   the discrete-event simulator,
 * :mod:`repro.ttp.acknowledgment` -- sender self-check via successor
   membership vectors,
-* :mod:`repro.ttp.decode` -- wire bits back into frames, with CRC
-  verification (incl. the implicit-C-state N-frame mechanism),
 * :mod:`repro.ttp.cni` -- the Communication Network Interface (host
   boundary),
-* :mod:`repro.ttp.host` -- host tasks: periodic publishers and freshness
-  watchdogs over the CNI,
 * :mod:`repro.ttp.modes` -- operating modes and deferred mode changes.
+
+Frames travel as objects and the slot judge compares C-states directly;
+the bit-level codec (CRC-24, encoding, decoding, the implicit C-state of
+N-frames) is kept with the tests as the oracle for that comparison.
 """
 
 import importlib
@@ -49,15 +48,10 @@ _EXPORTS = {name: module for module, names in (
         "ControllerConfig", "FreezeReason", "NodeFaultBehavior",
         "TTPController",
     )),
-    ("crc", ("crc16", "crc24")),
     ("cstate", ("CState",)),
-    ("decode", ("DecodedFrame", "DecodeError", "decode_frame")),
     ("frames", (
         "ColdStartFrame", "Frame", "FrameObservation", "IFrame", "NFrame",
         "XFrame",
-    )),
-    ("host", (
-        "FreshnessWatchdog", "HostRuntime", "HostTask", "PeriodicPublisher",
     )),
     ("medl", ("Medl", "SlotDescriptor")),
     ("membership", ("MembershipView",)),
@@ -92,20 +86,11 @@ __all__ = [
     "CniMessage",
     "CommunicationNetworkInterface",
     "ControllerConfig",
-    "DecodeError",
-    "DecodedFrame",
     "FreezeReason",
-    "FreshnessWatchdog",
-    "HostRuntime",
-    "HostTask",
     "ModeSet",
     "NodeFaultBehavior",
-    "PeriodicPublisher",
     "TTPController",
     "clique_avoidance_test",
-    "crc16",
-    "crc24",
-    "decode_frame",
     "listen_timeout_slots",
     "validate_mode_compatible",
 ]

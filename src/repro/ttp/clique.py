@@ -50,33 +50,6 @@ class CliqueCounters:
         if self.agreed < 0 or self.failed < 0:
             raise ValueError("counters cannot be negative")
 
-    def _successor(self, agreed: int, failed: int) -> "CliqueCounters":
-        """Fast constructor for counters derived from validated ones (the
-        per-slot bookkeeping path skips the dataclass ``__init__`` and its
-        range re-check; both fields grew from non-negative values)."""
-        state = object.__new__(CliqueCounters)
-        fields = state.__dict__
-        fields["agreed"] = agreed
-        fields["failed"] = failed
-        fields["cap"] = self.cap
-        return state
-
-    def record_agreed(self) -> "CliqueCounters":
-        """Counters after a slot with a correct frame (or own send)."""
-        if self.agreed >= self.cap:
-            return self
-        return self._successor(self.agreed + 1, self.failed)
-
-    def record_failed(self) -> "CliqueCounters":
-        """Counters after a slot with an invalid or incorrect frame."""
-        if self.failed >= self.cap:
-            return self
-        return self._successor(self.agreed, self.failed + 1)
-
-    def record_null(self) -> "CliqueCounters":
-        """Counters after a silent slot (neither agreed nor failed)."""
-        return self
-
     def reset(self) -> "CliqueCounters":
         """Fresh counters for a new round."""
         if not self.agreed and not self.failed:

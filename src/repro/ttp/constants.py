@@ -52,14 +52,6 @@ class FrameKind(enum.Enum):
 #: TTP/C protects frames with a 24-bit CRC.
 CRC_BITS = 24
 
-#: Polynomial for the 24-bit CRC (CRC-24/OPENPGP generator, a standard
-#: 24-bit polynomial; TTP/C's exact polynomial is schedule-dependent and the
-#: analysis only depends on the width).
-CRC24_POLYNOMIAL = 0x864CFB
-
-#: Polynomial for the 16-bit CRC (CRC-16/CCITT), used for host data checks.
-CRC16_POLYNOMIAL = 0x1021
-
 
 # -- Frame field widths (bits) -------------------------------------------------
 

@@ -27,7 +27,7 @@ signals.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.network.channel import Transmission
@@ -142,10 +142,6 @@ class ControllerConfig:
     #: (0 = from power-on).  Lets campaigns model runtime faults hitting a
     #: cluster that started healthy, the way SWIFI/heavy-ion injections do.
     fault_start_time: float = 0.0
-    #: Receive frames through the wire layer: serialize, apply bit-level
-    #: corruption, decode, and validate the CRC (incl. the implicit
-    #: C-state of N-frames) instead of trusting the frame objects.
-    wire_level_reception: bool = False
     #: Run the explicit-acknowledgment service: after each own send, the
     #: membership vectors of the next valid frames reveal whether the send
     #: was received; two denials force a send-fault freeze.
@@ -383,42 +379,12 @@ class TTPController:
 
     def _make_observation(self, transmission: Transmission,
                           corrupted: bool) -> FrameObservation:
-        """Build the receiver's view of one completed transmission.
-
-        In wire-level mode the frame is serialized, channel corruption is
-        applied as an actual bit flip, and the receiver decodes and
-        CRC-checks the bits -- an N-frame validates only against the
-        receiver's own C-state (the implicit C-state mechanism).
-        """
-        if not self.config.wire_level_reception:
-            return FrameObservation(
-                frame=transmission.frame,
-                timing_offset=transmission.shape.timing_offset,
-                signal_level=transmission.shape.level,
-                corrupted=corrupted)
-        from repro.ttp.decode import DecodeError, decode_frame
-
-        bits = transmission.frame.encode()
-        if corrupted:
-            bits[len(bits) // 2] ^= 1
-        # The N-frame hypothesis follows the sender-inclusion rule: the
-        # receiver validates against its own C-state with the *scheduled*
-        # sender's membership bit set (the sender believes in itself), and
-        # with the DMC field neutral (it travels in the header, not in the
-        # implicit C-state digest).
-        hypothesis = replace(
-            self.cstate,
-            membership=self.view.membership_set() | {self.slot},
-            dmc_mode=0)
-        try:
-            decoded = decode_frame(bits, receiver_cstate=hypothesis)
-        except DecodeError:
-            return FrameObservation(frame=transmission.frame, corrupted=True)
+        """Build the receiver's view of one completed transmission."""
         return FrameObservation(
-            frame=decoded.frame,
+            frame=transmission.frame,
             timing_offset=transmission.shape.timing_offset,
             signal_level=transmission.shape.level,
-            corrupted=not decoded.crc_ok)
+            corrupted=corrupted)
 
     def _fold_mailbox(self, mailbox) -> Dict[int, FrameObservation]:
         """Fold the transmissions completed during the elapsed slot into one
@@ -747,8 +713,6 @@ class TTPController:
         Operates directly on the raw mailbox entries of the two
         replicated channels: validity and C-state agreement are tested
         against the transmissions (and their signal shapes) in place.
-        Under wire-level reception each channel's sole transmission is
-        first replaced by what the receiver decoded from its bits.
         """
         if self._skip_next_judge:
             # The slot was consumed (and credited) by the integration path.
@@ -760,20 +724,6 @@ class TTPController:
             # Own sending slot was already credited at send time.
             return
         config = self.config
-        if config.wire_level_reception:
-            # A channel with interference is invalid whatever its bits
-            # say, so only a channel's sole transmission is decoded.
-            channels = [entry[0] for entry in mailbox]
-            decoded = []
-            for channel_index, transmission, corrupted in mailbox:
-                if channels.count(channel_index) == 1:
-                    observation = self._make_observation(transmission,
-                                                         corrupted)
-                    transmission = replace(transmission,
-                                           frame=observation.frame)
-                    corrupted = observation.corrupted
-                decoded.append((channel_index, transmission, corrupted))
-            mailbox = decoded
 
         # One transmission (plus corruption flag) per channel; a second
         # transmission on the same channel is slot interference and makes

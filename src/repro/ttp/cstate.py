@@ -5,7 +5,9 @@ cluster member must agree on: the global time, the current position in the
 MEDL (which slot of which round), and the membership vector.  A frame is
 *correct* only if the sender's C-state matches the receiver's -- checked
 either by comparing an explicit C-state field (I/X-frames) or implicitly by
-seeding the frame CRC with the C-state (N-frames).
+seeding the frame CRC with the C-state (N-frames).  The simulator's slot
+judge compares the C-states directly in both cases; frames are not
+serialized.
 
 Integrating nodes adopt the C-state of the first valid explicit-C-state
 frame they receive; this is exactly the mechanism the paper's out-of-slot
@@ -23,7 +25,6 @@ from repro.ttp.constants import (
     MEDL_POSITION_BITS,
     MEMBERSHIP_BITS,
 )
-from repro.ttp.crc import crc24, int_to_bits
 
 _GLOBAL_TIME_WRAP = 1 << GLOBAL_TIME_BITS
 
@@ -78,8 +79,7 @@ class CState:
         The paper's minimum configuration uses exactly
         :data:`MEMBERSHIP_BITS`; memberships referencing higher slots
         (large generated clusters) pad to the next 16-bit multiple, so
-        the encoding -- and therefore every digest and frame size -- is
-        bit-identical to the fixed-width one whenever all members fit.
+        every frame size is the fixed-width one whenever all members fit.
         """
         if not self.membership:
             return MEMBERSHIP_BITS
@@ -87,36 +87,6 @@ class CState:
         if highest < MEMBERSHIP_BITS:
             return MEMBERSHIP_BITS
         return -(-(highest + 1) // MEMBERSHIP_BITS) * MEMBERSHIP_BITS
-
-    def to_bits(self) -> list:
-        """Explicit C-state field encoding (global time, MEDL position,
-        membership), MSB first."""
-        bits = []
-        bits.extend(int_to_bits(self.global_time, GLOBAL_TIME_BITS))
-        bits.extend(int_to_bits(self.medl_position, MEDL_POSITION_BITS))
-        bits.extend(int_to_bits(self.membership_word(),
-                                self.membership_field_bits()))
-        return bits
-
-    @classmethod
-    def from_fields(cls, global_time: int, medl_position: int,
-                    membership_word: int, dmc_mode: int = 0) -> "CState":
-        """Rebuild a C-state from decoded wire fields.
-
-        Bits past the 64-slot ceiling can only appear through wire
-        corruption (no encoder sets them); they are dropped here so the
-        damage is reported through the CRC verdict, not an exception.
-        """
-        members = frozenset(
-            index for index in range(
-                min(membership_word.bit_length(), MAX_MEMBERSHIP_SLOTS + 1))
-            if membership_word & (1 << index))
-        return cls(global_time=global_time, medl_position=medl_position,
-                   membership=members, dmc_mode=dmc_mode)
-
-    def digest(self) -> int:
-        """24-bit digest used to seed implicit-C-state CRCs."""
-        return crc24(self.to_bits())
 
     # -- evolution ---------------------------------------------------------------
 
@@ -150,23 +120,6 @@ class CState:
         next_time = (self.global_time + slot_duration_ticks) % _GLOBAL_TIME_WRAP
         return CState._unchecked(next_time, next_position, self.membership,
                                  self.dmc_mode)
-
-    def with_member(self, slot_id: int, present: bool) -> "CState":
-        """C-state with one membership bit set or cleared."""
-        if present:
-            if not 0 <= slot_id <= MAX_MEMBERSHIP_SLOTS:
-                raise ValueError(
-                    f"membership slot {slot_id} exceeds the "
-                    f"{MAX_MEMBERSHIP_SLOTS}-slot vector limit")
-            if slot_id in self.membership:
-                return self
-            members = frozenset(self.membership | {slot_id})
-        else:
-            if slot_id not in self.membership:
-                return self
-            members = frozenset(self.membership - {slot_id})
-        return CState._unchecked(self.global_time, self.medl_position,
-                                 members, self.dmc_mode)
 
     def agrees_with(self, other: "CState") -> bool:
         """Whether two C-states match for frame-correctness purposes."""

@@ -1,4 +1,4 @@
-"""TTP/C frame types with bit-level encoding.
+"""TTP/C frame types and their wire sizes.
 
 Four concrete frame types are modeled, matching the paper's usage:
 
@@ -10,33 +10,32 @@ Four concrete frame types are modeled, matching the paper's usage:
 * :class:`ColdStartFrame` -- startup frame carrying global time and the
   sender's round-slot position.
 
+Frames travel as objects: the simulator needs only their wire size (for
+airtime) and their C-state, which receivers compare with their own.
 A frame on the wire is observed as a :class:`FrameObservation`, which adds
 channel-level attributes (timing offset, signal level, corruption) and
-implements the paper's *valid* / *correct* / *null* classification from the
+implements the paper's *valid* / *null* classification from the
 receiver's point of view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.ttp.constants import (
     COLD_START_FRAME_BITS,
     CRC_BITS,
     GLOBAL_TIME_BITS,
     HEADER_BITS,
-    I_FRAME_BITS,
     MEDL_POSITION_BITS,
     MEMBERSHIP_BITS,
     N_FRAME_BITS,
-    ROUND_SLOT_BITS,
     X_CRC_PAD_BITS,
     X_CSTATE_BITS,
     X_DATA_BITS,
     FrameKind,
 )
-from repro.ttp.crc import crc24, int_to_bits
 from repro.ttp.cstate import CState
 
 
@@ -86,24 +85,6 @@ class Frame:
     def size_bits(self) -> int:
         raise NotImplementedError
 
-    def payload_bits(self) -> List[int]:
-        """Frame bits excluding the CRC field."""
-        raise NotImplementedError
-
-    def crc_seed(self) -> int:
-        """Seed used for the frame CRC (0 unless the C-state is implicit)."""
-        return 0
-
-    def crc_value(self) -> int:
-        """CRC the sender computes for this frame."""
-        return crc24(self.payload_bits(), seed=self.crc_seed())
-
-    def encode(self) -> List[int]:
-        """Full wire bit pattern (payload + CRC), MSB first."""
-        bits = self.payload_bits()
-        bits.extend(int_to_bits(self.crc_value(), CRC_BITS))
-        return bits
-
     def carries_explicit_cstate(self) -> bool:
         """Whether a listening (not yet integrated) node can read the
         C-state directly out of the frame."""
@@ -131,12 +112,6 @@ class NFrame(Frame):
     def size_bits(self) -> int:
         return N_FRAME_BITS
 
-    def payload_bits(self) -> List[int]:
-        return int_to_bits(self.mode_change_request, HEADER_BITS)
-
-    def crc_seed(self) -> int:
-        return self.cstate.digest()
-
 
 @dataclass(frozen=True)
 class IFrame(Frame):
@@ -158,11 +133,6 @@ class IFrame(Frame):
         # and wire length agree.
         return (HEADER_BITS + GLOBAL_TIME_BITS + MEDL_POSITION_BITS
                 + self.cstate.membership_field_bits() + CRC_BITS)
-
-    def payload_bits(self) -> List[int]:
-        bits = int_to_bits(self.mode_change_request, HEADER_BITS)
-        bits.extend(self.cstate.to_bits())
-        return bits
 
     def carries_explicit_cstate(self) -> bool:
         return True
@@ -208,23 +178,6 @@ class XFrame(Frame):
         return (HEADER_BITS + X_CSTATE_BITS + len(self.data_bits)
                 + 2 * CRC_BITS + X_CRC_PAD_BITS)
 
-    def payload_bits(self) -> List[int]:
-        bits = int_to_bits(self.mode_change_request, HEADER_BITS)
-        # The X-frame C-state field is fixed at 96 bits with fixed
-        # sub-field widths (16 global time + 16 MEDL position + 64
-        # membership), so a decoder needs no width negotiation: narrow
-        # memberships just leave the high membership bits zero.
-        bits.extend(int_to_bits(self.cstate.global_time, GLOBAL_TIME_BITS))
-        bits.extend(int_to_bits(self.cstate.medl_position, MEDL_POSITION_BITS))
-        bits.extend(int_to_bits(
-            self.cstate.membership_word(),
-            X_CSTATE_BITS - GLOBAL_TIME_BITS - MEDL_POSITION_BITS))
-        bits.extend(self.data_bits)
-        # First CRC covers header+cstate+data; encode() appends the second.
-        bits.extend(int_to_bits(crc24(bits), CRC_BITS))
-        bits.extend([0] * X_CRC_PAD_BITS)
-        return bits
-
     def carries_explicit_cstate(self) -> bool:
         return True
 
@@ -247,12 +200,6 @@ class ColdStartFrame(Frame):
     @property
     def size_bits(self) -> int:
         return COLD_START_FRAME_BITS
-
-    def payload_bits(self) -> List[int]:
-        bits = [1]  # frame-type bit
-        bits.extend(int_to_bits(self.cstate.global_time, GLOBAL_TIME_BITS))
-        bits.extend(int_to_bits(self.sender_slot, ROUND_SLOT_BITS))
-        return bits
 
     @property
     def round_slot(self) -> int:
@@ -306,43 +253,6 @@ class FrameObservation:
         if self.signal_level < threshold:
             return False
         return True
-
-    def is_correct(self, receiver_cstate: CState,
-                   timing_tolerance: Optional[float] = None,
-                   signal_threshold: Optional[float] = None) -> bool:
-        """Paper's *correct* test: valid and C-state/CRC agree with the
-        receiver's C-state."""
-        if not self.is_valid(timing_tolerance, signal_threshold):
-            return False
-        assert self.frame is not None
-        return self.frame.cstate.agrees_with(receiver_cstate)
-
-    def observed_kind(self, receiver_cstate: Optional[CState] = None) -> FrameKind:
-        """Abstract frame category as used by the formal model."""
-        if self.is_null():
-            return FrameKind.NONE
-        if not self.is_valid():
-            return FrameKind.BAD_FRAME
-        assert self.frame is not None
-        if receiver_cstate is not None and not self.frame.cstate.agrees_with(receiver_cstate):
-            # Valid but incorrect frames look like bad frames to an
-            # integrated receiver (failed-slot for clique counting).
-            if not self.frame.carries_explicit_cstate() \
-                    and self.frame.kind is not FrameKind.COLD_START:
-                return FrameKind.BAD_FRAME
-        return self.frame.kind
-
-    def with_corruption(self) -> "FrameObservation":
-        """Copy of this observation with channel corruption applied."""
-        return replace(self, corrupted=True)
-
-    def attenuated(self, factor: float) -> "FrameObservation":
-        """Copy with the signal level scaled by ``factor``."""
-        return replace(self, signal_level=self.signal_level * factor)
-
-    def shifted(self, delta: float) -> "FrameObservation":
-        """Copy with the timing offset shifted by ``delta``."""
-        return replace(self, timing_offset=self.timing_offset + delta)
 
 
 #: Observation representing a silent slot.

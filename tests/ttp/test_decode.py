@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.ttp.cstate import CState
-from repro.ttp.decode import (
+from repro.ttp.frames import ColdStartFrame, IFrame, NFrame, XFrame
+from tests.ttp.wire_codec import (
     COLD_START_WIRE_BITS,
     DecodeError,
     decode_cold_start_frame,
@@ -12,8 +13,8 @@ from repro.ttp.decode import (
     decode_i_frame,
     decode_n_frame,
     decode_x_frame,
+    encode,
 )
-from repro.ttp.frames import ColdStartFrame, IFrame, NFrame, XFrame
 
 cstates = st.builds(
     CState,
@@ -32,7 +33,7 @@ def test_i_frame_roundtrip(cstate, mcr):
 
     original = IFrame(sender_slot=cstate.medl_position, cstate=cstate,
                       mode_change_request=mcr)
-    decoded = decode_frame(original.encode())
+    decoded = decode_frame(encode(original))
     assert decoded.crc_ok
     # The wire carries the DMC in the header field, so the reconstructed
     # C-state's dmc_mode equals the mode-change request.
@@ -45,7 +46,7 @@ def test_i_frame_roundtrip(cstate, mcr):
 def test_cold_start_roundtrip(global_time, round_slot):
     cstate = CState(global_time=global_time, medl_position=round_slot)
     original = ColdStartFrame(sender_slot=round_slot, cstate=cstate)
-    decoded = decode_frame(original.encode())
+    decoded = decode_frame(encode(original))
     assert decoded.crc_ok
     assert isinstance(decoded.frame, ColdStartFrame)
     assert decoded.frame.round_slot == round_slot
@@ -56,7 +57,7 @@ def test_cold_start_roundtrip(global_time, round_slot):
 def test_x_frame_roundtrip(cstate, data):
     original = XFrame(sender_slot=cstate.medl_position, cstate=cstate,
                       data_bits=tuple(data))
-    decoded = decode_frame(original.encode())
+    decoded = decode_frame(encode(original))
     assert decoded.crc_ok
     assert isinstance(decoded.frame, XFrame)
     assert decoded.frame.data_bits == tuple(data)
@@ -66,7 +67,7 @@ def test_x_frame_roundtrip(cstate, data):
 @given(cstates)
 def test_n_frame_roundtrip_with_matching_cstate(cstate):
     original = NFrame(sender_slot=1, cstate=cstate)
-    decoded = decode_frame(original.encode(), receiver_cstate=cstate)
+    decoded = decode_frame(encode(original), receiver_cstate=cstate)
     assert decoded.crc_ok
 
 
@@ -78,7 +79,7 @@ def test_n_frame_implicit_cstate_mismatch_fails_crc(cstate):
                    medl_position=cstate.medl_position,
                    membership=cstate.membership)
     original = NFrame(sender_slot=1, cstate=cstate)
-    decoded = decode_frame(original.encode(), receiver_cstate=other)
+    decoded = decode_frame(encode(original), receiver_cstate=other)
     assert not decoded.crc_ok
 
 
@@ -88,7 +89,7 @@ def test_n_frame_implicit_cstate_mismatch_fails_crc(cstate):
 @given(cstates, st.data())
 def test_single_bit_flip_detected_i_frame(cstate, data):
     original = IFrame(sender_slot=cstate.medl_position, cstate=cstate)
-    bits = original.encode()
+    bits = encode(original)
     position = data.draw(st.integers(min_value=0, max_value=len(bits) - 1))
     bits[position] ^= 1
     decoded = decode_i_frame(bits)
@@ -99,7 +100,7 @@ def test_single_bit_flip_detected_i_frame(cstate, data):
 def test_single_bit_flip_detected_cold_start(data):
     original = ColdStartFrame(sender_slot=3,
                               cstate=CState(global_time=99, medl_position=3))
-    bits = original.encode()
+    bits = encode(original)
     # Skip the type bit: flipping it is a parse error, not a CRC miss.
     position = data.draw(st.integers(min_value=1, max_value=len(bits) - 1))
     bits[position] ^= 1
@@ -112,7 +113,7 @@ def test_single_bit_flip_detected_x_frame(data):
     original = XFrame(sender_slot=2,
                       cstate=CState(global_time=5, medl_position=2),
                       data_bits=(1, 0, 1, 1))
-    bits = original.encode()
+    bits = encode(original)
     position = data.draw(st.integers(min_value=0, max_value=len(bits) - 1))
     bits[position] ^= 1
     decoded = decode_x_frame(bits)
@@ -124,13 +125,13 @@ def test_single_bit_flip_detected_x_frame(data):
 
 def test_length_classification():
     cstate = CState(global_time=1, medl_position=2)
-    assert isinstance(decode_frame(IFrame(sender_slot=2, cstate=cstate).encode()).frame,
+    assert isinstance(decode_frame(encode(IFrame(sender_slot=2, cstate=cstate))).frame,
                       IFrame)
     assert isinstance(decode_frame(
-        ColdStartFrame(sender_slot=2, cstate=cstate).encode()).frame,
+        encode(ColdStartFrame(sender_slot=2, cstate=cstate))).frame,
         ColdStartFrame)
     assert isinstance(decode_frame(
-        XFrame(sender_slot=2, cstate=cstate).encode()).frame, XFrame)
+        encode(XFrame(sender_slot=2, cstate=cstate))).frame, XFrame)
 
 
 def test_cold_start_wire_size_is_field_sum():
@@ -138,14 +139,14 @@ def test_cold_start_wire_size_is_field_sum():
     headline COLD_START_FRAME_BITS keeps the paper's stated 40 -- the
     documented inconsistency."""
     cstate = CState(global_time=0, medl_position=1)
-    assert len(ColdStartFrame(sender_slot=1, cstate=cstate).encode()) \
+    assert len(encode(ColdStartFrame(sender_slot=1, cstate=cstate))) \
         == COLD_START_WIRE_BITS == 50
 
 
 def test_n_frame_requires_receiver_cstate():
     frame = NFrame(sender_slot=1, cstate=CState(medl_position=1))
     with pytest.raises(DecodeError):
-        decode_frame(frame.encode())
+        decode_frame(encode(frame))
 
 
 def test_unclassifiable_length_rejected():
@@ -171,7 +172,7 @@ def test_cold_start_type_bit_enforced():
 def test_cold_start_round_slot_zero_rejected():
     frame = ColdStartFrame(sender_slot=0, cstate=CState(medl_position=0))
     with pytest.raises(DecodeError):
-        decode_cold_start_frame(frame.encode())
+        decode_cold_start_frame(encode(frame))
 
 
 # -- bridge: frames from the live simulation survive the wire ------------------------
@@ -193,7 +194,7 @@ def test_simulated_cluster_frames_decode_cleanly():
     assert captured
     seen_kinds = set()
     for frame in captured:
-        decoded = decode_frame(frame.encode(),
+        decoded = decode_frame(encode(frame),
                                receiver_cstate=frame.cstate)
         assert decoded.crc_ok
         assert decoded.frame.cstate.global_time == frame.cstate.global_time

@@ -7,12 +7,14 @@ straightforward reading of the protocol rules: fold the mailbox into one
 :class:`FrameObservation` per channel (``_fold_mailbox``) and apply the
 frame-correctness, application-data, deferred-mode, acknowledgment and
 membership rules observation by observation.  Both must reach the same
-verdict and leave the controller in the same state, with frame-level and
-with wire-level reception (where the fold decodes and CRC-checks each
-channel's bits).  The inputs are random mailboxes (0-3 transmissions per
-channel, corrupted copies, signal shapes inside and outside the receiver
-tolerance) carrying C-states whose memberships range over slots 1..64,
-across the 16-bit boundaries of the wire field.  Half of them carry one
+verdict and leave the controller in the same state, on the product
+controller and on the test-side :class:`WireLevelController` (whose judge
+first replaces each channel's sole transmission by what it decodes from
+the bits, and whose fold decodes and CRC-checks each channel's bits).
+The inputs are random mailboxes (0-3 transmissions per channel, corrupted
+copies, signal shapes inside and outside the receiver tolerance) carrying
+C-states whose memberships range over slots 1..64, across the 16-bit
+boundaries of the wire field.  Half of them carry one
 shared transmission on both channels, the way the star forwards a frame,
 with independently drawn corruption flags: the judge reuses channel 0's
 verdict for such a replica only when both copies are equally corrupted.
@@ -31,6 +33,7 @@ from repro.ttp.controller import (ControllerConfig, ControllerStateName,
 from repro.ttp.cstate import CState
 from repro.ttp.frames import SILENCE, IFrame, NFrame, XFrame
 from repro.ttp.medl import Medl
+from tests.ttp.wire_codec import WireLevelController
 
 SLOTS = 64
 NAMES = [f"N{index}" for index in range(1, SLOTS + 1)]
@@ -202,13 +205,17 @@ def oracle_judge(controller, mailbox):
                 my_members=sorted(controller.view.membership_set()))
 
 
+def product_judge(controller, mailbox):
+    controller._judge_completed_slot(mailbox)
+
+
 def judged_controller(inputs, judge):
     log = EventLog()
-    controller = TTPController(
+    controller_type = WireLevelController if inputs["wire"] else TTPController
+    controller = controller_type(
         Simulator(), "N2", MEDL, StubTopology(), monitor=log,
         config=ControllerConfig(
-            strict_membership_agreement=inputs["strict"],
-            wire_level_reception=inputs["wire"]))
+            strict_membership_agreement=inputs["strict"]))
     controller.state = ControllerStateName.PASSIVE
     controller.slot = inputs["position"]
     controller.cstate = CState(global_time=inputs["global_time"],
@@ -242,7 +249,6 @@ def observable(controller, events):
 @settings(max_examples=400, deadline=None)
 @given(judge_inputs())
 def test_slot_judge_matches_observation_oracle(inputs):
-    judged = observable(*judged_controller(
-        inputs, TTPController._judge_completed_slot))
+    judged = observable(*judged_controller(inputs, product_judge))
     oracle = observable(*judged_controller(inputs, oracle_judge))
     assert judged == oracle

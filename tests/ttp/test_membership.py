@@ -1,10 +1,45 @@
 """Tests for the group-membership bookkeeping."""
 
+from dataclasses import dataclass, replace
+from typing import List
+
 import pytest
 
 from repro.ttp.cstate import CState
 from repro.ttp.frames import FrameObservation, IFrame
-from repro.ttp.membership import MembershipView, SlotJudgment
+from repro.ttp.membership import MembershipView
+from tests.ttp.test_frames import is_correct
+
+
+@dataclass
+class SlotJudgment:
+    """A receiver's verdict about one slot's traffic."""
+
+    slot_id: int
+    correct: bool
+    null: bool
+
+    @property
+    def failed(self) -> bool:
+        return not self.correct and not self.null
+
+
+def judge_slot(view: MembershipView, slot_id: int,
+               observations: List[FrameObservation],
+               receiver_cstate: CState) -> SlotJudgment:
+    """Judge one slot from the observations on all channels.
+
+    TTP/C accepts a slot if *any* channel carried a correct frame
+    (channels are replicas); the slot is null only if every channel was
+    silent.  The judgment updates membership and clique counters through
+    :meth:`MembershipView.apply_judgment`, as the controller's slot judge
+    does.
+    """
+    any_correct = any(
+        is_correct(observation, receiver_cstate) for observation in observations)
+    all_null = all(observation.is_null() for observation in observations)
+    view.apply_judgment(slot_id, any_correct, all_null)
+    return SlotJudgment(slot_id=slot_id, correct=any_correct, null=all_null)
 
 
 def make_view():
@@ -26,7 +61,7 @@ def test_correct_frame_adds_member_and_agreed():
     view = make_view()
     receiver = cstate(time=5, position=2)
     frame = IFrame(sender_slot=2, cstate=receiver)
-    judgment = view.judge_slot(2, [FrameObservation(frame=frame)], receiver)
+    judgment = judge_slot(view, 2, [FrameObservation(frame=frame)], receiver)
     assert judgment.correct
     assert view.is_member(2)
     assert view.counters.agreed == 1
@@ -37,7 +72,7 @@ def test_incorrect_frame_removes_member_and_fails():
     view.assign({2})
     receiver = cstate(time=5, position=2)
     wrong = IFrame(sender_slot=2, cstate=cstate(time=99, position=2))
-    judgment = view.judge_slot(2, [FrameObservation(frame=wrong)], receiver)
+    judgment = judge_slot(view, 2, [FrameObservation(frame=wrong)], receiver)
     assert judgment.failed
     assert not view.is_member(2)
     assert view.counters.failed == 1
@@ -46,8 +81,8 @@ def test_incorrect_frame_removes_member_and_fails():
 def test_silent_slot_removes_member_without_counting():
     view = make_view()
     view.assign({3})
-    judgment = view.judge_slot(3, [FrameObservation(frame=None),
-                                   FrameObservation(frame=None)], cstate())
+    judgment = judge_slot(view, 3, [FrameObservation(frame=None),
+                                    FrameObservation(frame=None)], cstate())
     assert judgment.null
     assert not view.is_member(3)
     assert view.counters.total == 0
@@ -58,8 +93,8 @@ def test_any_channel_correct_wins():
     view = make_view()
     receiver = cstate(time=1, position=2)
     good = FrameObservation(frame=IFrame(sender_slot=2, cstate=receiver))
-    bad = good.with_corruption()
-    judgment = view.judge_slot(2, [bad, good], receiver)
+    bad = replace(good, corrupted=True)
+    judgment = judge_slot(view, 2, [bad, good], receiver)
     assert judgment.correct
     assert view.counters.agreed == 1
 

@@ -12,16 +12,17 @@ import pytest
 from dataclasses import replace
 
 from repro.ttp.cstate import CState
-from repro.ttp.decode import (
-    I_FRAME_MAX_WIRE_BITS,
-    decode_frame,
-    decode_i_frame,
-)
 from repro.ttp.frames import (
     IFrame,
     XFrame,
     i_frame_wire_bits,
     membership_field_bits_for,
+)
+from tests.ttp.wire_codec import (
+    I_FRAME_MAX_WIRE_BITS,
+    decode_frame,
+    decode_i_frame,
+    encode,
 )
 
 #: (slot count, expected membership field width, expected I-frame width).
@@ -54,7 +55,7 @@ def test_i_frame_roundtrip_at_wide_memberships(slots):
                     membership=full_membership(slots))
     frame = IFrame(sender_slot=slots, cstate=cstate)
     assert frame.size_bits == i_frame_wire_bits(slots)
-    bits = frame.encode()
+    bits = encode(frame)
     assert len(bits) == frame.size_bits
     decoded = decode_frame(bits)
     assert decoded.crc_ok
@@ -67,17 +68,17 @@ def test_sparse_high_memberships_roundtrip(slots):
     # Only the highest slot present: the field width follows the highest
     # member, and the lone set bit survives the trip.
     cstate = CState(membership=frozenset({slots}), medl_position=1)
-    decoded = decode_frame(IFrame(sender_slot=1, cstate=cstate).encode())
+    decoded = decode_frame(encode(IFrame(sender_slot=1, cstate=cstate)))
     assert decoded.crc_ok
     assert decoded.frame.cstate.membership == frozenset({slots})
 
 
 @pytest.mark.parametrize("slots", [17, 33, 64])
 def test_crc_catches_corruption_in_wide_frames(slots):
-    bits = list(IFrame(
+    bits = list(encode(IFrame(
         sender_slot=slots,
         cstate=CState(membership=full_membership(slots),
-                      medl_position=slots)).encode())
+                      medl_position=slots))))
     # Flip one bit inside the widened membership region.
     bits[40] ^= 1
     assert not decode_i_frame(bits).crc_ok
@@ -86,18 +87,18 @@ def test_crc_catches_corruption_in_wide_frames(slots):
 def test_i_frame_wire_lengths_are_unambiguous():
     """decode_frame classifies every legal I-frame width as an I-frame."""
     for slots, _, frame_bits in WIDTHS:
-        decoded = decode_frame(IFrame(
+        decoded = decode_frame(encode(IFrame(
             sender_slot=1,
             cstate=CState(membership=frozenset({slots}),
-                          medl_position=1)).encode())
+                          medl_position=1))))
         assert isinstance(decoded.frame, IFrame)
         assert frame_bits <= I_FRAME_MAX_WIRE_BITS
 
 
 def test_x_frame_carries_memberships_through_slot_63():
     cstate = CState(membership=full_membership(63), medl_position=5)
-    decoded = decode_frame(XFrame(sender_slot=5, cstate=cstate,
-                                  data_bits=(1, 0, 1)).encode())
+    decoded = decode_frame(encode(XFrame(sender_slot=5, cstate=cstate,
+                                         data_bits=(1, 0, 1))))
     assert decoded.crc_ok
     assert decoded.frame.cstate == replace(cstate, dmc_mode=0)
 

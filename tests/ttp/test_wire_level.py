@@ -1,29 +1,34 @@
 """Wire-level reception: the cluster running on real bits.
 
-With ``wire_level_reception`` every received frame is serialized, channel
-corruption becomes an actual bit flip, and the receiver decodes and
-CRC-checks the wire bits -- N-frames validating only through the implicit
-C-state seed, exactly the mechanism the paper describes.
+Every controller here is a :class:`WireLevelController`: each received
+frame is serialized, channel corruption becomes an actual bit flip, and
+the receiver decodes and CRC-checks the wire bits -- N-frames validating
+only through the implicit C-state seed, exactly the mechanism the paper
+describes.  The product judge compares C-states directly; these clusters
+show the two readings agree.
 """
 
+import pytest
 
+import repro.cluster
 from repro.cluster import Cluster, ClusterSpec
 from repro.core.authority import CouplerAuthority
 from repro.network.star_coupler import CouplerFault
 from repro.ttp.constants import ControllerStateName
-from repro.ttp.controller import ControllerConfig
 from repro.ttp.medl import Medl, SlotDescriptor
+from tests.ttp.wire_codec import WireLevelController
 
 NODES = ["A", "B", "C", "D"]
 
 
-def wire_configs():
-    return {name: ControllerConfig(wire_level_reception=True)
-            for name in NODES}
+@pytest.fixture(autouse=True)
+def wire_level_controllers(monkeypatch):
+    """Every cluster built in this module receives through the codec."""
+    monkeypatch.setattr(repro.cluster, "TTPController", WireLevelController)
 
 
 def build(**kwargs):
-    spec = ClusterSpec(node_configs=wire_configs(), **kwargs)
+    spec = ClusterSpec(**kwargs)
     cluster = Cluster(spec)
     cluster.power_on()
     return cluster
@@ -31,6 +36,8 @@ def build(**kwargs):
 
 def test_wire_level_startup_converges():
     cluster = build(topology="star")
+    assert all(type(controller) is WireLevelController
+               for controller in cluster.controllers.values())
     cluster.run(rounds=30)
     assert all(state is ControllerStateName.ACTIVE
                for state in cluster.states().values())
@@ -60,8 +67,7 @@ def test_wire_level_mode_change_propagates():
                  SlotDescriptor(slot_id=index + 1, sender=name,
                                 duration=400.0, frame_bits=2076)
                  for index, name in enumerate(NODES)))]
-    spec = ClusterSpec(modes=modes, slot_duration=400.0,
-                       node_configs=wire_configs())
+    spec = ClusterSpec(modes=modes, slot_duration=400.0)
     cluster = Cluster(spec)
     cluster.power_on()
     cluster.run(rounds=20)
@@ -85,7 +91,7 @@ def test_wire_level_n_frame_cluster():
         SlotDescriptor(slot_id=index + 1, sender=name, duration=100.0,
                        frame_bits=28, explicit_cstate=False)
         for index, name in enumerate(NODES)))
-    spec = ClusterSpec(modes=[medl], node_configs=wire_configs())
+    spec = ClusterSpec(modes=[medl])
     cluster = Cluster(spec)
     cluster.power_on()
     cluster.run(rounds=40)
@@ -99,8 +105,7 @@ def test_wire_level_out_of_slot_failure_still_reproduces():
     spec = ClusterSpec(topology="star",
                        authority=CouplerAuthority.FULL_SHIFTING,
                        coupler_faults=[CouplerFault.OUT_OF_SLOT,
-                                       CouplerFault.NONE],
-                       node_configs=wire_configs())
+                                       CouplerFault.NONE])
     cluster = Cluster(spec)
     cluster.power_on()
     cluster.run(rounds=30)
