@@ -28,7 +28,8 @@ Per-level kernel
 :meth:`VectorKernel.successor_level` computes, for a whole frontier:
 
 1. **digit planes** -- per-node local codes via a ``divmod`` chain by
-   ``block_radix`` (one array op per node), then dense local ids:
+   ``block_radix`` (one array op per node, node-major: one contiguous
+   array per node), then dense local ids:
    ``local_id`` is interned the first time a node-local code appears in
    a frontier, so the tables below cover only the few hundred codes a
    search reaches, not the whole ``block_radix`` local axis;
@@ -47,19 +48,26 @@ Per-level kernel
    their options come from the model's node-step memo
    (:meth:`node_option_codes`, keyed by what the node observes, shared
    with the packed engine so both stay bit-for-bit consistent), and
-   counts and offsets are written with one scatter each while the new
-   options join the pool as one chunk.  Both table dimensions grow by
+   counts and offsets are written with one scatter each while the option
+   sets the pool lacks join it as one chunk.  The pool is interned by
+   content, ``(node, options)``: equal option sets share one offset, so
+   equal offsets mean equal option sets.  Both table dimensions grow by
    doubling;
-5. **cartesian expansion** -- each (state, context) row yields
-   ``prod(counts)`` successors.  Nodes with a single option in every row
-   add it row-wise; each node with several options somewhere repeats
-   every partial successor once per option, in node order, so the last
-   node varies fastest as in the scalar product;
-6. **scalar order** -- the expansion keeps rows in place, so the edges
-   come out in :meth:`TTAStartupModel.packed_successors` enumeration
-   order (parent, fault context, then node options with the last node
-   fastest); they are not deduplicated (:class:`LevelDiscovery` drops the
-   per-parent repeats).
+5. **repeat rows** -- a row whose next tail and per-node offsets equal
+   those of an earlier row of the same parent would yield that row's
+   successors again, so it is dropped before the expansion.  A parent's
+   rows are contiguous and there are at most a few contexts per key, so
+   comparing each row with the few rows before it, one column at a time,
+   finds them;
+6. **cartesian expansion** -- each kept row yields ``prod(counts)``
+   successors.  Nodes with a single option in every row add it row-wise;
+   each other node repeats every partial successor once per option, in
+   node order, so the last node varies fastest as in the scalar product.
+   The edges come out in :meth:`TTAStartupModel.packed_successors`
+   enumeration order (parent, fault context, then node options with the
+   last node fastest).  Rows with different option sets can still reach
+   one target twice; :class:`LevelDiscovery` drops those per-parent
+   repeats.
 
 Level step
 ----------
@@ -147,18 +155,22 @@ class VectorKernel:
         #: conversions.  Sized by :meth:`_reserve`.
         self._counts = np.empty((0, node_count, 0), dtype=np.int64)
         self._offsets = np.empty((0, node_count, 0), dtype=np.int64)
-        #: Broadcast helpers reused every level.
-        self._node_row = np.arange(node_count)[None, :]
-        self._sig_base = 2 + 2 * np.arange(node_count, dtype=np.int64)[None, :]
+        #: Broadcast helpers reused every level (node-major columns).
+        self._node_column = np.arange(node_count)[:, None]
+        self._sig_base = 2 + 2 * np.arange(node_count, dtype=np.int64)[:, None]
         #: Flat-index helpers, reset by :meth:`_reserve`:
         #: table[pair, node, id] ==
         #: table.ravel()[pair * pair_stride + node * id_capacity + id].
         self._pair_stride = 0
-        self._node_stride = np.zeros((1, node_count), dtype=np.int64)
+        self._node_stride = np.zeros((node_count, 1), dtype=np.int64)
         self._counts_flat = self._counts.ravel()
         self._offsets_flat = self._offsets.ravel()
         #: Flat pool of pre-scaled option codes the offsets point into.
         self._options = np.empty(0, dtype=np.uint64)
+        #: ``(node, option codes)`` -> offset of that option set in the
+        #: pool: equal option sets of one node share one offset, so equal
+        #: offsets mean equal option sets (-1 is the empty set's offset).
+        self._option_offset: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         #: context key -> (pair_keys int64[], next_tails int64[]).
         self._contexts: Dict[int, Tuple["object", "object"]] = {}
 
@@ -185,20 +197,20 @@ class VectorKernel:
         return words + tails.astype(self.np.uint64) * self._tail_scale_u64
 
     def local_planes(self, words) -> "object":
-        """Per-node local codes: ``(n, node_count)`` int64 digit planes."""
+        """Per-node local codes: ``(node_count, n)`` int64 digit planes."""
         np = self.np
-        planes = np.empty((len(words), self.node_count), dtype=np.int64)
+        planes = np.empty((self.node_count, len(words)), dtype=np.int64)
         rest = words
         radix = np.uint64(self.block_radix)
         for index in range(self.node_count):
             rest, local = np.divmod(rest, radix)
-            planes[:, index] = local.astype(np.int64)
+            planes[index] = local
         return planes
 
     # -- lazy tables --------------------------------------------------------------
 
     def _intern(self, planes) -> "object":
-        """Dense local ids of all states x nodes (interns new codes and
+        """Dense local ids of all nodes x states (interns new codes and
         records their sent kinds at every node position)."""
         np = self.np
         ids = self._local_id.take(planes)
@@ -261,16 +273,20 @@ class VectorKernel:
         self._counts_flat = counts.ravel()
         self._offsets_flat = offsets.ravel()
         self._pair_stride = self.node_count * ids
-        self._node_stride = (np.arange(self.node_count) * ids)[None, :]
+        self._node_stride = (np.arange(self.node_count) * ids)[:, None]
 
     def _fill_missing(self, flat_index, counts) -> None:
         """Fill step-table entries for every flat ``(pair, node, id)``
         index gathered as unfilled (count < 0) in this level, from the
         model's node-step memo (:meth:`node_option_codes`), and append
-        their options to the pool as one chunk.
+        the option sets the pool does not hold yet as one chunk.
 
         Options enter the flat pool *pre-scaled* by ``block_radix**node``,
-        so the expansion sums gathered pool entries directly.
+        so the expansion sums gathered pool entries directly.  The pool is
+        interned by content: an option set already pooled for its node
+        gets the offset it has (the memo's codes determine the pre-scaled
+        ones, so they are the key), which :meth:`successor_level` relies
+        on to spot repeat rows by their offsets.
         """
         np = self.np
         missing = np.unique(flat_index[counts < 0])
@@ -279,19 +295,26 @@ class VectorKernel:
         option_codes = self.model.node_option_codes
         local_codes = self._local_codes
         scales = self._scales
+        option_offset = self._option_offset
+        pool_size = len(self._options)
         lengths = []
+        starts = []
         chunk: List[int] = []
         for pair_key, node_index, local_id in zip(
                 pair_keys.tolist(), node_indices.tolist(), local_ids.tolist()):
             options = option_codes(node_index, local_codes[local_id], pair_key)
+            key = (node_index, options)
+            start = option_offset.get(key)
+            if start is None:
+                start = pool_size + len(chunk) if options else -1
+                option_offset[key] = start
+                scale = scales[node_index]
+                chunk.extend(option * scale for option in options)
             lengths.append(len(options))
-            scale = scales[node_index]
-            chunk.extend(option * scale for option in options)
-        if max(chunk) >= 1 << 63:
+            starts.append(start)
+        if chunk and max(chunk) >= 1 << 63:
             raise OverflowError("pre-scaled option codes exceed 63 bits")
-        sizes = np.array(lengths, dtype=np.int64)
-        starts = np.cumsum(sizes) - sizes + len(self._options)
-        self._counts_flat[missing] = sizes
+        self._counts_flat[missing] = lengths
         self._offsets_flat[missing] = starts
         self._options = np.concatenate(
             [self._options, np.array(chunk, dtype=np.uint64)])
@@ -303,14 +326,15 @@ class VectorKernel:
 
         Returns ``(succ_words, succ_tails, parent_index)`` where
         ``parent_index[j]`` is the row of the input frontier that produced
-        successor ``j``.  The output is *not* deduplicated: one target
-        reachable through two fault contexts appears twice (each
-        occurrence is a distinct transition).  :class:`LevelDiscovery`
-        drops the repeats the scalar path's per-state dedup never makes.
+        successor ``j``.  A fault context that gives every node of a
+        parent the same options and the same next tail as an earlier one
+        adds no edges; contexts that differ can still reach one target
+        twice, and :class:`LevelDiscovery` drops the repeats the scalar
+        path's per-state dedup never makes.
 
         Edges come in the enumeration order of
-        :meth:`TTAStartupModel.packed_successors`: parent-major, and per
-        parent in scalar order.
+        :meth:`TTAStartupModel.packed_successors`, less those repeat
+        contexts: parent-major, and per parent in scalar order.
         """
         np = self.np
         n = len(words)
@@ -325,12 +349,12 @@ class VectorKernel:
         # contributes its own signature id, the row sum IS the signature
         # when exactly one node sends, and sender counts patch the silent
         # and collision rows.
-        kinds = self._sent[ids, self._node_row].astype(np.int64)
+        kinds = self._sent[ids, self._node_column].astype(np.int64)
         sending = kinds > 0
-        sender_count = sending.sum(axis=1)
+        sender_count = sending.sum(axis=0)
         per_node_sig = sending * (self._sig_base + (kinds - 1))
         signatures = np.where(
-            sender_count == 1, per_node_sig.sum(axis=1),
+            sender_count == 1, per_node_sig.sum(axis=0),
             np.where(sender_count == 0, SIG_SILENT, SIG_COLLISION))
 
         # Group states by (signature, tail) context key and flatten each
@@ -362,34 +386,57 @@ class VectorKernel:
         row_pair = flat_pairs[row_context]
         row_next_tail = flat_tails[row_context]
 
-        # Per-row, per-node option counts and offsets into the flat pool.
+        # Per-node, per-row option counts and offsets into the flat pool,
+        # node-major so that each node's column is one contiguous array.
         # One flat index array serves both stacked tables (same geometry);
         # entries gathered as -1 are unfilled, triggering a bulk fill +
         # regather.
         self._reserve(int(flat_pairs.max()) + 1)
-        flat_index = (row_pair[:, None] * self._pair_stride
-                      + self._node_stride) + ids.take(row_state, axis=0)
+        flat_index = (row_pair * self._pair_stride
+                      + self._node_stride) + ids.take(row_state, axis=1)
         counts = self._counts_flat.take(flat_index)
         if (counts < 0).any():
             self._fill_missing(flat_index, counts)
             counts = self._counts_flat.take(flat_index)
         offsets = self._offsets_flat.take(flat_index)
 
-        # Cartesian expansion: each row yields prod(counts) successors,
-        # the last node's option varying fastest as in the scalar product.
-        # Nodes with one option in every row add their (pre-scaled) option
-        # row-wise; each node with several options somewhere repeats every
+        # Drop repeat rows: a row whose next tail and per-node option sets
+        # (equal offsets, by the pool's interning) equal those of an
+        # earlier row of its parent yields exactly that row's successors
+        # again.  A parent's rows are contiguous and number at most the
+        # largest context count, so the earlier rows are a few lags back.
+        # ``rows`` maps what the expansion builds back to its row.
+        rows = None
+        lags = int(context_counts.max()) - 1
+        if lags:
+            repeat = np.zeros(len(row_state), dtype=bool)
+            for lag in range(1, lags + 1):
+                same = row_state[lag:] == row_state[:-lag]
+                same &= row_next_tail[lag:] == row_next_tail[:-lag]
+                for column in offsets:
+                    same &= column[lag:] == column[:-lag]
+                repeat[lag:] |= same
+            if repeat.any():
+                rows = np.flatnonzero(~repeat)
+
+        # Cartesian expansion: each kept row yields prod(counts)
+        # successors, the last node's option varying fastest as in the
+        # scalar product.  Nodes with one option in every row add their
+        # (pre-scaled) option row-wise; each other node repeats every
         # partial successor once per option, in node order, so the output
-        # stays parent-major, context-minor and in scalar rank order.
-        expanding = np.flatnonzero(counts.max(axis=0) > 1).tolist()
+        # stays parent-major, context-minor and in scalar rank order.  (A
+        # dropped row has its twin's counts, so it changes no node's kind.)
+        expanding = np.flatnonzero((counts != 1).any(axis=1)).tolist()
         fixed = [node for node in range(self.node_count)
                  if node not in expanding]
-        succ_words = self._options.take(offsets[:, fixed]).sum(
-            axis=1, dtype=np.uint64)
-        rows = None
+        fixed_offsets = offsets[fixed]
+        if rows is not None:
+            fixed_offsets = fixed_offsets.take(rows, axis=1)
+        succ_words = self._options.take(fixed_offsets).sum(
+            axis=0, dtype=np.uint64)
         for node in expanding:
-            node_counts = counts[:, node]
-            node_offsets = offsets[:, node]
+            node_counts = counts[node]
+            node_offsets = offsets[node]
             if rows is not None:
                 node_counts = node_counts.take(rows)
                 node_offsets = node_offsets.take(rows)
@@ -429,6 +476,9 @@ class LevelDiscovery:
     * parents never decrease, so an edge whose parent equals its run
       neighbour's repeats a target of its own parent -- an edge the
       per-state ``packed_successors`` dedup would never have produced.
+      The kernel already leaves out the contexts that repeat a whole
+      earlier context; these are the repeats that remain, where two
+      contexts with different option sets reach one target.
 
     Unvisited targets (``seen.filter_new``) become the level's new states
     in *discovery* order -- the order of their first edges -- with the

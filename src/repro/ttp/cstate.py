@@ -17,7 +17,7 @@ coupler fault subverts (a replayed frame carries a stale C-state).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional
 
 from repro.ttp.constants import (
     GLOBAL_TIME_BITS,
@@ -120,18 +120,6 @@ class CState:
         next_time = (self.global_time + slot_duration_ticks) % _GLOBAL_TIME_WRAP
         return CState._unchecked(next_time, next_position, self.membership,
                                  self.dmc_mode)
-
-    def agrees_with(self, other: "CState") -> bool:
-        """Whether two C-states match for frame-correctness purposes."""
-        return (self.global_time == other.global_time
-                and self.medl_position == other.medl_position
-                and self.membership_word() == other.membership_word()
-                and self.dmc_mode == other.dmc_mode)
-
-    def as_tuple(self) -> Tuple[int, int, int, int]:
-        """Hashable summary (useful as a dict key in experiments)."""
-        return (self.global_time, self.medl_position, self.membership_word(),
-                self.dmc_mode)
 
     def __str__(self) -> str:
         members = ",".join(str(member) for member in sorted(self.membership)) or "-"

@@ -50,7 +50,7 @@ class MembershipView:
         #: Membership vector (bit i = slot i).  Read freely; change it only
         #: through the methods below.
         self.word = 0
-        #: Lifetime judgment counts (diagnostics; see :meth:`failed_ratio`).
+        #: Lifetime judgment counts (diagnostics).
         #: Counters rather than a judgment log: a long large-N run judges
         #: hundreds of thousands of node-slots.
         self.judged = 0
@@ -67,12 +67,6 @@ class MembershipView:
     def counters(self) -> CliqueCounters:
         """This round's judgments as an immutable counters value."""
         return CliqueCounters(self._agreed, self._failed, self._cap)
-
-    @counters.setter
-    def counters(self, value: CliqueCounters) -> None:
-        self._agreed = value.agreed
-        self._failed = value.failed
-        self._cap = value.cap
 
     def reset_round(self) -> None:
         """Start a new round of clique counting."""
@@ -124,9 +118,3 @@ class MembershipView:
 
     def is_member(self, slot_id: int) -> bool:
         return bool(self.word >> slot_id & 1)
-
-    def failed_ratio(self) -> float:
-        """Fraction of judged slots that failed (diagnostics)."""
-        if not self.judged:
-            return 0.0
-        return self.judged_failed / self.judged

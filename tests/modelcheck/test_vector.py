@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.authority import CouplerAuthority
+from repro.model.properties import no_clique_freeze
 from repro.model.scenarios import scenario_for_authority
 from repro.model.system_model import TTAStartupModel
 from repro.modelcheck import encode
-from repro.modelcheck.checker import BATCH_MIN_LEVEL, _level_bfs
+from repro.modelcheck.checker import (BATCH_MIN_LEVEL, InvariantChecker,
+                                      _level_bfs)
 from repro.modelcheck.encode import NUMPY_HINT, StateCodec, have_numpy, require_numpy
 from repro.modelcheck.state import StateSpace, Variable
 from repro.modelcheck.vector import (FusedSeenSet, LevelDiscovery, SplitSeenSet,
@@ -111,9 +113,10 @@ def test_fits_uint64_decides_code_dtype():
 
 def test_kernel_successor_level_matches_scalar_successors():
     """One level of the batched pipeline produces exactly the scalar
-    (parent, target) relation.  Raw row counts may differ (two fault
-    contexts reaching one target are distinct rows), so parity is on the
-    relation, with exact-count parity covered by the LevelDiscovery tests."""
+    (parent, target) relation.  Edge counts may still differ (two fault
+    contexts with different option sets can reach one target), so parity
+    is on the relation, with exact-count parity covered by the
+    LevelDiscovery tests."""
     system = TTAStartupModel(
         scenario_for_authority(CouplerAuthority.SMALL_SHIFTING))
     system.ensure_packed_tables()
@@ -347,6 +350,71 @@ def test_level_discovery_matches_scalar_order(name, rng, size):
     assert discovery.parents.tolist() == first_parents
 
 
+@pytest.mark.parametrize("authority, states, bound", [
+    (CouplerAuthority.PASSIVE, 14772, 30_000),
+    (CouplerAuthority.FULL_SHIFTING, 20806, 50_000),
+], ids=["passive", "full_shifting"])
+def test_level_kernel_expands_no_repeat_rows(monkeypatch, authority, states,
+                                             bound):
+    """A fault context that gives every node of a parent the same option
+    set and the same next tail as an earlier context of that parent only
+    repeats the parent's edges, so the kernel drops its row before the
+    cartesian expansion.  Expanding every row, one cold slots=4 check
+    takes 89,049 kernel edges on passive and 117,297 on full shifting."""
+    edges = []
+    level = VectorKernel.successor_level
+
+    def counting(self, words, tails):
+        produced = level(self, words, tails)
+        edges.append(len(produced[0]))
+        return produced
+
+    monkeypatch.setattr(VectorKernel, "successor_level", counting)
+    config = scenario_for_authority(authority)
+    result = InvariantChecker(TTAStartupModel(config)).check(
+        no_clique_freeze(config))
+    assert result.engine == "vectorized"
+    assert result.states_explored == states
+    assert edges and sum(edges) <= bound
+
+
+def test_kernel_matches_scalar_order_with_empty_option_sets(monkeypatch):
+    """The model never leaves a node without a next state, but the kernel
+    stays exact if a node-step gave an empty option set: that row has no
+    successors, whether or not another row gives the node several
+    options, and its pool offset is no other option set's, so no row
+    with successors is dropped as its repeat."""
+    system = TTAStartupModel(scenario_for_authority(
+        CouplerAuthority.FULL_SHIFTING, slots=3, out_of_slot_budget=2))
+    codes = sorted(system.codec.pack(state)
+                   for level in reachable_tuple_bfs(system, 8)
+                   for state in level)
+    option_codes = system.node_option_codes
+    emptied = []
+
+    def sometimes_empty(node_index, local_code, pair_key):
+        if node_index == 1 and pair_key % 3 == 0:
+            emptied.append(pair_key)
+            return ()
+        return option_codes(node_index, local_code, pair_key)
+
+    monkeypatch.setattr(system, "node_option_codes", sometimes_empty)
+    kernel = VectorKernel(system)
+    by_parent = successors_by_parent(kernel, codes)
+    for code in codes:
+        assert tuple(by_parent[code]) == system.packed_successors(code)
+        assert successors_by_parent(kernel, [code]) == {code: by_parent[code]}
+    assert emptied
+    filled = kernel._counts >= 0
+    sets_at = {}
+    for offset, count in zip(kernel._offsets[filled].tolist(),
+                             kernel._counts[filled].tolist()):
+        start = max(offset, 0)
+        sets_at.setdefault(offset, set()).add(
+            tuple(kernel._options[start:start + count].tolist()))
+    assert all(len(sets) == 1 for sets in sets_at.values())
+
+
 def test_kernel_rejects_node_blocks_wider_than_uint64():
     system = TTAStartupModel(scenario_for_authority(CouplerAuthority.PASSIVE,
                                                     slots=5))
@@ -428,8 +496,6 @@ def test_compile_batch_invariant_matches_scalar_on_model():
     config = scenario_for_authority(CouplerAuthority.FULL_SHIFTING)
     system = TTAStartupModel(config)
     system.ensure_packed_tables()
-    from repro.model.properties import no_clique_freeze
-
     invariant = no_clique_freeze(config)
     kernel = VectorKernel(system)
     _, _, tail_scale = system.packed_geometry()
@@ -476,9 +542,6 @@ def test_require_numpy_error_names_the_fallback(monkeypatch):
 
 
 def test_checker_falls_back_to_packed_without_numpy(monkeypatch):
-    from repro.model.properties import no_clique_freeze
-    from repro.modelcheck.checker import InvariantChecker
-
     monkeypatch.setattr(encode, "_np", None)
     config = scenario_for_authority(CouplerAuthority.PASSIVE)
     checker = InvariantChecker(TTAStartupModel(config), engine="vectorized")
@@ -491,9 +554,6 @@ def test_checker_falls_back_to_packed_without_numpy(monkeypatch):
 def test_auto_engine_falls_back_to_packed_without_numpy(monkeypatch):
     """Without numpy ``auto`` runs the scalar packed engine, silently."""
     import warnings
-
-    from repro.model.properties import no_clique_freeze
-    from repro.modelcheck.checker import InvariantChecker
 
     monkeypatch.setattr(encode, "_np", None)
     config = scenario_for_authority(CouplerAuthority.PASSIVE)

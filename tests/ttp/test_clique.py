@@ -11,6 +11,19 @@ def counters(agreed, failed, cap=15):
     return CliqueCounters(agreed=agreed, failed=failed, cap=cap)
 
 
+def view_counting(agreed, failed):
+    """A membership view whose round counters read ``(agreed, failed)``,
+    reached the way a controller gets there: own sends and failed
+    judgments."""
+    view = MembershipView(own_slot=1)
+    for _ in range(agreed):
+        view.record_own_send()
+    for _ in range(failed):
+        view.apply_judgment(2, False, False)
+    assert view.counters == counters(agreed, failed)
+    return view
+
+
 # -- counter mechanics ---------------------------------------------------------------
 
 
@@ -32,8 +45,7 @@ def test_record_agreed_and_failed():
 
 
 def test_record_null_changes_nothing():
-    view = MembershipView(own_slot=1)
-    view.counters = counters(2, 1)
+    view = view_counting(2, 1)
     view.apply_judgment(3, False, True)
     assert view.counters == counters(2, 1)
 
@@ -41,8 +53,7 @@ def test_record_null_changes_nothing():
 def test_counters_saturate_at_cap():
     # The controller counts through its membership view, which holds the
     # saturation: judgments past the cap leave both counters at the cap.
-    view = MembershipView(own_slot=1)
-    view.counters = counters(15, 15)
+    view = view_counting(15, 15)
     view.apply_judgment(2, True, False)
     view.apply_judgment(3, False, False)
     view.record_own_send()
@@ -60,8 +71,7 @@ def test_negative_counters_rejected():
 
 
 def test_counters_are_immutable_value_objects():
-    view = MembershipView(own_slot=1)
-    view.counters = counters(1, 1)
+    view = view_counting(1, 1)
     base = view.counters
     view.apply_judgment(2, True, False)
     assert base.agreed == 1

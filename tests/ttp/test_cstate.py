@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.ttp.cstate import CState
-from tests.ttp.wire_codec import cstate_bits, cstate_digest, cstate_from_fields
+from tests.ttp.wire_codec import (cstate_as_tuple, cstate_bits, cstate_digest,
+                                  cstate_from_fields, cstates_agree)
 
 
 def test_default_cstate():
@@ -47,7 +48,7 @@ def test_wide_membership_roundtrip():
                       membership=frozenset({0, 17, 40, 63}))
     rebuilt = cstate_from_fields(original.global_time, original.medl_position,
                                  original.membership_word())
-    assert rebuilt.agrees_with(original)
+    assert cstates_agree(rebuilt, original)
     assert len(cstate_bits(original)) == 16 + 16 + 64
 
 
@@ -61,7 +62,7 @@ def test_from_fields_roundtrip():
                       membership=frozenset({1, 2, 4}))
     rebuilt = cstate_from_fields(original.global_time, original.medl_position,
                                  original.membership_word())
-    assert rebuilt.agrees_with(original)
+    assert cstates_agree(rebuilt, original)
 
 
 def test_to_bits_width():
@@ -93,18 +94,18 @@ def test_advanced_wraps_global_time():
 
 def test_agrees_with_requires_all_fields():
     base = CState(global_time=1, medl_position=2, membership=frozenset({1}))
-    assert base.agrees_with(CState(global_time=1, medl_position=2,
-                                   membership=frozenset({1})))
-    assert not base.agrees_with(CState(global_time=2, medl_position=2,
-                                       membership=frozenset({1})))
-    assert not base.agrees_with(CState(global_time=1, medl_position=3,
-                                       membership=frozenset({1})))
-    assert not base.agrees_with(CState(global_time=1, medl_position=2))
+    assert cstates_agree(base, CState(global_time=1, medl_position=2,
+                                      membership=frozenset({1})))
+    assert not cstates_agree(base, CState(global_time=2, medl_position=2,
+                                          membership=frozenset({1})))
+    assert not cstates_agree(base, CState(global_time=1, medl_position=3,
+                                          membership=frozenset({1})))
+    assert not cstates_agree(base, CState(global_time=1, medl_position=2))
 
 
 def test_as_tuple_hashable_summary():
     cstate = CState(global_time=7, medl_position=2, membership=frozenset({0}))
-    assert cstate.as_tuple() == (7, 2, 1, 0)
+    assert cstate_as_tuple(cstate) == (7, 2, 1, 0)
 
 
 def test_str_rendering():

@@ -18,7 +18,8 @@ from repro.ttp.frames import (
     NFrame,
     XFrame,
 )
-from tests.ttp.wire_codec import crc_seed, crc_value, encode, payload_bits
+from tests.ttp.wire_codec import (crc_seed, crc_value, cstates_agree, encode,
+                                  payload_bits)
 
 
 def make_cstate(time=5, position=2, members=(1, 2)):
@@ -31,7 +32,7 @@ def is_correct(observation, receiver_cstate):
     receiver's C-state."""
     if not observation.is_valid():
         return False
-    return observation.frame.cstate.agrees_with(receiver_cstate)
+    return cstates_agree(observation.frame.cstate, receiver_cstate)
 
 
 # -- sizes -----------------------------------------------------------------------

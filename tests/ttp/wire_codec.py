@@ -15,7 +15,7 @@ against the direct comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.network.channel import Transmission
 from repro.ttp.constants import (
@@ -119,6 +119,18 @@ def cstate_bits(cstate: CState) -> list:
     bits.extend(int_to_bits(cstate.membership_word(),
                             cstate.membership_field_bits()))
     return bits
+
+
+def cstate_as_tuple(cstate: CState) -> Tuple[int, int, int, int]:
+    """The C-state fields a receiver compares, as a hashable tuple:
+    global time, MEDL position, membership word and DMC mode."""
+    return (cstate.global_time, cstate.medl_position, cstate.membership_word(),
+            cstate.dmc_mode)
+
+
+def cstates_agree(first: CState, second: CState) -> bool:
+    """Whether two C-states match for frame-correctness purposes."""
+    return cstate_as_tuple(first) == cstate_as_tuple(second)
 
 
 def cstate_digest(cstate: CState) -> int:
